@@ -42,8 +42,7 @@ RunResult run_one(const PdmConfig& cfg, const std::vector<Record>& input, const 
                   DeviceModel dev, Tracer* trace = nullptr, MetricsRegistry* metrics = nullptr) {
     DiskArray disks(cfg.d, cfg.b, DiskBackend::kFile, "/tmp", Constraint::kIndependentDisks, {},
                     dev);
-    SortOptions opt;
-    opt.async_io = AsyncIo::kOn;
+    SortOptions opt; // file-backed: the sort runs on the worker executor
     opt.pool_buffers = v.pool;
     opt.cross_bucket_prefetch = v.stage;
     opt.trace = trace;

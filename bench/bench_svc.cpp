@@ -66,7 +66,6 @@ ScheduleResult run_schedule(const std::vector<JobSpec>& specs, std::uint32_t max
     {
         SchedulerConfig cfg;
         cfg.max_active = max_active;
-        cfg.async_io = true;
         SortScheduler sched(disks, cfg);
         std::vector<std::uint64_t> ids;
         for (const JobSpec& spec : specs) {

@@ -26,6 +26,7 @@
 // run writes the same trace/manifest/profile outputs, which is how CI
 // produces its reference artifacts.
 #include <cctype>
+#include <cerrno>
 #include <cstdio>
 #include <cstring>
 #include <filesystem>
@@ -45,6 +46,7 @@ using namespace balsort;
 namespace {
 
 struct CliOptions {
+    const char* argv0 = "balsort_cli";
     std::string input, output;
     std::uint64_t mem = 1 << 16;
     std::uint32_t disks = 8;
@@ -80,6 +82,7 @@ struct CliOptions {
 
 CliOptions parse(int argc, char** argv) {
     CliOptions o;
+    o.argv0 = argv[0];
     std::vector<std::string> positional;
     for (int i = 1; i < argc; ++i) {
         const std::string a = argv[i];
@@ -87,21 +90,35 @@ CliOptions parse(int argc, char** argv) {
             if (i + 1 >= argc) usage(argv[0]);
             return argv[++i];
         };
+        // A non-negative decimal no larger than `max`, or a usage error.
+        auto number = [&](std::uint64_t max) -> std::uint64_t {
+            const std::string v = next();
+            char* end = nullptr;
+            errno = 0;
+            const unsigned long long x = std::strtoull(v.c_str(), &end, 10);
+            if (v.empty() || v[0] == '-' || *end != '\0' || errno != 0 || x > max) {
+                std::cerr << "balsort_cli: " << a << " needs a number up to " << max << ", got '"
+                          << v << "'\n";
+                usage(argv[0]);
+            }
+            return x;
+        };
+        constexpr std::uint64_t kU32 = 0xffffffffu;
         if (a == "--mem") {
-            o.mem = std::strtoull(next().c_str(), nullptr, 10);
+            o.mem = number(~std::uint64_t{0});
             o.mem_set = true;
         } else if (a == "--disks") {
-            o.disks = static_cast<std::uint32_t>(std::stoul(next()));
+            o.disks = static_cast<std::uint32_t>(number(kU32));
             o.disks_set = true;
         } else if (a == "--block") {
-            o.block = static_cast<std::uint32_t>(std::stoul(next()));
+            o.block = static_cast<std::uint32_t>(number(kU32));
             o.block_set = true;
         } else if (a == "--scratch") {
             o.scratch = next();
         } else if (a == "--algo") {
             o.algo = next();
         } else if (a == "--threads") {
-            o.threads = static_cast<std::uint32_t>(std::stoul(next()));
+            o.threads = static_cast<std::uint32_t>(number(kU32));
         } else if (a == "--trace") {
             o.trace_path = next();
         } else if (a == "--metrics-json") {
@@ -113,7 +130,7 @@ CliOptions parse(int argc, char** argv) {
         } else if (a == "--profile") {
             o.profile_path = next();
         } else if (a == "--profile-hz") {
-            o.profile_hz = static_cast<std::uint32_t>(std::stoul(next()));
+            o.profile_hz = static_cast<std::uint32_t>(number(kU32));
         } else if (a == "--checkpoint") {
             o.checkpoint = next();
         } else if (a == "--resume") {
@@ -169,14 +186,21 @@ void write_file(const std::string& path, const std::vector<Record>& recs) {
 }
 
 int run(const CliOptions& o) {
+    // An impossible machine shape is a usage error, reported before any
+    // input is read or scratch file created.
+    try {
+        PdmConfig{.n = 1, .m = o.mem, .d = o.disks, .b = o.block, .p = 1}.validate();
+    } catch (const std::invalid_argument& e) {
+        std::cerr << "balsort_cli: " << e.what() << '\n';
+        usage(o.argv0);
+    }
     auto records = read_file(o.input);
     const std::uint64_t n = records.size();
     if (n == 0) {
         write_file(o.output, {});
         return 0;
     }
-    PdmConfig cfg{.n = n, .m = o.mem, .d = o.disks, .b = o.block, .p = 1};
-    cfg.validate();
+    const PdmConfig cfg{.n = n, .m = o.mem, .d = o.disks, .b = o.block, .p = 1};
 
     // Crash restartability (DESIGN.md §13): pin the scratch files under
     // names derived from the checkpoint path and keep them across crashes,

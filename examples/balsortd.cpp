@@ -8,7 +8,7 @@
 //            [--queue CAP] [--budget BLOCKS] [--manifest-dir DIR]
 //            [--trace OUT.json] [--serial] [--stats-port PORT]
 //            [--stats-file PATH] [--tick SECONDS] [--flight-dump PATH]
-//   balsortd --selftest [--stats-port PORT] [--stats-file PATH]
+//   balsortd --selftest [--scratch DIR] [--stats-port PORT] [--stats-file PATH]
 //
 // Live observability (DESIGN.md §16): --stats-port serves Prometheus-style
 // exposition text over HTTP/1.0 on 127.0.0.1 (try
@@ -76,7 +76,7 @@ namespace {
                  "          [--stats-port PORT] [--stats-file PATH] [--tick SECONDS]\n"
                  "          [--flight-dump PATH]\n"
                  "       "
-              << argv0 << " --selftest [--stats-port PORT] [--stats-file PATH]\n";
+              << argv0 << " --selftest [--scratch DIR] [--stats-port PORT] [--stats-file PATH]\n";
     std::exit(2);
 }
 
@@ -379,10 +379,11 @@ int run_jobs(const std::vector<JobSpec>& specs, DiskArray& disks, SchedulerConfi
     return failures == 0 ? 0 : 1;
 }
 
-int selftest(const StatsOptions& stats) {
-    // 4 mixed jobs on a shared 8-disk memory array; each job's model
-    // accounting must come out byte-identical to a solo run of the same
-    // spec — the service's core guarantee.
+int selftest(const StatsOptions& stats, const std::string& scratch) {
+    // 4 mixed jobs on a shared 8-disk file-backed array (per-disk worker
+    // executor); each job's model accounting must come out byte-identical
+    // to a solo run of the same spec on a memory-backed array (inline
+    // executor) — the service's core guarantee, across both executors.
     std::vector<JobSpec> specs;
     const Workload kinds[] = {Workload::kUniform, Workload::kZipf, Workload::kOrganPipe,
                               Workload::kNearlySorted};
@@ -404,7 +405,6 @@ int selftest(const StatsOptions& stats) {
         DiskArray disks(8, 64);
         SchedulerConfig cfg;
         cfg.max_active = 1;
-        cfg.async_io = false;
         SortScheduler solo(disks, cfg);
         const JobStatus st = solo.wait(solo.submit(spec).id);
         if (st.state != JobState::kSucceeded) {
@@ -416,11 +416,10 @@ int selftest(const StatsOptions& stats) {
     }
 
     // Concurrent run on one shared array.
-    DiskArray disks(8, 64);
+    DiskArray disks(8, 64, DiskBackend::kFile, scratch);
     MetricsRegistry registry;
     SchedulerConfig cfg;
     cfg.max_active = 4;
-    cfg.async_io = false;
     if (stats.port >= 0 || !stats.file.empty()) cfg.metrics = &registry;
     SortScheduler sched(disks, cfg);
     std::unique_ptr<StatsService> server;
@@ -523,7 +522,7 @@ int main(int argc, char** argv) {
 #endif
     };
     if (run_selftest) {
-        const int rc = selftest(stats);
+        const int rc = selftest(stats, scratch);
         final_flight_dump(rc);
         return rc;
     }
@@ -546,7 +545,6 @@ int main(int argc, char** argv) {
     }
     if (backend != "mem" && backend != "file") usage(argv[0]);
     const DiskBackend be = backend == "file" ? DiskBackend::kFile : DiskBackend::kMemory;
-    cfg.async_io = be == DiskBackend::kFile;
 
     Tracer tracer;
     if (!trace_path.empty()) cfg.trace = &tracer;

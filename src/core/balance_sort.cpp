@@ -44,13 +44,13 @@ std::uint32_t default_bucket_count(const PdmConfig& cfg, std::uint32_t vblock_re
 
 namespace {
 
-/// Scoped enable/restore of the array's async engine around one sort, so a
-/// sort never leaks engine state into the caller's array (and nested /
-/// sequential sorts compose).
+/// Scoped enable/restore of the array's worker executor around one sort,
+/// so a sort never leaks executor state into the caller's array (and
+/// nested / sequential sorts compose).
 class AsyncGuard {
 public:
-    AsyncGuard(DiskArray& disks, bool enable) : disks_(disks), prev_(disks.async_enabled()) {
-        disks_.set_async(enable);
+    explicit AsyncGuard(DiskArray& disks) : disks_(disks), prev_(disks.async_enabled()) {
+        disks_.set_async(true);
     }
     ~AsyncGuard() {
         try {
@@ -129,20 +129,25 @@ BlockRun balance_sort(DiskArray& disks, const BlockRun& input, const PdmConfig& 
                    st.tracer != nullptr ? st.tracer->lane("sort") : 0);
     sort_span.arg("records", static_cast<std::int64_t>(cfg.n));
 
-    // Under a bound job channel (sort service, DESIGN.md §14) the engine
-    // is shared infrastructure owned by the scheduler: one job toggling it
-    // would stall or reconfigure its neighbours mid-flight, so the guard is
-    // skipped and the scheduler's setting stands. All model deltas then
-    // come from the per-job channel, never the shared array counters.
+    // A file-backed array runs the sort on the per-disk worker executor
+    // (real I/O to overlap), scoped to the sort: the caller's own layout
+    // and read-back stay inline, where engine spin-up and hand-offs would
+    // only add latency (DESIGN.md §9). A memory-backed array runs whichever
+    // executor its owner chose with set_async. Under a bound job channel
+    // (sort service, DESIGN.md §14) the engine is shared infrastructure
+    // owned by the scheduler: one job toggling it would stall or
+    // reconfigure its neighbours mid-flight, so the guard is skipped and
+    // the scheduler's setting stands. All model deltas then come from the
+    // per-job channel, never the shared array counters.
     const bool channel_bound = disks.job_channel_bound();
     std::optional<AsyncGuard> async_guard;
-    if (!channel_bound) {
-        const bool async_on =
-            opt.async_io == AsyncIo::kOn ||
-            (opt.async_io == AsyncIo::kAuto && disks.backend() == DiskBackend::kFile);
-        async_guard.emplace(disks, async_on);
-    }
+    if (!channel_bound && disks.backend() == DiskBackend::kFile) async_guard.emplace(disks);
 
+    // Land the caller's own write-behind (the input layout, on an array
+    // already on the workers) first: its retries and stall are folded in
+    // when reaped, and must not leak into this sort's report depending on
+    // when that happens.
+    disks.drain_async();
     const IoStats before = channel_bound ? disks.job_stats() : disks.stats();
 
     // ---- Crash consistency (DESIGN.md §13). ----

@@ -68,15 +68,6 @@ enum class BucketPolicy {
     kSqrtLevel,
 };
 
-/// Whether the sort drives the array through the asynchronous
-/// request/completion engine (DESIGN.md §9). Model accounting is identical
-/// either way; only wall-clock changes.
-enum class AsyncIo {
-    kAuto, ///< on for DiskBackend::kFile, off for kMemory
-    kOn,
-    kOff,
-};
-
 /// NOTE (DESIGN.md §14): SortOptions is the legacy flat flag-bag, kept so
 /// existing call sites compile unchanged. New code should prefer the
 /// builder-style SortJobConfig (core/sort_config.hpp), which groups these
@@ -124,11 +115,6 @@ struct SortOptions {
     /// array (error-checking/parity friendly), trading disk space for the
     /// property. I/O step counts are unchanged.
     bool synchronized_writes = false;
-    /// Overlapped I/O through the per-disk worker engine: prefetched
-    /// memoryloads and write-behind bucket stripes (DESIGN.md §9).
-    /// io_steps(), structure counters, and the sorted output are
-    /// bit-identical to the synchronous path; only wall-clock changes.
-    AsyncIo async_io = AsyncIo::kAuto;
     /// Recycle record staging buffers (base-case loads, Balance staging,
     /// stream-copy chunks, prefetch windows) through a per-sort BufferPool
     /// sized to a few memoryloads (DESIGN.md §10). Off falls back to

@@ -28,7 +28,10 @@ namespace balsort {
 
 /// Which hierarchy model a P-* sort runs on.
 struct HierModelSpec {
-    enum class Family { kHmm, kBt, kUmh } family = Family::kHmm;
+    /// 8 bytes wide so no padding follows it: gtest names parameterised
+    /// cases after a byte dump of the parameter, and padding would put
+    /// leftover stack bytes into those names.
+    enum class Family : std::uint64_t { kHmm, kBt, kUmh } family = Family::kHmm;
     CostFn f = CostFn::log(); ///< for HMM/BT
     double umh_rho = 4.0;     ///< for UMH
     double umh_nu = 1.0;      ///< for UMH

@@ -54,7 +54,6 @@ SortOptions SortJobConfig::options() const {
     o.executor = compute_policy.shared_executor;
     o.reposition_buckets = reposition_buckets;
     o.synchronized_writes = io_policy.synchronized_writes;
-    o.async_io = io_policy.async_io;
     o.pool_buffers = io_policy.pool_buffers;
     o.cross_bucket_prefetch = io_policy.cross_bucket_prefetch;
     o.pool_retain_records = io_policy.pool_retain_records;

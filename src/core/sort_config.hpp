@@ -6,8 +6,8 @@
 /// `SortJobConfig` regroups them: the algorithmic knobs stay top-level,
 /// while the environmental ones move into three validated policy structs —
 ///
-///   IoPolicy          — how the sort drives the array (async engine,
-///                       buffer pooling, prefetch, synchronized writes),
+///   IoPolicy          — how the sort drives the array (buffer pooling,
+///                       prefetch, synchronized writes),
 ///   DurabilityPolicy  — crash consistency (checkpoint/resume paths, the
 ///                       chaos hook),
 ///   ObsPolicy         — observability sinks (tracer, metrics registry).
@@ -20,7 +20,7 @@
 ///
 ///   auto cfg = SortJobConfig{}
 ///                  .pivots(PivotMethod::kStreamingSketch)
-///                  .io(IoPolicy{}.async(AsyncIo::kOn))
+///                  .io(IoPolicy{}.synchronized(true))
 ///                  .durability(DurabilityPolicy{}.checkpoint("ck.bin"));
 ///   balance_sort(disks, input, pdm, cfg, &report);
 
@@ -38,7 +38,6 @@ namespace balsort {
 /// changes wall-clock and memory behaviour only — model quantities
 /// (io_steps(), counters, output bytes) are identical for every setting.
 struct IoPolicy {
-    AsyncIo async_io = AsyncIo::kAuto;
     bool pool_buffers = true;
     bool cross_bucket_prefetch = true;
     bool synchronized_writes = false;
@@ -49,7 +48,6 @@ struct IoPolicy {
     /// gives the sort its own pool.
     BufferPool* shared_pool = nullptr;
 
-    IoPolicy& async(AsyncIo v) { async_io = v; return *this; }
     IoPolicy& pooled(bool v) { pool_buffers = v; return *this; }
     IoPolicy& prefetch(bool v) { cross_bucket_prefetch = v; return *this; }
     IoPolicy& synchronized(bool v) { synchronized_writes = v; return *this; }

@@ -94,7 +94,8 @@ void VRunSource::fetch_entries(std::size_t first, std::size_t n, std::span<Recor
         vdisks_.read_vblocks(vbs, buf);
         return;
     }
-    // One charge for the whole fetch — the exact batch the sync path reads.
+    // One charge for the whole fetch — the exact batch the inline executor
+    // reads.
     array.charge_read_batch(entry_ops(first, n));
     std::size_t served = 0;
     if (pending_.n_entries > pending_.consumed) {

@@ -35,19 +35,53 @@ struct AsyncEngine::WorkItem {
     std::vector<Record> staging;
 };
 
-/// What execute() observed, reported back to worker_loop which owns all
-/// completion-slot writes (under the mutex, so the watchdog cannot race).
-struct AsyncEngine::ExecResult {
-    bool ok = true;
-    std::exception_ptr error;
-    std::uint64_t transient_retries = 0;
-};
+IoCompletion execute_with_retry(Disk& disk, const IoRequest& r, const RetryPolicy& policy,
+                                Histogram* backoff_us) {
+    const std::size_t b = disk.block_size();
+    IoCompletion c;
+    c.disk = r.disk;
+    c.block = r.block;
+    for (std::uint32_t attempt = 0;; ++attempt) {
+        try {
+            if (r.kind == IoRequest::Kind::kRead) {
+                disk.read_block(r.block, std::span<Record>(r.read_buf, b));
+            } else {
+                disk.write_block(r.block, std::span<const Record>(r.write_data, b));
+            }
+            return c;
+        } catch (const TransientIoError&) {
+            if (attempt >= policy.max_retries) {
+                c.ok = false;
+                c.error = std::current_exception();
+                return c;
+            }
+            ++c.transient_retries;
+        } catch (...) {
+            // Non-transient (DiskFailed, CorruptBlock, IoError, model
+            // violations): the caller's recovery ladder classifies it.
+            c.ok = false;
+            c.error = std::current_exception();
+            return c;
+        }
+        if (policy.backoff_base_us != 0) {
+            std::uint64_t us = static_cast<std::uint64_t>(policy.backoff_base_us)
+                               << std::min<std::uint32_t>(attempt, 10);
+            if (policy.backoff_jitter) {
+                SplitMix64 j(((static_cast<std::uint64_t>(r.disk) << 32) ^ r.block) + attempt);
+                const double f = 0.5 + static_cast<double>(j.next() >> 11) * 0x1.0p-53;
+                us = static_cast<std::uint64_t>(static_cast<double>(us) * f);
+            }
+            if (backoff_us != nullptr) backoff_us->record(us);
+            std::this_thread::sleep_for(std::chrono::microseconds(us));
+        }
+    }
+}
 
 AsyncEngine::AsyncEngine(std::vector<Disk*> disks, std::uint32_t max_retries,
                          std::uint32_t backoff_base_us, std::uint64_t deadline_us,
                          bool backoff_jitter)
-    : disks_(std::move(disks)), max_retries_(max_retries), backoff_base_us_(backoff_base_us),
-      deadline_us_(deadline_us), backoff_jitter_(backoff_jitter) {
+    : disks_(std::move(disks)), retry_{max_retries, backoff_base_us, backoff_jitter},
+      deadline_us_(deadline_us) {
     BS_REQUIRE(!disks_.empty(), "AsyncEngine: need at least one disk");
     for (const Disk* d : disks_) BS_REQUIRE(d != nullptr, "AsyncEngine: null disk");
     queues_.resize(disks_.size());
@@ -195,8 +229,16 @@ void AsyncEngine::worker_loop(std::uint32_t disk_index) {
             queues_[disk_index].pop_front();
             executing_[disk_index] = item; // visible to the watchdog
         }
+        // Deadline-mode reads land in the item's staging buffer: if the
+        // watchdog abandons us mid-read, the caller's buffer is already
+        // being refilled from parity and must not be overwritten by a late
+        // wakeup.
+        IoRequest request = item->request;
+        if (!item->staging.empty()) request.read_buf = item->staging.data();
         const auto t0 = std::chrono::steady_clock::now();
-        ExecResult res = execute(disk_index, *item);
+        const IoCompletion res = execute_with_retry(
+            *disks_[disk_index], request, retry_,
+            backoff_us_.empty() ? nullptr : backoff_us_[disk_index]);
         const auto t1 = std::chrono::steady_clock::now();
         const bool is_read = item->request.kind == IoRequest::Kind::kRead;
         const auto latency_us = static_cast<std::uint64_t>(
@@ -288,56 +330,6 @@ void AsyncEngine::watchdog_loop() {
             lock.unlock();
             flight_auto_dump("io.deadline");
             lock.lock();
-        }
-    }
-}
-
-AsyncEngine::ExecResult AsyncEngine::execute(std::uint32_t disk_index, WorkItem& item) {
-    Disk& disk = *disks_[disk_index];
-    const IoRequest& r = item.request;
-    const std::size_t b = disk.block_size();
-    // Deadline-mode reads land in the item's staging buffer: if the
-    // watchdog abandons us mid-read, the caller's buffer is already being
-    // refilled from parity and must not be overwritten by a late wakeup.
-    Record* read_dst = item.staging.empty() ? r.read_buf : item.staging.data();
-    ExecResult res;
-    for (std::uint32_t attempt = 0;; ++attempt) {
-        try {
-            if (r.kind == IoRequest::Kind::kRead) {
-                disk.read_block(r.block, std::span<Record>(read_dst, b));
-            } else {
-                disk.write_block(r.block, std::span<const Record>(r.write_data, b));
-            }
-            return res; // res.ok stays true
-        } catch (const TransientIoError&) {
-            if (attempt >= max_retries_) {
-                res.ok = false;
-                res.error = std::current_exception();
-                return res;
-            }
-            ++res.transient_retries;
-            if (backoff_base_us_ != 0) {
-                std::uint64_t us = static_cast<std::uint64_t>(backoff_base_us_)
-                                   << std::min<std::uint32_t>(attempt, 10);
-                if (backoff_jitter_) {
-                    // Deterministic per-(disk, op, attempt) jitter in
-                    // [0.5, 1.5): wall-clock only, never model state.
-                    SplitMix64 j(((static_cast<std::uint64_t>(disk_index) << 32) ^ r.block) +
-                                 attempt);
-                    const double f =
-                        0.5 + static_cast<double>(j.next() >> 11) * 0x1.0p-53;
-                    us = static_cast<std::uint64_t>(static_cast<double>(us) * f);
-                }
-                if (!backoff_us_.empty()) backoff_us_[disk_index]->record(us);
-                std::this_thread::sleep_for(std::chrono::microseconds(us));
-            }
-        } catch (...) {
-            // Non-transient (DiskFailed, CorruptBlock, IoError, model
-            // violations): defer to the submitter, who owns the shared
-            // recovery state.
-            res.ok = false;
-            res.error = std::current_exception();
-            return res;
         }
     }
 }

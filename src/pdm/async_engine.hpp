@@ -11,6 +11,11 @@
 /// D transfers of a step really do proceed in parallel and wall-clock can
 /// track `io_steps()`.
 ///
+/// The engine is one of DiskArray's two executors for block requests
+/// (DESIGN.md §8-§9); the other runs requests inline on the caller's
+/// thread. Both execute every request through `execute_with_retry`, the
+/// single bounded-retry loop of the PDM layer.
+///
 /// Division of labor (the invariants DiskArray relies on):
 ///  * A worker touches ONLY its own disk's decorator stack plus local
 ///    counters — never DiskArray shared state (stats, health, allocator,
@@ -21,15 +26,15 @@
 ///    written data, with no extra synchronization at the call sites.
 ///  * Transient faults are retried on the worker (bounded, counted in the
 ///    completion); any other failure is *deferred* — captured as an
-///    exception_ptr and returned to the submitter, who runs the PR-1
-///    recovery ladder (checksum verify, parity reconstruction, degraded
-///    mode) serially after `drain()`. Fault-free requests therefore run
-///    at full parallelism while recovery keeps its single-threaded,
-///    deterministic semantics.
+///    exception_ptr and returned to the submitter, who runs the recovery
+///    ladder (checksum verify, parity reconstruction, degraded mode)
+///    serially after `drain()`. Fault-free requests therefore run at full
+///    parallelism while recovery keeps its single-threaded, deterministic
+///    semantics.
 ///
 /// The engine never performs model accounting: I/O steps are charged by
 /// DiskArray at submission time, keeping `io_steps()` bit-identical to
-/// the synchronous path (the wall-clock-vs-model-cost separation).
+/// the inline executor (the wall-clock-vs-model-cost separation).
 ///
 /// Deadlines (DESIGN.md §13): with `deadline_us > 0` every READ request
 /// carries an absolute deadline and a watchdog thread abandons requests
@@ -81,10 +86,33 @@ struct IoCompletion {
     /// transient one once retries are exhausted). The submitter classifies
     /// it and runs the recovery ladder.
     std::exception_ptr error;
-    /// Transient faults retried on the worker while executing this request
-    /// (counted whether or not the request ultimately succeeded).
+    /// Transient faults retried while executing this request (counted
+    /// whether or not the request ultimately succeeded).
     std::uint64_t transient_retries = 0;
 };
+
+/// Bounded-retry policy for transient faults (DESIGN.md §8): total attempts
+/// = 1 + max_retries, with an exponential backoff of `backoff_base_us <<
+/// attempt` microseconds between them (0 = no sleeping). With
+/// `backoff_jitter` each sleep is scaled by a deterministic factor in
+/// [0.5, 1.5) drawn from (disk, block, attempt), so concurrent retriers
+/// decorrelate while every run sleeps identically. Wall-clock only: the
+/// retry *decisions* never depend on the sleeps.
+struct RetryPolicy {
+    std::uint32_t max_retries = 3;
+    std::uint32_t backoff_base_us = 0;
+    bool backoff_jitter = false;
+};
+
+/// Execute one request on `disk` (the top of its decorator stack) with
+/// bounded retry on TransientIoError — the only retry loop in the PDM
+/// layer, shared by the engine's workers and DiskArray's inline executor,
+/// reconstruction and parity read-modify-write reads. Never throws: any
+/// failure (exhausted transients included) is returned in the completion
+/// for the caller's recovery ladder. `backoff_us`, when non-null, records
+/// every backoff sleep.
+IoCompletion execute_with_retry(Disk& disk, const IoRequest& request, const RetryPolicy& policy,
+                                Histogram* backoff_us = nullptr);
 
 /// Completion handle for one submitted batch of requests. Move-only;
 /// cheap to hold. Dropping a batch without waiting is safe — the engine
@@ -117,12 +145,9 @@ struct AsyncEngineMetrics {
 class AsyncEngine {
 public:
     /// `disks[d]` is the top of disk d's decorator stack; the engine does
-    /// not own the disks. Retry policy mirrors DiskArray's FaultTolerance:
-    /// total attempts = 1 + max_retries, exponential backoff of
-    /// `backoff_base_us << attempt` microseconds between them (0 = none);
-    /// with `backoff_jitter` each sleep is scaled by a deterministic
-    /// pseudo-random factor in [0.5, 1.5) to decorrelate retry storms.
-    /// `deadline_us > 0` arms the read watchdog (see file comment).
+    /// not own the disks. The retry arguments form the RetryPolicy every
+    /// request runs under. `deadline_us > 0` arms the read watchdog (see
+    /// file comment).
     AsyncEngine(std::vector<Disk*> disks, std::uint32_t max_retries,
                 std::uint32_t backoff_base_us, std::uint64_t deadline_us = 0,
                 bool backoff_jitter = false);
@@ -166,17 +191,13 @@ public:
 
 private:
     struct WorkItem;
-    struct ExecResult;
 
     void worker_loop(std::uint32_t disk_index);
-    ExecResult execute(std::uint32_t disk_index, WorkItem& item);
     void watchdog_loop();
 
     std::vector<Disk*> disks_;
-    std::uint32_t max_retries_;
-    std::uint32_t backoff_base_us_;
+    RetryPolicy retry_;
     std::uint64_t deadline_us_;
-    bool backoff_jitter_;
 
     // Observability (DESIGN.md §11), bound once at construction from the
     // installed tracer/metrics (balance_sort installs them before enabling

@@ -6,7 +6,6 @@
 #include <atomic>
 #include <chrono>
 #include <map>
-#include <sstream>
 #include <thread>
 
 #include "obs/flight_recorder.hpp"
@@ -29,10 +28,6 @@ namespace {
 thread_local const DiskArray* tl_job_array = nullptr;
 thread_local JobIoChannel* tl_job_channel = nullptr;
 
-} // namespace
-
-namespace {
-
 /// Exception label for the parity device (it has no data-disk index).
 constexpr std::uint32_t kParityDiskId = 0xfffffffeu;
 
@@ -40,7 +35,7 @@ constexpr std::uint32_t kParityDiskId = 0xfffffffeu;
 /// the always-on flight recorder. Fault paths are rare, so reading the
 /// installed-tracer atomic here is free in the common case and the lane
 /// lookup only ever runs during actual recovery. This is the single choke
-/// point every rung of the PR-1 fault ladder reports through, so it is
+/// point every rung of the recovery ladder reports through, so it is
 /// also where the flight recorder preserves the crash scene
 /// (DESIGN.md §16): the note is always recorded; the auto-dump fires only
 /// when a dump path is configured.
@@ -63,8 +58,8 @@ void xor_into(std::span<Record> acc, std::span<const Record> src) {
 }
 
 /// Decorator charging DeviceModel wall-clock per block op, on whichever
-/// thread executes the op: serial under the sync path, concurrent under the
-/// engine's per-disk workers — exactly the contrast bench_async measures.
+/// thread executes the op: serial under the inline executor, concurrent
+/// under the per-disk workers — exactly the contrast bench_async measures.
 /// Sits below the fault layers, so a retried op pays the device again only
 /// when it actually reaches the device.
 class ThrottledDisk final : public Disk {
@@ -94,12 +89,56 @@ private:
     DeviceModel dev_;
 };
 
+/// Group `ops` into maximal legal steps: step t holds each disk's t-th op.
+/// Returns, per step, the list of (index into ops) it carries.
+std::vector<std::vector<std::size_t>> plan_steps(std::span<const BlockOp> ops, std::size_t d,
+                                                 Constraint constraint) {
+    std::vector<std::vector<std::size_t>> per_disk(d);
+    for (std::size_t i = 0; i < ops.size(); ++i) {
+        BS_REQUIRE(ops[i].disk < d, "batch op names nonexistent disk");
+        per_disk[ops[i].disk].push_back(i);
+    }
+    std::vector<std::vector<std::size_t>> steps;
+    if (constraint == Constraint::kIndependentDisks) {
+        std::size_t max_len = 0;
+        for (const auto& v : per_disk) max_len = std::max(max_len, v.size());
+        steps.resize(max_len);
+        for (const auto& v : per_disk) {
+            for (std::size_t t = 0; t < v.size(); ++t) steps[t].push_back(v[t]);
+        }
+    } else {
+        // AgV model: any D blocks per step.
+        std::vector<std::size_t> flat;
+        flat.reserve(ops.size());
+        for (const auto& v : per_disk) flat.insert(flat.end(), v.begin(), v.end());
+        for (std::size_t i = 0; i < flat.size(); i += d) {
+            steps.emplace_back(flat.begin() + static_cast<std::ptrdiff_t>(i),
+                               flat.begin() + static_cast<std::ptrdiff_t>(std::min(i + d, flat.size())));
+        }
+    }
+    return steps;
+}
+
+/// Adds the wall time of its scope to `acc` (engine stall accounting).
+class StallTimer {
+public:
+    explicit StallTimer(double& acc) : acc_(acc), t0_(std::chrono::steady_clock::now()) {}
+    ~StallTimer() {
+        acc_ += std::chrono::duration<double>(std::chrono::steady_clock::now() - t0_).count();
+    }
+
+private:
+    double& acc_;
+    std::chrono::steady_clock::time_point t0_;
+};
+
 } // namespace
 
 DiskArray::DiskArray(std::uint32_t d, std::uint32_t b, DiskBackend backend, std::string file_dir,
                      Constraint constraint, FaultTolerance ft, DeviceModel dev,
                      ScratchOptions scratch)
-    : b_(b), backend_(backend), constraint_(constraint), ft_(ft), dev_(dev),
+    : b_(b), backend_(backend), constraint_(constraint), ft_(ft),
+      retry_{ft.max_retries, ft.backoff_base_us, ft.backoff_jitter}, dev_(dev),
       scratch_(std::move(scratch)) {
     BS_REQUIRE(d >= 1, "DiskArray: need at least one disk");
     BS_REQUIRE(b >= 1, "DiskArray: block size must be >= 1");
@@ -254,61 +293,49 @@ void DiskArray::reclaim_job_blocks(JobIoChannel& channel) {
     channel.deferred_failure = nullptr;
 }
 
-void DiskArray::backoff(std::uint32_t attempt) const {
-    if (ft_.backoff_base_us == 0) return;
-    std::uint64_t us = static_cast<std::uint64_t>(ft_.backoff_base_us)
-                       << std::min<std::uint32_t>(attempt, 10);
-    if (ft_.backoff_jitter) {
-        // Deterministic multiplicative jitter in [0.5, 1.5): decorrelates
-        // retry bursts without touching model accounting (sleep only).
-        const double f =
-            0.5 + static_cast<double>(SplitMix64(jitter_state_++).next() >> 11) * 0x1.0p-53;
-        us = static_cast<std::uint64_t>(static_cast<double>(us) * f);
+void DiskArray::fold_retries(const IoCompletion& c, JobIoChannel* owner) {
+    if (c.transient_retries == 0) return;
+    if (c.disk < health_.size()) health_[c.disk].transient_retries += c.transient_retries;
+    stats_.transient_retries += c.transient_retries;
+    if (owner != nullptr) owner->io.transient_retries += c.transient_retries;
+    for (std::uint64_t k = 0; k < c.transient_retries; ++k) {
+        fault_instant("transient_retry", c.disk, c.block);
     }
-    if (obs_backoff_ != nullptr) obs_backoff_->record(us);
-    std::this_thread::sleep_for(std::chrono::microseconds(us));
 }
 
 void DiskArray::retrying_read(Disk& disk, std::uint32_t d, std::uint64_t index,
                               std::span<Record> out, bool for_reconstruction) {
-    for (std::uint32_t attempt = 0;; ++attempt) {
-        try {
-            disk.read_block(index, out);
-            return;
-        } catch (const TransientIoError&) {
-            if (attempt >= ft_.max_retries) {
-                if (!for_reconstruction) throw;
-                throw UnrecoverableIo("reconstruction read exhausted retries on disk " +
-                                          std::to_string(d),
-                                      d, index);
-            }
-            if (d < health_.size()) ++health_[d].transient_retries;
-            ++stats_.transient_retries;
-            if (JobIoChannel* c = bound_channel()) ++c->io.transient_retries;
-            fault_instant("transient_retry", d, index);
-            backoff(attempt);
-        } catch (const DiskFailed&) {
-            if (d < health_.size()) health_[d].alive = false;
-            if (for_reconstruction) {
-                throw UnrecoverableIo("double disk failure: peer disk " + std::to_string(d) +
-                                          " is also dead",
-                                      d, index);
-            }
-            throw;
-        } catch (const CorruptBlock&) {
-            if (d < health_.size()) {
-                ++health_[d].corrupt_blocks;
-                ++stats_.corrupt_blocks;
-                if (JobIoChannel* c = bound_channel()) ++c->io.corrupt_blocks;
-                fault_instant("corrupt_block", d, index);
-            }
-            if (for_reconstruction) {
-                throw UnrecoverableIo("double failure: peer disk " + std::to_string(d) +
-                                          " is corrupt at the stripe needed for reconstruction",
-                                      d, index);
-            }
-            throw;
+    const IoCompletion res =
+        execute_with_retry(disk, {.disk = d, .block = index, .read_buf = out.data()}, retry_);
+    fold_retries(res, bound_channel());
+    if (res.ok) return;
+    try {
+        std::rethrow_exception(res.error);
+    } catch (const TransientIoError&) {
+        if (!for_reconstruction) throw;
+        throw UnrecoverableIo("reconstruction read exhausted retries on disk " + std::to_string(d),
+                              d, index);
+    } catch (const DiskFailed&) {
+        if (d < health_.size()) health_[d].alive = false;
+        if (for_reconstruction) {
+            throw UnrecoverableIo("double disk failure: peer disk " + std::to_string(d) +
+                                      " is also dead",
+                                  d, index);
         }
+        throw;
+    } catch (const CorruptBlock&) {
+        if (d < health_.size()) {
+            ++health_[d].corrupt_blocks;
+            ++stats_.corrupt_blocks;
+            if (JobIoChannel* c = bound_channel()) ++c->io.corrupt_blocks;
+            fault_instant("corrupt_block", d, index);
+        }
+        if (for_reconstruction) {
+            throw UnrecoverableIo("double failure: peer disk " + std::to_string(d) +
+                                      " is corrupt at the stripe needed for reconstruction",
+                                  d, index);
+        }
+        throw;
     }
 }
 
@@ -349,96 +376,6 @@ void DiskArray::reconstruct_block(std::uint32_t d, std::uint64_t index, std::spa
     fault_instant("reconstruct", d, index);
 }
 
-void DiskArray::robust_read(const BlockOp& op, std::span<Record> out) {
-    Disk& disk = *disks_[op.disk];
-    DiskHealth& h = health_[op.disk];
-    std::exception_ptr failure;
-    bool corrupt = false;
-    for (std::uint32_t attempt = 0;; ++attempt) {
-        try {
-            disk.read_block(op.block, out);
-            return;
-        } catch (const TransientIoError&) {
-            if (attempt >= ft_.max_retries) {
-                failure = std::current_exception();
-                break;
-            }
-            ++h.transient_retries;
-            ++stats_.transient_retries;
-            if (JobIoChannel* c = bound_channel()) ++c->io.transient_retries;
-            fault_instant("transient_retry", op.disk, op.block);
-            backoff(attempt);
-        } catch (const DiskFailed&) {
-            h.alive = false;
-            failure = std::current_exception();
-            break;
-        } catch (const CorruptBlock&) {
-            ++h.corrupt_blocks;
-            ++stats_.corrupt_blocks;
-            if (JobIoChannel* c = bound_channel()) ++c->io.corrupt_blocks;
-            fault_instant("corrupt_block", op.disk, op.block);
-            corrupt = true;
-            failure = std::current_exception();
-            break;
-        } catch (const IoError&) {
-            failure = std::current_exception();
-            break;
-        }
-    }
-    if (!ft_.parity || parity_ == nullptr) std::rethrow_exception(failure);
-    reconstruct_block(op.disk, op.block, out);
-    if (corrupt && h.alive && ft_.scrub_on_reconstruct) {
-        // Best-effort scrub: rewrite the corrected image so later reads
-        // are clean. A fault during the scrub just leaves the block to be
-        // reconstructed again — never fatal.
-        try {
-            disk.write_block(op.block, out);
-        } catch (const IoError&) {
-        }
-    }
-}
-
-bool DiskArray::robust_write(const BlockOp& op, std::span<const Record> in) {
-    Disk& disk = *disks_[op.disk];
-    DiskHealth& h = health_[op.disk];
-    for (std::uint32_t attempt = 0;; ++attempt) {
-        try {
-            disk.write_block(op.block, in);
-            return true;
-        } catch (const TransientIoError&) {
-            if (attempt >= ft_.max_retries) {
-                // The disk is alive but the data never landed. With parity
-                // and checksums the block can be served from the stripe —
-                // invalidate the stale image so reads do exactly that.
-                // Without them the caller must see the failure.
-                if (ft_.parity && parity_ != nullptr && csum_[op.disk] != nullptr) break;
-                throw;
-            }
-            ++h.transient_retries;
-            ++stats_.transient_retries;
-            if (JobIoChannel* c = bound_channel()) ++c->io.transient_retries;
-            fault_instant("transient_retry", op.disk, op.block);
-            backoff(attempt);
-        } catch (const DiskFailed&) {
-            h.alive = false;
-            if (!ft_.parity || parity_ == nullptr) throw;
-            break;
-        } catch (const IoError&) {
-            if (ft_.parity && parity_ != nullptr && csum_[op.disk] != nullptr) break;
-            throw;
-        }
-    }
-    // Degraded write: parity (already updated with the intended image)
-    // carries this block; reads will reconstruct it.
-    if (h.alive && csum_[op.disk] != nullptr) csum_[op.disk]->mark_lost(op.block);
-    if (!h.alive) parity_carried_[op.disk].insert(op.block);
-    ++h.degraded_writes;
-    ++stats_.degraded_writes;
-    if (JobIoChannel* c = bound_channel()) ++c->io.degraded_writes;
-    fault_instant("degraded_write", op.disk, op.block);
-    return false;
-}
-
 void DiskArray::update_parity(std::span<const BlockOp> ops, std::span<const Record> buffers) {
     // Parity invariant: parity[i] == XOR over data disks of the *intended*
     // block i (absent blocks count as zeros). Read-modify-write per
@@ -464,9 +401,9 @@ void DiskArray::update_parity(std::span<const BlockOp> ops, std::span<const Reco
             const std::uint32_t d = ops[i].disk;
             if (health_[d].alive) {
                 if (idx < disks_[d]->size_blocks()) {
-                    // Old stored image; the robust ladder handles a
+                    // Old stored image; the recovery ladder handles a
                     // corrupt one by reconstructing the intended image.
-                    robust_read(ops[i], old_img);
+                    run_inline({.disk = d, .block = idx, .read_buf = old_img.data()});
                     ++stats_.rmw_reads;
                     if (JobIoChannel* c = bound_channel()) ++c->io.rmw_reads;
                     xor_into(parity_img, old_img);
@@ -501,24 +438,6 @@ void DiskArray::check_step_legal(std::span<const BlockOp> ops) const {
     }
 }
 
-void DiskArray::bind_obs() {
-    MetricsRegistry* reg = metrics();
-    if (reg == obs_registry_) return;
-    obs_registry_ = reg;
-    obs_read_latency_.clear();
-    obs_write_latency_.clear();
-    obs_backoff_ = nullptr;
-    if (reg == nullptr) return;
-    obs_read_latency_.reserve(disks_.size());
-    obs_write_latency_.reserve(disks_.size());
-    for (std::size_t d = 0; d < disks_.size(); ++d) {
-        const std::string prefix = "disk" + std::to_string(d);
-        obs_read_latency_.push_back(&reg->histogram(prefix + ".read_latency_us"));
-        obs_write_latency_.push_back(&reg->histogram(prefix + ".write_latency_us"));
-    }
-    obs_backoff_ = &reg->histogram("io.backoff_us");
-}
-
 void DiskArray::read_step(std::span<const BlockOp> ops, std::span<Record> buffers) {
     if (ops.empty()) return;
     BS_REQUIRE(buffers.size() == ops.size() * b_, "read_step: buffer size mismatch");
@@ -530,22 +449,8 @@ void DiskArray::read_step(std::span<const BlockOp> ops, std::span<Record> buffer
     gate_steps(1);
     std::lock_guard<std::recursive_mutex> lk(mu_);
     check_step_legal(ops);
-    bind_obs();
     for (std::size_t i = 0; i < ops.size(); ++i) {
-        auto chunk = buffers.subspan(i * b_, b_);
-        const auto t0 = obs_registry_ != nullptr ? std::chrono::steady_clock::now()
-                                                 : std::chrono::steady_clock::time_point{};
-        if (ft_.enabled()) {
-            robust_read(ops[i], chunk);
-        } else {
-            disks_[ops[i].disk]->read_block(ops[i].block, chunk);
-        }
-        if (obs_registry_ != nullptr) {
-            obs_read_latency_[ops[i].disk]->record(static_cast<std::uint64_t>(
-                std::chrono::duration_cast<std::chrono::microseconds>(
-                    std::chrono::steady_clock::now() - t0)
-                    .count()));
-        }
+        run_inline({.disk = ops[i].disk, .block = ops[i].block, .read_buf = &buffers[i * b_]});
     }
     charge_read_step(ops);
 }
@@ -553,107 +458,61 @@ void DiskArray::read_step(std::span<const BlockOp> ops, std::span<Record> buffer
 void DiskArray::write_step(std::span<const BlockOp> ops, std::span<const Record> buffers) {
     if (ops.empty()) return;
     BS_REQUIRE(buffers.size() == ops.size() * b_, "write_step: buffer size mismatch");
-    if (engine_ != nullptr && !(ft_.parity && parity_ != nullptr)) {
+    const bool parity = ft_.parity && parity_ != nullptr;
+    if (engine_ != nullptr && !parity) {
         write_stripe_async(ops, buffers); // gates internally
         return;
     }
     gate_steps(1);
     std::lock_guard<std::recursive_mutex> lk(mu_);
-    if (engine_ != nullptr) {
-        // Parity RMW reads the array's old images directly; every queued
-        // transfer (a prefetch of those very blocks, an earlier write of
-        // them) must land first, and write-behind would let a queued read
-        // observe a stale-but-valid image before mark_lost degrades a
-        // failed write. Parity mode therefore keeps the write path fully
-        // synchronous behind a drain.
-        drain_async();
-    }
+    // Parity RMW reads the array's old images directly; every queued
+    // transfer (a prefetch of those very blocks, an earlier write of them)
+    // must land first, and write-behind would let a queued read observe a
+    // stale-but-valid image before mark_lost degrades a failed write.
+    // Parity writes therefore run inline, behind a drain.
+    drain_async();
     check_step_legal(ops);
-    bind_obs();
     // Parity first: it must read the old images before they are replaced.
-    if (ft_.parity && parity_ != nullptr) update_parity(ops, buffers);
+    if (parity) update_parity(ops, buffers);
     for (std::size_t i = 0; i < ops.size(); ++i) {
-        auto chunk = buffers.subspan(i * b_, b_);
-        const auto t0 = obs_registry_ != nullptr ? std::chrono::steady_clock::now()
-                                                 : std::chrono::steady_clock::time_point{};
-        if (ft_.enabled()) {
-            robust_write(ops[i], chunk);
-        } else {
-            disks_[ops[i].disk]->write_block(ops[i].block, chunk);
-        }
-        if (obs_registry_ != nullptr) {
-            obs_write_latency_[ops[i].disk]->record(static_cast<std::uint64_t>(
-                std::chrono::duration_cast<std::chrono::microseconds>(
-                    std::chrono::steady_clock::now() - t0)
-                    .count()));
-        }
+        run_inline({.kind = IoRequest::Kind::kWrite,
+                    .disk = ops[i].disk,
+                    .block = ops[i].block,
+                    .write_data = &buffers[i * b_]});
     }
     charge_write_step(ops); // also bumps next_free_ past every written block
 }
 
-namespace {
-
-/// Group `ops` into maximal legal steps: step t holds each disk's t-th op.
-/// Returns, per step, the list of (index into ops) it carries.
-std::vector<std::vector<std::size_t>> plan_steps(std::span<const BlockOp> ops, std::size_t d,
-                                                 Constraint constraint) {
-    std::vector<std::vector<std::size_t>> per_disk(d);
-    for (std::size_t i = 0; i < ops.size(); ++i) {
-        BS_REQUIRE(ops[i].disk < d, "batch op names nonexistent disk");
-        per_disk[ops[i].disk].push_back(i);
-    }
-    std::vector<std::vector<std::size_t>> steps;
-    if (constraint == Constraint::kIndependentDisks) {
-        std::size_t max_len = 0;
-        for (const auto& v : per_disk) max_len = std::max(max_len, v.size());
-        steps.resize(max_len);
-        for (const auto& v : per_disk) {
-            for (std::size_t t = 0; t < v.size(); ++t) steps[t].push_back(v[t]);
-        }
-    } else {
-        // AgV model: any D blocks per step.
-        std::vector<std::size_t> flat;
-        flat.reserve(ops.size());
-        for (const auto& v : per_disk) flat.insert(flat.end(), v.begin(), v.end());
-        for (std::size_t i = 0; i < flat.size(); i += d) {
-            steps.emplace_back(flat.begin() + static_cast<std::ptrdiff_t>(i),
-                               flat.begin() + static_cast<std::ptrdiff_t>(std::min(i + d, flat.size())));
-        }
-    }
-    return steps;
-}
-
-} // namespace
-
 void DiskArray::read_batch(std::span<const BlockOp> ops, std::span<Record> dest) {
     BS_REQUIRE(dest.size() == ops.size() * b_, "read_batch: buffer size mismatch");
+    if (ops.empty()) return;
     if (engine_ != nullptr) {
-        if (ops.empty()) return;
         // One submission for the whole batch: all disks stream their op
         // lists concurrently instead of synchronizing at step boundaries.
         // The model is still charged per planned step, identically to the
-        // loop below.
+        // inline loop below.
         charge_read_batch(ops); // gates + locks internally
         ReadTicket ticket;
+        ticket.dest_ = dest;
         {
             std::lock_guard<std::recursive_mutex> lk(mu_);
-            ticket = submit_read(ops, dest);
+            ticket.batch_ = submit(IoRequest::Kind::kRead, ops, dest.data(), nullptr);
         }
-        reap_read(ticket);
+        complete_read(ticket);
         return;
     }
-    auto steps = plan_steps(ops, disks_.size(), constraint_);
+    // Inline: step by step, each step executed, then charged.
     std::vector<BlockOp> step_ops;
-    std::vector<Record> step_buf;
-    for (const auto& idxs : steps) {
+    for (const auto& idxs : plan_steps(ops, disks_.size(), constraint_)) {
         step_ops.clear();
         for (std::size_t i : idxs) step_ops.push_back(ops[i]);
-        step_buf.resize(step_ops.size() * b_);
-        read_step(step_ops, step_buf);
-        for (std::size_t k = 0; k < idxs.size(); ++k) {
-            std::copy_n(step_buf.begin() + static_cast<std::ptrdiff_t>(k * b_), b_,
-                        dest.begin() + static_cast<std::ptrdiff_t>(idxs[k] * b_));
+        gate_steps(1);
+        std::lock_guard<std::recursive_mutex> lk(mu_);
+        check_step_legal(step_ops);
+        for (std::size_t i : idxs) {
+            run_inline({.disk = ops[i].disk, .block = ops[i].block, .read_buf = &dest[i * b_]});
         }
+        charge_read_step(step_ops);
     }
 }
 
@@ -674,29 +533,14 @@ void DiskArray::write_batch(std::span<const BlockOp> ops, std::span<const Record
     }
 }
 
-// ---- asynchronous request/completion path (DESIGN.md §9) ----
+// ---- the request path: two executors, one retry loop, one ladder ----
 //
 // Division of labor: engine workers touch only their own disk's decorator
 // stack; everything shared (stats_, health_, csum_, parity_, allocator) is
-// mutated here, on the submitting thread, at charge or reap time. Deferred
-// failures run the PR-1 recovery ladder serially after a full drain, so
-// reconstruction never races a worker on a peer disk.
-
-namespace {
-
-class StallTimer {
-public:
-    explicit StallTimer(double& acc) : acc_(acc), t0_(std::chrono::steady_clock::now()) {}
-    ~StallTimer() {
-        acc_ += std::chrono::duration<double>(std::chrono::steady_clock::now() - t0_).count();
-    }
-
-private:
-    double& acc_;
-    std::chrono::steady_clock::time_point t0_;
-};
-
-} // namespace
+// mutated here, on the submitting thread, at charge or reap time. A worker
+// batch's failures run the recovery ladder serially after a full drain, so
+// reconstruction never races a worker on a peer disk; the inline executor
+// runs each failed request's ladder before its next request.
 
 void DiskArray::set_async(bool enabled) {
     std::lock_guard<std::recursive_mutex> lk(mu_);
@@ -714,9 +558,10 @@ void DiskArray::set_async(bool enabled) {
     tops.reserve(disks_.size());
     for (auto& disk : disks_) tops.push_back(disk.get());
     // The parity device is excluded: parity upkeep reads old images and is
-    // only ever touched synchronously (see write_step).
-    engine_ = std::make_unique<AsyncEngine>(std::move(tops), ft_.max_retries, ft_.backoff_base_us,
-                                            ft_.deadline_us, ft_.backoff_jitter);
+    // only ever touched inline (see write_step).
+    engine_ = std::make_unique<AsyncEngine>(std::move(tops), retry_.max_retries,
+                                            retry_.backoff_base_us, ft_.deadline_us,
+                                            retry_.backoff_jitter);
 }
 
 std::vector<std::uint32_t> DiskArray::async_in_flight() const {
@@ -731,18 +576,13 @@ void DiskArray::drain_async() {
     if (JobIoChannel* c = bound_channel()) {
         // Channel-scoped drain: a bound job's boundary needs ITS writes
         // durable, not the whole engine idle. Each own batch is waited
-        // with mu_ released (finish_write), so one job flushing never
-        // freezes its neighbors' submissions; their batches stay queued.
+        // with mu_ released (reap), so one job flushing never freezes its
+        // neighbors' submissions; their batches stay queued.
         for (;;) {
             std::unique_lock<std::recursive_mutex> lk(mu_);
-            std::size_t own = pending_writes_.size();
-            for (std::size_t i = 0; i < pending_writes_.size(); ++i) {
-                if (pending_writes_[i].owner == c) {
-                    own = i;
-                    break;
-                }
-            }
-            if (own == pending_writes_.size()) {
+            const auto own = std::find_if(pending_writes_.begin(), pending_writes_.end(),
+                                          [c](const PendingWrite& p) { return p.owner == c; });
+            if (own == pending_writes_.end()) {
                 reap_pending_writes(/*all=*/false); // tidy neighbors' done batches
                 // A neighbor's reap may have discovered one of *our* write
                 // failures; the drain boundary is where it surfaces to us.
@@ -750,9 +590,7 @@ void DiskArray::drain_async() {
                 c->deferred_failure = nullptr;
                 break;
             }
-            PendingWrite pending = std::move(pending_writes_[own]);
-            pending_writes_.erase(pending_writes_.begin() + static_cast<std::ptrdiff_t>(own));
-            finish_write(std::move(pending), lk);
+            reap_pending_write(static_cast<std::size_t>(own - pending_writes_.begin()), lk);
         }
     } else {
         std::lock_guard<std::recursive_mutex> lk(mu_);
@@ -818,46 +656,101 @@ void DiskArray::charge_read_batch(std::span<const BlockOp> ops) {
     }
 }
 
-DiskArray::ReadTicket DiskArray::submit_read(std::span<const BlockOp> ops,
-                                             std::span<Record> dest) {
-    BS_REQUIRE(engine_ != nullptr, "submit_read: async engine is off");
-    BS_REQUIRE(dest.size() == ops.size() * b_, "submit_read: buffer size mismatch");
-    ReadTicket ticket;
-    ticket.ops_.assign(ops.begin(), ops.end());
-    ticket.dest_ = dest;
+void DiskArray::run_inline(const IoRequest& request) {
+    const IoCompletion c = execute_with_retry(*disks_[request.disk], request, retry_);
+    JobIoChannel* owner = bound_channel();
+    fold_retries(c, owner);
+    if (c.ok) return;
+    const BlockOp op{request.disk, request.block};
+    if (request.kind == IoRequest::Kind::kRead) {
+        handle_read_failure(op, c.error, std::span<Record>(request.read_buf, b_));
+    } else {
+        handle_write_failure(op, c.error, owner);
+    }
+}
+
+AsyncBatch DiskArray::submit(IoRequest::Kind kind, std::span<const BlockOp> ops,
+                             Record* read_base, const Record* write_base) {
+    BS_REQUIRE(engine_ != nullptr, "DiskArray: the worker executor is off");
     std::vector<IoRequest> requests(ops.size());
     for (std::size_t i = 0; i < ops.size(); ++i) {
-        requests[i].kind = IoRequest::Kind::kRead;
-        requests[i].disk = ops[i].disk;
-        requests[i].block = ops[i].block;
-        requests[i].read_buf = dest.data() + i * b_;
+        IoRequest& r = requests[i];
+        r.kind = kind;
+        r.disk = ops[i].disk;
+        r.block = ops[i].block;
+        if (kind == IoRequest::Kind::kRead) {
+            r.read_buf = read_base + i * b_;
+        } else {
+            r.write_data = write_base + i * b_;
+        }
     }
-    ticket.batch_ = engine_->submit(std::move(requests));
-    return ticket;
+    return engine_->submit(std::move(requests));
+}
+
+void DiskArray::reap(AsyncBatch& batch, IoRequest::Kind kind, Record* read_base,
+                     JobIoChannel* owner, std::unique_lock<std::recursive_mutex>& lk) {
+    bool any_failed = false;
+    double stall = 0;
+    if (lk.owns_lock()) lk.unlock();
+    {
+        // Workers never take mu_, so the batch completes while we wait.
+        StallTimer t(stall);
+        for (const IoCompletion& c : engine_->wait(batch)) any_failed |= !c.ok;
+    }
+    lk.lock();
+    // Stall is charged to whoever waited; retries and write failures
+    // belong to the batch's owner, whichever job's drain reaped it.
+    stats_.engine_stall_seconds += stall;
+    if (JobIoChannel* c = bound_channel()) c->io.engine_stall_seconds += stall;
+    const std::vector<IoCompletion>& comps = engine_->wait(batch); // idempotent
+    for (const IoCompletion& c : comps) fold_retries(c, owner);
+    if (!any_failed) return;
+    // Quiesce the array — a read's ladder also settles pending write-behind
+    // first — so the ladder never races a worker, then recover in request
+    // order.
+    if (kind == IoRequest::Kind::kRead) reap_pending_writes(/*all=*/true);
+    engine_->drain();
+    for (const IoCompletion& c : comps) {
+        if (c.ok) continue;
+        const BlockOp op{c.disk, c.block};
+        if (kind == IoRequest::Kind::kRead) {
+            handle_read_failure(op, c.error,
+                                std::span<Record>(read_base + c.request_index * b_, b_));
+        } else {
+            handle_write_failure(op, c.error, owner);
+        }
+    }
 }
 
 DiskArray::ReadTicket DiskArray::read_stripe_async(std::span<const BlockOp> ops,
                                                    std::span<Record> dest) {
-    BS_REQUIRE(engine_ != nullptr, "read_stripe_async: async engine is off");
+    BS_REQUIRE(engine_ != nullptr, "read_stripe_async: the worker executor is off");
     if (ops.empty()) return ReadTicket{};
+    BS_REQUIRE(dest.size() == ops.size() * b_, "read_stripe_async: buffer size mismatch");
     gate_steps(1);
     std::lock_guard<std::recursive_mutex> lk(mu_);
     check_step_legal(ops);
     charge_read_step(ops);
-    return submit_read(ops, dest);
+    ReadTicket ticket;
+    ticket.dest_ = dest;
+    ticket.batch_ = submit(IoRequest::Kind::kRead, ops, dest.data(), nullptr);
+    return ticket;
 }
 
 DiskArray::ReadTicket DiskArray::prefetch_read(std::span<const BlockOp> ops,
                                                std::span<Record> dest) {
     // No legality check: a prefetch is a physical batch (several blocks of
     // one disk are fine — they queue FIFO), not a model step. No charging:
-    // the consumer calls charge_read_batch over the same ops when the sync
-    // path would have read them.
+    // the consumer calls charge_read_batch over the same ops when the
+    // inline executor would have read them.
     if (ops.empty()) return ReadTicket{};
+    BS_REQUIRE(dest.size() == ops.size() * b_, "prefetch_read: buffer size mismatch");
     std::lock_guard<std::recursive_mutex> lk(mu_);
     stats_.prefetch_block_ops += ops.size();
     if (JobIoChannel* c = bound_channel()) c->io.prefetch_block_ops += ops.size();
-    ReadTicket ticket = submit_read(ops, dest);
+    ReadTicket ticket;
+    ticket.dest_ = dest;
+    ticket.batch_ = submit(IoRequest::Kind::kRead, ops, dest.data(), nullptr);
     if (Tracer* t = tracer(); t != nullptr) {
         ticket.trace_id_ = t->next_async_id();
         t->async_begin("prefetch", "prefetch", ticket.trace_id_, t->lane("prefetch"),
@@ -866,45 +759,12 @@ DiskArray::ReadTicket DiskArray::prefetch_read(std::span<const BlockOp> ops,
     return ticket;
 }
 
-void DiskArray::complete_read(ReadTicket& ticket) { reap_read(ticket); }
-
-void DiskArray::reap_read(ReadTicket& ticket) {
+void DiskArray::complete_read(ReadTicket& ticket) {
     if (!ticket.batch_.valid()) return;
-    bool any_failed = false;
-    double stall = 0;
-    {
-        // Wait WITHOUT the array lock: a job stalled on its own transfers
-        // must not block neighbors' charges. Workers never take the lock,
-        // so the batch always completes.
-        StallTimer t(stall);
-        const std::vector<IoCompletion>& comps = engine_->wait(ticket.batch_);
-        for (const IoCompletion& c : comps) {
-            if (!c.ok) any_failed = true;
-        }
-    }
-    std::lock_guard<std::recursive_mutex> lk(mu_);
-    JobIoChannel* jc = bound_channel();
-    stats_.engine_stall_seconds += stall;
-    if (jc != nullptr) jc->io.engine_stall_seconds += stall;
-    const std::vector<IoCompletion>& comps = engine_->wait(ticket.batch_); // idempotent
-    for (const IoCompletion& c : comps) {
-        if (c.transient_retries != 0) {
-            health_[c.disk].transient_retries += c.transient_retries;
-            stats_.transient_retries += c.transient_retries;
-            if (jc != nullptr) jc->io.transient_retries += c.transient_retries;
-        }
-    }
-    if (any_failed) {
-        // Quiesce the array, then run the ladder serially in request order
-        // — the same order the synchronous loop would have hit failures.
-        reap_pending_writes(/*all=*/true);
-        engine_->drain();
-        for (const IoCompletion& c : comps) {
-            if (c.ok) continue;
-            handle_read_failure(ticket.ops_[c.request_index], c.error,
-                                ticket.dest_.subspan(c.request_index * b_, b_));
-        }
-    }
+    // Wait WITHOUT the array lock: a job stalled on its own transfers must
+    // not block neighbors' charges.
+    std::unique_lock<std::recursive_mutex> lk(mu_, std::defer_lock);
+    reap(ticket.batch_, IoRequest::Kind::kRead, ticket.dest_.data(), bound_channel(), lk);
     if (ticket.trace_id_ != 0) {
         if (Tracer* t = tracer(); t != nullptr) {
             t->async_end("prefetch", "prefetch", ticket.trace_id_, t->lane("prefetch"));
@@ -917,12 +777,11 @@ void DiskArray::handle_read_failure(const BlockOp& op, const std::exception_ptr&
                                     std::span<Record> out) {
     DiskHealth& h = health_[op.disk];
     bool corrupt = false;
-    // Classify exactly as robust_read's catch ladder does; anything outside
-    // the IoError family (model violations) propagates.
+    // Anything outside the IoError family (model violations) propagates.
     try {
         std::rethrow_exception(error);
     } catch (const TransientIoError&) {
-        // retries exhausted on the worker (already counted)
+        // retries exhausted (already counted)
     } catch (const DiskFailed&) {
         h.alive = false;
     } catch (const CorruptBlock&) {
@@ -945,6 +804,9 @@ void DiskArray::handle_read_failure(const BlockOp& op, const std::exception_ptr&
     if (!ft_.parity || parity_ == nullptr) std::rethrow_exception(error);
     reconstruct_block(op.disk, op.block, out);
     if (corrupt && h.alive && ft_.scrub_on_reconstruct) {
+        // Best-effort scrub: rewrite the corrected image so later reads
+        // are clean. A fault during the scrub just leaves the block to be
+        // reconstructed again — never fatal.
         try {
             disks_[op.disk]->write_block(op.block, out);
         } catch (const IoError&) {
@@ -953,9 +815,9 @@ void DiskArray::handle_read_failure(const BlockOp& op, const std::exception_ptr&
 }
 
 void DiskArray::write_stripe_async(std::span<const BlockOp> ops, std::span<const Record> src) {
-    BS_REQUIRE(engine_ != nullptr, "write_stripe_async: async engine is off");
+    BS_REQUIRE(engine_ != nullptr, "write_stripe_async: the worker executor is off");
     BS_REQUIRE(!(ft_.parity && parity_ != nullptr),
-               "write_stripe_async: parity mode requires the synchronous write path");
+               "write_stripe_async: parity mode writes inline (write_step)");
     if (ops.empty()) return;
     BS_REQUIRE(src.size() == ops.size() * b_, "write_stripe_async: buffer size mismatch");
     gate_steps(1);
@@ -964,39 +826,21 @@ void DiskArray::write_stripe_async(std::span<const BlockOp> ops, std::span<const
     charge_write_step(ops);
     JobIoChannel* jc = bound_channel();
     PendingWrite pending;
-    pending.ops.assign(ops.begin(), ops.end());
     pending.data.assign(src.begin(), src.end());
     pending.owner = jc;
-    std::vector<IoRequest> requests(ops.size());
-    for (std::size_t i = 0; i < ops.size(); ++i) {
-        requests[i].kind = IoRequest::Kind::kWrite;
-        requests[i].disk = ops[i].disk;
-        requests[i].block = ops[i].block;
-        requests[i].write_data = pending.data.data() + i * b_;
-    }
-    pending.batch = engine_->submit(std::move(requests));
+    pending.batch = submit(IoRequest::Kind::kWrite, ops, nullptr, pending.data.data());
     pending_writes_.push_back(std::move(pending));
     // Opportunistic reap keeps deferred failures from aging; the per-owner
     // bound keeps each job's buffered write-behind memory at O(D * B).
     reap_pending_writes(/*all=*/false);
-    for (;;) {
-        std::size_t own = 0;
-        for (const PendingWrite& p : pending_writes_) {
-            if (p.owner == jc) ++own;
-        }
-        if (own <= kMaxPendingWrites) break;
+    const auto owned = [jc](const PendingWrite& p) { return p.owner == jc; };
+    while (static_cast<std::size_t>(std::count_if(pending_writes_.begin(), pending_writes_.end(),
+                                                  owned)) > kMaxPendingWrites) {
         // Over budget: land this owner's oldest batch. The wait happens
-        // with mu_ released (finish_write) so a slow device throttles only
-        // this job, never its neighbors' submissions.
-        for (std::size_t i = 0; i < pending_writes_.size(); ++i) {
-            if (pending_writes_[i].owner == jc) {
-                PendingWrite oldest = std::move(pending_writes_[i]);
-                pending_writes_.erase(pending_writes_.begin() +
-                                      static_cast<std::ptrdiff_t>(i));
-                finish_write(std::move(oldest), lk);
-                break;
-            }
-        }
+        // with mu_ released (reap) so a slow device throttles only this
+        // job, never its neighbors' submissions.
+        const auto oldest = std::find_if(pending_writes_.begin(), pending_writes_.end(), owned);
+        reap_pending_write(static_cast<std::size_t>(oldest - pending_writes_.begin()), lk);
     }
     if (jc != nullptr && jc->deferred_failure) {
         const std::exception_ptr e = jc->deferred_failure;
@@ -1007,73 +851,19 @@ void DiskArray::write_stripe_async(std::span<const BlockOp> ops, std::span<const
 
 void DiskArray::reap_pending_writes(bool all) {
     if (engine_ == nullptr) return;
+    std::unique_lock<std::recursive_mutex> lk(mu_);
     while (!pending_writes_.empty()) {
         if (!all && !engine_->done(pending_writes_.front().batch)) break;
-        reap_write_at(0);
+        reap_pending_write(0, lk);
     }
 }
 
-void DiskArray::reap_write_at(std::size_t idx) {
+void DiskArray::reap_pending_write(std::size_t idx, std::unique_lock<std::recursive_mutex>& lk) {
+    // Once out of the deque the batch is ours alone, so the lock can drop
+    // for the wait.
     PendingWrite pending = std::move(pending_writes_[idx]);
     pending_writes_.erase(pending_writes_.begin() + static_cast<std::ptrdiff_t>(idx));
-    bool any_failed = false;
-    double stall = 0;
-    {
-        StallTimer t(stall);
-        const std::vector<IoCompletion>& comps = engine_->wait(pending.batch);
-        for (const IoCompletion& c : comps) {
-            if (!c.ok) any_failed = true;
-        }
-    }
-    // Stall is charged to whoever waited; retries/failures belong to the
-    // batch's owner regardless of which job's drain reaped it.
-    stats_.engine_stall_seconds += stall;
-    if (JobIoChannel* c = bound_channel()) c->io.engine_stall_seconds += stall;
-    const std::vector<IoCompletion>& comps = engine_->wait(pending.batch);
-    for (const IoCompletion& c : comps) {
-        if (c.transient_retries != 0) {
-            health_[c.disk].transient_retries += c.transient_retries;
-            stats_.transient_retries += c.transient_retries;
-            if (pending.owner != nullptr) pending.owner->io.transient_retries += c.transient_retries;
-        }
-    }
-    if (any_failed) {
-        engine_->drain(); // mark_lost must not race the disk's worker
-        for (const IoCompletion& c : comps) {
-            if (!c.ok) handle_write_failure(pending.ops[c.request_index], c.error, pending.owner);
-        }
-    }
-}
-
-void DiskArray::finish_write(PendingWrite pending, std::unique_lock<std::recursive_mutex>& lk) {
-    bool any_failed = false;
-    double stall = 0;
-    lk.unlock();
-    {
-        // The batch left pending_writes_ under the lock, so this thread is
-        // its sole owner; wait() is idempotent and engine-internal-locked.
-        StallTimer t(stall);
-        for (const IoCompletion& c : engine_->wait(pending.batch)) {
-            if (!c.ok) any_failed = true;
-        }
-    }
-    lk.lock();
-    stats_.engine_stall_seconds += stall;
-    if (JobIoChannel* c = bound_channel()) c->io.engine_stall_seconds += stall;
-    const std::vector<IoCompletion>& comps = engine_->wait(pending.batch);
-    for (const IoCompletion& c : comps) {
-        if (c.transient_retries != 0) {
-            health_[c.disk].transient_retries += c.transient_retries;
-            stats_.transient_retries += c.transient_retries;
-            if (pending.owner != nullptr) pending.owner->io.transient_retries += c.transient_retries;
-        }
-    }
-    if (any_failed) {
-        engine_->drain(); // mark_lost must not race the disk's worker
-        for (const IoCompletion& c : comps) {
-            if (!c.ok) handle_write_failure(pending.ops[c.request_index], c.error, pending.owner);
-        }
-    }
+    reap(pending.batch, IoRequest::Kind::kWrite, nullptr, pending.owner, lk);
 }
 
 void DiskArray::handle_write_failure(const BlockOp& op, const std::exception_ptr& error,
@@ -1088,17 +878,14 @@ void DiskArray::handle_write_failure(const BlockOp& op, const std::exception_ptr
         dead = true;
     } catch (const IoError&) {
     }
-    // Mirror robust_write's failure tail. Degrading into parity needs a
-    // parity stripe carrying the intended image — impossible here, since
-    // write-behind is only legal with parity off — so in practice every
-    // deferred write failure surfaces to the caller.
-    bool must_surface = false;
-    if (dead) {
-        if (!ft_.parity || parity_ == nullptr) must_surface = true;
-    } else if (!(ft_.parity && parity_ != nullptr && csum_[op.disk] != nullptr)) {
-        must_surface = true;
-    }
-    if (must_surface) {
+    // A dead disk degrades into parity. A live disk whose write never
+    // landed (exhausted retries, I/O error) degrades too when parity and
+    // checksums can serve the block from the stripe: the stale image is
+    // invalidated so reads do exactly that. Otherwise the caller must see
+    // the failure — always the case for write-behind, which is only legal
+    // with parity off.
+    const bool parity = ft_.parity && parity_ != nullptr;
+    if (dead ? !parity : !(parity && csum_[op.disk] != nullptr)) {
         if (owner != nullptr && owner != bound_channel()) {
             // Another job's batch died under our drain: park the failure on
             // its channel (surfaced at its next drain) instead of unwinding
@@ -1108,6 +895,8 @@ void DiskArray::handle_write_failure(const BlockOp& op, const std::exception_ptr
         }
         std::rethrow_exception(error);
     }
+    // Degraded write: parity (already updated with the intended image)
+    // carries this block; reads will reconstruct it.
     if (h.alive && csum_[op.disk] != nullptr) csum_[op.disk]->mark_lost(op.block);
     if (!h.alive) parity_carried_[op.disk].insert(op.block);
     ++h.degraded_writes;

@@ -32,10 +32,8 @@
 namespace balsort {
 
 class FileDisk;
-class Histogram;
 struct JobIoChannel;
 class MemDisk;
-class MetricsRegistry;
 
 enum class DiskBackend { kMemory, kFile };
 
@@ -44,9 +42,9 @@ enum class DiskBackend { kMemory, kFile };
 /// microseconds — positioning latency plus transfer time. Model accounting
 /// is untouched (a throttled array counts the same io_steps()); only
 /// wall-clock changes. Page-cached scratch files serve blocks at memcpy
-/// speed, which hides exactly the per-step serialization the async engine
-/// removes — the device model restores honest physics for sync-vs-async
-/// wall-clock comparisons (bench_async).
+/// speed, which hides exactly the per-step serialization the worker
+/// executor removes — the device model restores honest physics for
+/// inline-vs-worker wall-clock comparisons (bench_async).
 struct DeviceModel {
     std::uint32_t latency_us = 0; ///< fixed positioning cost per block op
     double us_per_record = 0.0;   ///< streaming transfer cost
@@ -72,7 +70,8 @@ struct FaultTolerance {
     /// Which data disk `inject.die_after_ops` kills (kNoDisk = none).
     std::uint32_t die_disk = kNoDisk;
 
-    /// Retry budget for transient faults: total attempts = 1 + max_retries.
+    /// Retry budget for transient faults: total attempts = 1 + max_retries
+    /// (the RetryPolicy both executors run every request under).
     std::uint32_t max_retries = 3;
     /// Exponential backoff between retries: sleep backoff_base_us << attempt
     /// microseconds (0 = no sleeping; simulations and tests want 0).
@@ -234,6 +233,19 @@ public:
     /// job's in-flight work must be drained first.
     void reclaim_job_blocks(JobIoChannel& channel);
 
+    // ---- block transfers (DESIGN.md §8-§9) ----
+    //
+    // Every transfer is a batch of block requests run by one of two
+    // executors and settled by one recovery ladder:
+    //  * inline (engine off): the calling thread runs the requests in step
+    //    order, and a failed request is recovered before the next one runs;
+    //  * per-disk workers (set_async(true)): the AsyncEngine runs them in
+    //    parallel; failures are recovered in request order once the batch
+    //    has completed and the engine is quiescent.
+    // Both run each request under the array's RetryPolicy and charge the
+    // model the same steps in the same order, so io_steps() and the
+    // step-observer sequence do not depend on the executor.
+
     /// One parallel read step. `buffers` is ops.size()*B records, the i-th
     /// chunk receiving the i-th op's block. Ops must respect `constraint()`.
     void read_step(std::span<const BlockOp> ops, std::span<Record> buffers);
@@ -249,14 +261,13 @@ public:
     /// Write counterpart of read_batch.
     void write_batch(std::span<const BlockOp> ops, std::span<const Record> src);
 
-    // ---- asynchronous request/completion API (DESIGN.md §9) ----
+    // ---- worker-executor request/completion API (DESIGN.md §9) ----
     //
-    // With the engine enabled, read_step/write_step/read_batch/write_batch
-    // transparently route through it, so callers need nothing below unless
-    // they want explicit overlap (prefetch ahead of consumption). Model
-    // accounting is charged by the *submitting* thread using exactly the
-    // step decomposition of the synchronous path, so io_steps() and the
-    // step-observer sequence are bit-identical with the engine on or off.
+    // With the workers on, the transfers above route through them, so
+    // callers need nothing below unless they want explicit overlap
+    // (prefetch ahead of consumption). Model accounting is charged by the
+    // *submitting* thread using exactly the step decomposition of the
+    // inline executor.
 
     /// Completion handle for one asynchronous stripe read. Move-only.
     /// Obtain via read_stripe_async/prefetch_read; redeem via complete_read.
@@ -270,14 +281,16 @@ public:
     private:
         friend class DiskArray;
         AsyncBatch batch_;
-        std::vector<BlockOp> ops_;
         std::span<Record> dest_;
         std::uint64_t trace_id_ = 0; ///< async trace pair id (0 = untraced)
     };
 
-    /// Start/stop the per-disk worker engine. Enabling is cheap; disabling
-    /// drains all in-flight work first and folds engine metrics into
-    /// stats(). No-op if already in the requested state.
+    /// Switch between the inline executor (off) and the per-disk worker
+    /// executor (on). Enabling is cheap; disabling drains all in-flight
+    /// work first and folds engine metrics into stats(). No-op if already
+    /// in the requested state. balance_sort and SortScheduler turn the
+    /// workers on for file-backed arrays for their own extent; a
+    /// memory-backed array runs whichever executor its owner set here.
     void set_async(bool enabled);
     bool async_enabled() const { return engine_ != nullptr; }
 
@@ -295,13 +308,14 @@ public:
     /// Asynchronous read_step: charges one parallel read step now, submits
     /// the transfers, returns a ticket. `dest` must stay valid until the
     /// ticket is completed. Recovery (retry exhaustion, corruption, death)
-    /// happens inside complete_read, identical to the sync ladder.
+    /// happens inside complete_read, through the one recovery ladder.
     ReadTicket read_stripe_async(std::span<const BlockOp> ops, std::span<Record> dest);
 
     /// Submit transfers WITHOUT charging model costs — pair each prefetch
     /// with a later charge_read_batch over the same ops at consumption
     /// time. This is how RunReader/VRunSource overlap: physical I/O runs
-    /// ahead while the model is charged exactly when the sync path would.
+    /// ahead while the model is charged exactly when the inline executor
+    /// would charge it.
     ReadTicket prefetch_read(std::span<const BlockOp> ops, std::span<Record> dest);
 
     /// Charge the model cost of reading `ops` as read_batch would (step
@@ -318,7 +332,7 @@ public:
     /// step, copies `src` into an internally owned buffer, submits, and
     /// returns immediately. Completed batches are reaped opportunistically;
     /// at most a bounded number stay in flight. Requires parity OFF (parity
-    /// RMW must read old images — write_step falls back to sync there).
+    /// RMW must read old images — write_step runs those writes inline).
     void write_stripe_async(std::span<const BlockOp> ops, std::span<const Record> src);
 
     /// Allocate one block index on `disk`: the shallowest free (released)
@@ -388,7 +402,7 @@ public:
     /// Recompute block `index` of disk `d` from the parity stripe:
     /// XOR of the parity block and every peer disk's block at `index`
     /// (missing blocks count as zeros). Public so tests can exercise it;
-    /// the robust read path calls it automatically. Throws UnrecoverableIo
+    /// the recovery ladder calls it automatically. Throws UnrecoverableIo
     /// if parity is off or a peer read hits a non-transient fault.
     void reconstruct_block(std::uint32_t d, std::uint64_t index, std::span<Record> out);
 
@@ -414,7 +428,6 @@ private:
     /// and failures are attributed — and deferred — to the owner.
     struct PendingWrite {
         AsyncBatch batch;
-        std::vector<BlockOp> ops;
         std::vector<Record> data;
         JobIoChannel* owner = nullptr;
     };
@@ -431,60 +444,58 @@ private:
     /// Model accounting for one parallel step (counters + observer).
     void charge_read_step(std::span<const BlockOp> ops);
     void charge_write_step(std::span<const BlockOp> ops);
-    /// Submit a read batch to the engine without charging (physical only).
-    ReadTicket submit_read(std::span<const BlockOp> ops, std::span<Record> dest);
-    /// Wait + fold retry counters + recovery ladder for deferred failures.
-    void reap_read(ReadTicket& ticket);
-    /// Ladder for one deferred read failure (mirrors robust_read's tail:
-    /// classify, then parity reconstruction + scrub or rethrow).
+
+    // -- the one request path: execute, fold retries, recover --
+    /// Inline executor: run one request on the calling thread under the
+    /// retry policy, then — before returning, so before the caller's next
+    /// request — settle it: fold its retries and, if it failed, run the
+    /// recovery ladder. Caller holds mu_.
+    void run_inline(const IoRequest& request);
+    /// Submit a batch to the worker executor without charging (physical
+    /// only). Caller holds mu_.
+    AsyncBatch submit(IoRequest::Kind kind, std::span<const BlockOp> ops, Record* read_base,
+                      const Record* write_base);
+    /// Reap one worker batch: wait for it with `lk` released (so a stalled
+    /// job never serializes its neighbors' submissions on mu_; the batch is
+    /// owned by the caller, so no other thread can reap it), then, under
+    /// `lk`, fold stall and retry counters and run the recovery ladder on
+    /// each failed request in request order, after quiescing the engine.
+    /// Retries and write failures belong to `owner`; reads land at
+    /// `read_base` + request_index * B.
+    void reap(AsyncBatch& batch, IoRequest::Kind kind, Record* read_base, JobIoChannel* owner,
+              std::unique_lock<std::recursive_mutex>& lk);
+    /// Attribute `c`'s transient retries to its disk, the array and `owner`.
+    void fold_retries(const IoCompletion& c, JobIoChannel* owner);
+    /// Recovery ladder for one failed read: classify, then parity
+    /// reconstruction + scrub, or rethrow without parity.
     void handle_read_failure(const BlockOp& op, const std::exception_ptr& error,
                              std::span<Record> out);
-    /// Reap completed (or, with `all`, every) pending write-behind batch.
-    void reap_pending_writes(bool all);
-    /// Blocking reap of the pending write-behind batch at `idx`.
-    void reap_write_at(std::size_t idx);
-    /// Blocking reap of one batch already REMOVED from pending_writes_:
-    /// releases `lk` around the engine wait (no other thread can reap a
-    /// batch that left the deque), then re-locks to settle accounting and
-    /// run the failure ladder. Keeps a stalled writer from serializing
-    /// every other job's submissions on mu_.
-    void finish_write(PendingWrite pending, std::unique_lock<std::recursive_mutex>& lk);
-    /// Classify + handle one failed async write op (mirrors robust_write's
-    /// failure tail: degrade into parity or rethrow). A failure belonging
-    /// to another job's `owner` channel is parked there instead of thrown.
+    /// Recovery ladder for one failed write: degrade into parity (the data
+    /// lives implicitly in the stripe) or rethrow. A failure belonging to
+    /// another job's `owner` channel is parked there instead of thrown.
     void handle_write_failure(const BlockOp& op, const std::exception_ptr& error,
                               JobIoChannel* owner);
+    /// Reap completed (or, with `all`, every) pending write-behind batch.
+    void reap_pending_writes(bool all);
+    /// Remove the pending write-behind batch at `idx` and reap it under
+    /// `lk` (a lock on mu_).
+    void reap_pending_write(std::size_t idx, std::unique_lock<std::recursive_mutex>& lk);
     /// Fold live engine metrics into stats_ (const: stats_ is mutable).
     void refresh_engine_stats() const;
 
-    /// Re-resolve the per-disk latency histograms when the installed
-    /// MetricsRegistry changed since the last step. Lazy because arrays are
-    /// usually constructed before balance_sort installs the registry; one
-    /// pointer compare per step once bound. Wall-clock observability only —
-    /// never touches model accounting.
-    void bind_obs();
-
-    /// Read with the full recovery ladder: bounded retry on transient
-    /// faults, then parity reconstruction (plus scrubbing) on death,
-    /// corruption, or exhausted retries.
-    void robust_read(const BlockOp& op, std::span<Record> out);
-    /// Write with bounded retry; a dead disk degrades the write into a
-    /// parity-only update (the data lives implicitly in the stripe).
-    /// Returns false iff the data write was absorbed by parity.
-    bool robust_write(const BlockOp& op, std::span<const Record> in);
-    /// Retry-only read used inside reconstruction and parity RMW: never
+    /// Retried read used inside reconstruction and parity RMW: never
     /// recurses into reconstruction; escalates to UnrecoverableIo instead.
     void retrying_read(Disk& disk, std::uint32_t d, std::uint64_t index, std::span<Record> out,
                        bool for_reconstruction);
     /// Update the parity stripe for this step's writes. Must run before
     /// the data writes land (it reads the old images).
     void update_parity(std::span<const BlockOp> ops, std::span<const Record> buffers);
-    void backoff(std::uint32_t attempt) const;
 
     std::uint32_t b_;
     DiskBackend backend_;
     Constraint constraint_;
     FaultTolerance ft_;
+    RetryPolicy retry_; ///< from ft_; shared with the worker executor
     DeviceModel dev_;
     ScratchOptions scratch_;
     std::vector<std::unique_ptr<Disk>> disks_;
@@ -515,8 +526,6 @@ private:
     /// Crash-consistency quarantine (see set_release_quarantine).
     bool quarantine_on_ = false;
     std::vector<BlockOp> quarantined_;
-    /// Deterministic jitter stream for backoff() (wall-clock only).
-    mutable std::uint64_t jitter_state_ = 0x243f6a8885a308d3ULL;
     /// Guards all shared bookkeeping (stats_, allocator, quarantine,
     /// health_, parity/csum state, pending_writes_) against concurrent job
     /// threads. Recursive: the recovery ladder re-enters public entries.
@@ -526,13 +535,7 @@ private:
     mutable IoStats stats_;
     StepObserver observer_;
 
-    // -- observability bindings (DESIGN.md §11; empty when metrics off) --
-    MetricsRegistry* obs_registry_ = nullptr;
-    std::vector<Histogram*> obs_read_latency_;  ///< per data disk, microseconds
-    std::vector<Histogram*> obs_write_latency_;
-    Histogram* obs_backoff_ = nullptr; ///< sync-path retry backoff sleeps
-
-    // -- async engine state (null / empty when the engine is off) --
+    // -- worker executor state (null / empty when the engine is off) --
     std::unique_ptr<AsyncEngine> engine_; ///< destroyed before disks_
     std::deque<PendingWrite> pending_writes_;
     // Metrics of engines already torn down (set_async(false) folds them

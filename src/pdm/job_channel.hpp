@@ -8,8 +8,8 @@
 /// byte-identical to a solo run on a private array. The JobIoChannel is the
 /// attribution vehicle: a job's worker thread binds its channel to the
 /// array (DiskArray::bind_job_channel), and every charge point — the same
-/// charge-at-submit / charge-at-consume sites the sync and async paths
-/// already share — then mirrors its increment into the channel alongside
+/// charge-at-submit / charge-at-consume sites both executors already
+/// share — then mirrors its increment into the channel alongside
 /// the array-wide totals. Recovery counters (retries, reconstructions,
 /// degraded writes, timeouts) attribute to the job whose transfer hit the
 /// fault, even when a neighbor's drain happens to reap the completion.

@@ -80,11 +80,11 @@ private:
 /// Streaming reader over a BlockRun; fetches blocks with maximal
 /// parallelism (read_batch), hands back records in run order.
 ///
-/// With the array's async engine enabled, the reader double-buffers: while
-/// the caller consumes one fetch, the next fetch-sized range of the run is
-/// already in flight (DESIGN.md §9). Model costs are charged at consumption
-/// time over exactly the ranges the synchronous path would read, so
-/// io_steps() is identical either way.
+/// With the array's worker executor enabled, the reader double-buffers:
+/// while the caller consumes one fetch, the next fetch-sized range of the
+/// run is already in flight (DESIGN.md §9). Model costs are charged at
+/// consumption time over exactly the ranges the inline executor would
+/// read, so io_steps() is identical either way.
 class RunReader {
 public:
     RunReader(DiskArray& disks, const BlockRun& run);

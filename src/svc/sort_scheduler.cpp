@@ -62,7 +62,7 @@ SortScheduler::SortScheduler(DiskArray& disks, SchedulerConfig cfg)
                                     : nullptr),
       prev_async_(disks.async_enabled()) {
     BS_REQUIRE(cfg_.max_active >= 1, "SchedulerConfig: max_active must be >= 1");
-    disks_.set_async(cfg_.async_io);
+    if (disks_.backend() == DiskBackend::kFile) disks_.set_async(true);
 }
 
 SortScheduler::~SortScheduler() {

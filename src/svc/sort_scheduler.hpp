@@ -64,10 +64,6 @@ struct SchedulerConfig {
     /// IoArbiter quantum scale (see io_arbiter.hpp); <= 0 disables
     /// arbitration.
     double fairness = 1.0;
-    /// Drive the shared array through the async engine. Jobs never toggle
-    /// the engine themselves (their AsyncGuard is skipped under a bound
-    /// channel); this is the one switch.
-    bool async_io = true;
     /// Share one BufferPool across all jobs (recycles staging buffers
     /// between jobs); off gives each job its own per-sort pool.
     bool share_buffer_pool = true;
@@ -104,9 +100,12 @@ struct AdmissionResult {
 
 class SortScheduler {
 public:
-    /// The array must outlive the scheduler. The scheduler flips the
-    /// array's async engine per `cfg.async_io` and restores the previous
-    /// state on destruction.
+    /// The array must outlive the scheduler. On a file-backed array the
+    /// scheduler turns the per-disk worker executor on for its lifetime
+    /// and restores the previous state on destruction; a memory-backed
+    /// array keeps the executor its owner chose with set_async. Jobs never
+    /// toggle the executor themselves (balance_sort skips its guard under
+    /// a bound channel).
     explicit SortScheduler(DiskArray& disks, SchedulerConfig cfg = {});
     /// Cancels queued and running jobs, waits for workers, restores the
     /// array's engine state.

@@ -1,10 +1,11 @@
-// Tests for the asynchronous request/completion engine (DESIGN.md §9):
-// AsyncEngine semantics (per-disk FIFO, deferred failures, retry counting),
-// DiskArray's async entry points (charge-at-submit accounting, prefetch +
+// Tests for the per-disk worker executor (DESIGN.md §9): AsyncEngine
+// semantics (per-disk FIFO, deferred failures, retry counting), DiskArray's
+// worker entry points (charge-at-submit accounting, prefetch +
 // charge-at-consume, write-behind), and the end-to-end guarantee that a
-// sort run through the engine is bit-identical to the synchronous path in
-// everything the model measures — io_steps, structure counters, output —
-// while actually routing its blocks through the worker threads.
+// sort run on the workers is bit-identical to the inline executor on the
+// same kind of array in everything the model measures — io_steps,
+// structure counters, output — while actually routing its blocks through
+// the worker threads.
 #include <gtest/gtest.h>
 
 #include <filesystem>
@@ -213,7 +214,8 @@ TEST(DiskArrayAsync, SetAsyncOffFoldsMetricsAndRestoresSyncPath) {
     EXPECT_FALSE(arr.async_enabled());
     const std::uint64_t ops_after_disable = arr.stats().async_block_ops;
     EXPECT_GT(ops_after_disable, 0u); // folded, not lost
-    // Back on the sync path: further I/O charges steps but no engine ops.
+    // Back on the inline executor: further I/O charges steps but no engine
+    // ops.
     BlockRun run2 = write_striped(arr, recs);
     EXPECT_EQ(read_run(arr, run2), recs);
     EXPECT_EQ(arr.stats().async_block_ops, ops_after_disable);
@@ -227,18 +229,16 @@ TEST(BalanceSortAsync, ReportBitIdenticalToSyncOnMemoryBackend) {
     SortReport sync_rep, async_rep;
     std::vector<Record> sync_sorted, async_sorted;
     {
-        DiskArray disks(cfg.d, cfg.b);
-        SortOptions opt;
-        opt.async_io = AsyncIo::kOff;
-        sync_sorted = balance_sort_records(disks, input, cfg, opt, &sync_rep);
+        DiskArray disks(cfg.d, cfg.b); // inline executor
+        sync_sorted = balance_sort_records(disks, input, cfg, SortOptions{}, &sync_rep);
+        EXPECT_FALSE(disks.async_enabled());
     }
     {
         DiskArray disks(cfg.d, cfg.b);
-        SortOptions opt;
-        opt.async_io = AsyncIo::kOn;
-        async_sorted = balance_sort_records(disks, input, cfg, opt, &async_rep);
-        // The guard restored the array to its pre-sort (sync) state.
-        EXPECT_FALSE(disks.async_enabled());
+        disks.set_async(true); // the same kind of array on the workers
+        async_sorted = balance_sort_records(disks, input, cfg, SortOptions{}, &async_rep);
+        // The sort left a memory-backed array's executor as its owner set it.
+        EXPECT_TRUE(disks.async_enabled());
     }
     EXPECT_EQ(async_sorted, sync_sorted);
     EXPECT_EQ(async_rep.io.io_steps(), sync_rep.io.io_steps());
@@ -265,16 +265,16 @@ TEST(BalanceSortAsync, FileBackendAutoEnablesTheEngine) {
     std::vector<Record> auto_sorted, off_sorted;
     {
         DiskArray disks(cfg.d, cfg.b, DiskBackend::kFile, dir);
-        SortOptions opt; // async_io = kAuto
-        auto_sorted = balance_sort_records(disks, input, cfg, opt, &auto_rep);
+        auto_sorted = balance_sort_records(disks, input, cfg, SortOptions{}, &auto_rep);
+        // The workers are scoped to the sort: the caller's array is back on
+        // the inline executor afterwards.
+        EXPECT_FALSE(disks.async_enabled());
     }
     {
-        DiskArray disks(cfg.d, cfg.b, DiskBackend::kFile, dir);
-        SortOptions opt;
-        opt.async_io = AsyncIo::kOff;
-        off_sorted = balance_sort_records(disks, input, cfg, opt, &off_rep);
+        DiskArray disks(cfg.d, cfg.b); // memory-backed: inline unless set
+        off_sorted = balance_sort_records(disks, input, cfg, SortOptions{}, &off_rep);
     }
-    EXPECT_GT(auto_rep.io.async_block_ops, 0u); // kAuto == on for kFile
+    EXPECT_GT(auto_rep.io.async_block_ops, 0u); // file-backed sorts run on the workers
     EXPECT_EQ(off_rep.io.async_block_ops, 0u);
     EXPECT_EQ(auto_sorted, off_sorted);
     EXPECT_EQ(auto_rep.io.io_steps(), off_rep.io.io_steps());

@@ -346,6 +346,125 @@ TEST(DiskArrayFaults, ParityRequiresIndependentDisks) {
                  std::invalid_argument);
 }
 
+// --- inline executor: a failed op is recovered before the next op runs ---
+//
+// With rate faults on every disk and a budget of one retry, the order of a
+// disk's reads decides which of them exhausts the budget. Reconstructing
+// op 0 of a read step reads every peer, and later ops of the same step read
+// those peers too — so the step's outcome, recovery counters and
+// fault-stream positions pin the order the ladder runs in. They must equal
+// a replay of op-then-ladder order on standalone injectors seeded like the
+// array's data disks.
+
+/// Standalone injectors seeded like a DiskArray's data disks, block 0
+/// written once on each, replaying reads under the array's retry budget.
+struct LadderReplay {
+    std::vector<std::unique_ptr<FaultInjectingDisk>> disks;
+    std::vector<std::uint64_t> retries;
+    std::uint64_t reconstructions = 0;
+    std::uint32_t max_retries;
+
+    LadderReplay(const FaultTolerance& ft, std::uint32_t d, std::size_t b)
+        : retries(d, 0), max_retries(ft.max_retries) {
+        for (std::uint32_t i = 0; i < d; ++i) {
+            disks.push_back(
+                std::make_unique<FaultInjectingDisk>(std::make_unique<MemDisk>(b), ft.inject, i));
+            disks.back()->write_block(0, make_block(b, i));
+        }
+    }
+    /// One retried read of block 0; false once the budget is exhausted.
+    bool read(std::uint32_t d) {
+        std::vector<Record> out(disks[d]->block_size());
+        for (std::uint32_t attempt = 0;; ++attempt) {
+            try {
+                disks[d]->read_block(0, out);
+                return true;
+            } catch (const TransientIoError&) {
+                if (attempt >= max_retries) return false;
+                ++retries[d];
+            }
+        }
+    }
+    /// Parity reconstruction of disk `d`: every peer is read in disk order;
+    /// false on a double failure.
+    bool reconstruct(std::uint32_t d) {
+        for (std::uint32_t peer = 0; peer < disks.size(); ++peer) {
+            if (peer != d && !read(peer)) return false;
+        }
+        ++reconstructions;
+        return true;
+    }
+    /// Op then its ladder, op by op: the inline executor's order.
+    bool step_op_then_ladder() {
+        for (std::uint32_t d = 0; d < disks.size(); ++d) {
+            if (!read(d) && !reconstruct(d)) return false;
+        }
+        return true;
+    }
+    /// Every op, then the ladders: a batch recovered once it completed.
+    bool step_ops_then_ladders() {
+        std::vector<bool> ok;
+        for (std::uint32_t d = 0; d < disks.size(); ++d) ok.push_back(read(d));
+        for (std::uint32_t d = 0; d < disks.size(); ++d) {
+            if (!ok[d] && !reconstruct(d)) return false;
+        }
+        return true;
+    }
+};
+
+TEST(DiskArrayFaults, InlineLadderRunsBeforeTheNextOp) {
+    constexpr std::uint32_t kD = 3;
+    constexpr std::uint32_t kB = 4;
+    FaultTolerance ft;
+    ft.inject.read_transient_rate = 0.4;
+    ft.max_retries = 1;
+    ft.parity = true;
+    // Pick the first seed where op 0 exhausts its retries (so it needs
+    // reconstruction), the op-then-ladder step survives, and the other
+    // order would end differently — the step is order-sensitive.
+    bool found = false;
+    for (std::uint64_t seed = 1; seed <= 5000 && !found; ++seed) {
+        ft.inject.seed = seed;
+        LadderReplay inline_order(ft, kD, kB), batch_order(ft, kD, kB), op0(ft, kD, kB);
+        if (op0.read(0) || !inline_order.step_op_then_ladder()) continue;
+        found = !batch_order.step_ops_then_ladders() ||
+                batch_order.retries != inline_order.retries ||
+                batch_order.reconstructions != inline_order.reconstructions;
+    }
+    ASSERT_TRUE(found) << "no order-sensitive seed in range";
+    const LadderReplay expect = [&] {
+        LadderReplay r(ft, kD, kB);
+        r.step_op_then_ladder();
+        return r;
+    }();
+
+    DiskArray arr(kD, kB, DiskBackend::kMemory, ".", Constraint::kIndependentDisks, ft);
+    std::vector<BlockOp> ops;
+    std::vector<Record> data;
+    for (std::uint32_t d = 0; d < kD; ++d) {
+        ops.push_back(BlockOp{d, 0});
+        const auto blk = make_block(kB, d);
+        data.insert(data.end(), blk.begin(), blk.end());
+    }
+    arr.write_step(ops, data);
+    std::vector<Record> out(data.size());
+    arr.read_step(ops, out);
+
+    EXPECT_EQ(out, data);
+    EXPECT_GE(expect.reconstructions, 1u);
+    EXPECT_EQ(arr.stats().reconstructions, expect.reconstructions);
+    std::uint64_t total_retries = 0;
+    for (std::uint32_t d = 0; d < kD; ++d) {
+        SCOPED_TRACE("disk " + std::to_string(d));
+        const auto& fi = dynamic_cast<const FaultInjectingDisk&>(arr.disk_for_testing(d));
+        EXPECT_EQ(arr.health(d).transient_retries, expect.retries[d]);
+        EXPECT_EQ(fi.ops_issued(), expect.disks[d]->ops_issued());
+        EXPECT_EQ(fi.injected_read_errors(), expect.disks[d]->injected_read_errors());
+        total_retries += expect.retries[d];
+    }
+    EXPECT_EQ(arr.stats().transient_retries, total_retries);
+}
+
 TEST(IoStatsFaults, ArithmeticCoversRecoveryCounters) {
     IoStats a;
     a.transient_retries = 5;
@@ -366,13 +485,15 @@ struct SoakResult {
     SortReport report;
 };
 
+/// One sort on a faulty memory-backed array, on the inline executor or
+/// (`workers`) the per-disk worker executor.
 SoakResult run_faulty_sort(const PdmConfig& cfg, const FaultTolerance& ft,
-                           std::uint64_t data_seed, AsyncIo async_io = AsyncIo::kAuto) {
+                           std::uint64_t data_seed, bool workers = false) {
     DiskArray disks(cfg.d, cfg.b, DiskBackend::kMemory, ".", Constraint::kIndependentDisks, ft);
+    disks.set_async(workers);
     auto input = generate(Workload::kUniform, cfg.n, data_seed);
     SortOptions opt;
     opt.synchronized_writes = true;
-    opt.async_io = async_io;
     SoakResult r;
     r.sorted = balance_sort_records(disks, input, cfg, opt, &r.report);
     return r;
@@ -417,28 +538,31 @@ TEST(BalanceSortFaults, SurvivesFaultStormAndSingleDiskDeath) {
     EXPECT_EQ(a.report.io.degraded_writes, b.report.io.degraded_writes);
 }
 
-// --- async engine under faults (DESIGN.md §9) ---
-// Recovery runs on the submitting thread after drain(), per-disk FIFO
-// preserves each kind's submission order, and the injector draws reads
-// and writes from separate streams — so routing a faulty sort through the
-// completion queue reproduces the synchronous recovery counters exactly
-// for every rate-based fault, as long as recovery I/O does not itself
-// interleave with further random faults (transient-only and torn-writes
-// below). `die_after_ops` is an op-ORDER fault across both kinds, which
-// prefetch legitimately reorders: there the guarantee is the same failed
-// disk, the same model accounting, the same sorted output, and perfect
-// run-to-run determinism — checked for the death case and for the full
-// combined storm.
+// --- the worker executor under faults (DESIGN.md §9) ---
+// Both executors run every request through the same retry loop and the
+// same recovery ladder. Worker recovery runs on the submitting thread after
+// drain(), per-disk FIFO preserves each kind's submission order, and the
+// injector draws reads and writes from separate streams — so a faulty sort
+// on the workers reproduces the inline executor's recovery counters
+// exactly for every rate-based fault, as long as recovery I/O does not
+// itself interleave with further random faults (transient-only and
+// torn-writes below). `die_after_ops` is an op-ORDER fault across both
+// kinds, which prefetch legitimately reorders: there the guarantee is the
+// same failed disk, the same model accounting, the same sorted output, and
+// perfect run-to-run determinism — checked for the death case and for the
+// full combined storm. Each pair runs on the same kind of memory-backed
+// array; only set_async differs.
 
 TEST(BalanceSortFaults, AsyncTransientStormMatchesSyncCountersExactly) {
     // Transients are retried in place on the owning disk's worker, at the
-    // same position in that disk's fault stream as the sync retry loop, so
-    // every counter — including the retry count — must match bit-for-bit.
+    // same position in that disk's fault stream as the inline executor's
+    // retries, so every counter — including the retry count — must match
+    // bit-for-bit.
     PdmConfig cfg{.n = 4000, .m = 512, .d = 4, .b = 8, .p = 4};
     const FaultTolerance ft = transient_ft(5e-3, 31);
 
-    auto sync = run_faulty_sort(cfg, ft, 81, AsyncIo::kOff);
-    auto async = run_faulty_sort(cfg, ft, 81, AsyncIo::kOn);
+    auto sync = run_faulty_sort(cfg, ft, 81, /*workers=*/false);
+    auto async = run_faulty_sort(cfg, ft, 81, /*workers=*/true);
 
     EXPECT_GT(sync.report.io.transient_retries, 0u); // the storm was real
     EXPECT_EQ(async.sorted, sync.sorted);
@@ -466,8 +590,8 @@ TEST(BalanceSortFaults, AsyncMidSortDiskDeathDegradesIdenticallyToSync) {
     ft.checksums = true;
     ft.parity = true;
 
-    auto sync = run_faulty_sort(cfg, ft, 82, AsyncIo::kOff);
-    auto async = run_faulty_sort(cfg, ft, 82, AsyncIo::kOn);
+    auto sync = run_faulty_sort(cfg, ft, 82, /*workers=*/false);
+    auto async = run_faulty_sort(cfg, ft, 82, /*workers=*/true);
 
     EXPECT_EQ(sync.report.disks_failed, 1u);
     EXPECT_EQ(async.report.disks_failed, 1u);
@@ -481,7 +605,7 @@ TEST(BalanceSortFaults, AsyncMidSortDiskDeathDegradesIdenticallyToSync) {
     EXPECT_EQ(async.report.io.blocks_written, sync.report.io.blocks_written);
     EXPECT_GT(async.report.io.async_block_ops, 0u);
 
-    auto again = run_faulty_sort(cfg, ft, 82, AsyncIo::kOn);
+    auto again = run_faulty_sort(cfg, ft, 82, /*workers=*/true);
     EXPECT_EQ(again.sorted, async.sorted);
     EXPECT_EQ(again.report.io.reconstructions, async.report.io.reconstructions);
     EXPECT_EQ(again.report.io.degraded_writes, async.report.io.degraded_writes);
@@ -490,9 +614,9 @@ TEST(BalanceSortFaults, AsyncMidSortDiskDeathDegradesIdenticallyToSync) {
 
 TEST(DiskArrayFaults, AsyncTornWritesMatchSyncCountersExactly) {
     // Torn writes are decided at write time; write order per disk is the
-    // submission order in both modes (and with parity on, the async write
-    // path is the synchronous one anyway), so the same set of blocks tears.
-    // The read-back phase then detects and reconstructs the same set.
+    // submission order on both executors (and with parity on, writes run
+    // inline anyway), so the same set of blocks tears. The read-back phase
+    // then detects and reconstructs the same set.
     FaultTolerance ft;
     ft.inject.seed = 12;
     ft.inject.torn_write_rate = 0.05;
@@ -523,11 +647,12 @@ TEST(DiskArrayFaults, AsyncTornWritesMatchSyncCountersExactly) {
 
 TEST(BalanceSortFaults, AsyncFaultStormIsDeterministic) {
     // The full storm (transients + bit flips + mid-sort death) interleaves
-    // recovery I/O with randomly-faulting algorithmic I/O; there the async
+    // recovery I/O with randomly-faulting algorithmic I/O; there the worker
     // batch boundary can legitimately reorder recovery ops relative to
-    // peers' later reads, so cross-mode equality is not guaranteed. What
-    // is guaranteed — and what this pins down — is that the async path is
-    // itself perfectly reproducible and still sorts through the storm.
+    // peers' later reads, so cross-executor equality is not guaranteed.
+    // What is guaranteed — and what this pins down — is that the worker
+    // executor is itself perfectly reproducible and still sorts through
+    // the storm.
     PdmConfig cfg{.n = 4000, .m = 512, .d = 4, .b = 8, .p = 4};
     FaultTolerance ft;
     ft.inject.seed = 2029; // survives as single failures in both modes
@@ -539,7 +664,7 @@ TEST(BalanceSortFaults, AsyncFaultStormIsDeterministic) {
     ft.checksums = true;
     ft.parity = true;
 
-    auto a = run_faulty_sort(cfg, ft, 77, AsyncIo::kOn);
+    auto a = run_faulty_sort(cfg, ft, 77, /*workers=*/true);
     EXPECT_TRUE(is_sorted_permutation_of(generate(Workload::kUniform, cfg.n, 77), a.sorted));
     EXPECT_EQ(a.report.disks_failed, 1u);
     EXPECT_GT(a.report.io.transient_retries, 0u);
@@ -547,7 +672,7 @@ TEST(BalanceSortFaults, AsyncFaultStormIsDeterministic) {
     EXPECT_GT(a.report.io.degraded_writes, 0u);
     EXPECT_GT(a.report.io.async_block_ops, 0u);
 
-    auto b = run_faulty_sort(cfg, ft, 77, AsyncIo::kOn);
+    auto b = run_faulty_sort(cfg, ft, 77, /*workers=*/true);
     EXPECT_EQ(b.sorted, a.sorted);
     EXPECT_EQ(b.report.io.io_steps(), a.report.io.io_steps());
     EXPECT_EQ(b.report.io.transient_retries, a.report.io.transient_retries);

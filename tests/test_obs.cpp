@@ -559,8 +559,7 @@ TEST(ObservabilityAcceptance, FileBackedSortEmitsSpansPairsAndHistograms) {
 
     Tracer tracer;
     MetricsRegistry metrics_reg;
-    SortOptions opt;
-    opt.async_io = AsyncIo::kOn;
+    SortOptions opt; // file-backed: the sort runs on the worker executor
     opt.trace = &tracer;
     opt.metrics = &metrics_reg;
     SortReport rep;
@@ -623,8 +622,10 @@ TEST(ObservabilityAcceptance, FileBackedSortEmitsSpansPairsAndHistograms) {
     std::filesystem::remove(tmp);
 }
 
-// The sync (engine-off) path still records per-op latency histograms via
-// DiskArray::bind_obs, and fault recovery emits instant events.
+// Both executors report through the one recovery ladder: a faulty sort on
+// the inline executor emits fault instants, and the same memory-backed
+// array switched to the worker executor records per-op latency histograms
+// and the same kind of instants.
 TEST(ObservabilityAcceptance, SyncPathHistogramsAndFaultInstants) {
     PdmConfig cfg{.n = 1 << 12, .m = 1 << 9, .d = 4, .b = 8, .p = 2};
     FaultTolerance ft;
@@ -632,28 +633,45 @@ TEST(ObservabilityAcceptance, SyncPathHistogramsAndFaultInstants) {
     ft.inject.read_transient_rate = 0.05;
     ft.inject.write_transient_rate = 0.05;
     DiskArray disks(cfg.d, cfg.b, DiskBackend::kMemory, ".", Constraint::kIndependentDisks, ft);
+    auto input = generate(Workload::kUniform, cfg.n, 5);
 
-    Tracer tracer;
-    MetricsRegistry metrics_reg;
-    {
-        TracerInstallGuard tg(&tracer);
-        MetricsInstallGuard mg(&metrics_reg);
-        auto input = generate(Workload::kUniform, cfg.n, 5);
-        SortOptions opt;
-        opt.async_io = AsyncIo::kOff;
-        auto sorted = balance_sort_records(disks, input, cfg, opt, nullptr);
-        ASSERT_TRUE(is_sorted_permutation_of(input, sorted));
+    struct Observed {
+        Tracer tracer;
+        MetricsRegistry metrics;
+        std::uint64_t retries = 0;
+        std::string trace;
+    };
+    auto observed_sort = [&](bool workers, Observed& o) {
+        const std::uint64_t retries_before = disks.stats().transient_retries;
+        {
+            TracerInstallGuard tg(&o.tracer);
+            MetricsInstallGuard mg(&o.metrics);
+            // Enabled under the guards: the engine binds its instruments
+            // at construction.
+            disks.set_async(workers);
+            auto sorted = balance_sort_records(disks, input, cfg, SortOptions{}, nullptr);
+            disks.set_async(false);
+            ASSERT_TRUE(is_sorted_permutation_of(input, sorted));
+        }
+        o.retries = disks.stats().transient_retries - retries_before;
+        std::ostringstream os;
+        o.tracer.write_chrome_trace(os);
+        o.trace = os.str();
+        ASSERT_TRUE(JsonChecker(o.trace).valid());
+    };
+    Observed inline_run, worker_run;
+    observed_sort(/*workers=*/false, inline_run);
+    observed_sort(/*workers=*/true, worker_run);
+
+    EXPECT_GT(worker_run.metrics.histogram("disk0.read_latency_us").count(), 0u);
+    EXPECT_GT(worker_run.metrics.histogram("disk0.write_latency_us").count(), 0u);
+    for (const Observed* o : {&inline_run, &worker_run}) {
+        SCOPED_TRACE(o == &inline_run ? "inline" : "workers");
+        ASSERT_GT(o->retries, 0u);
+        EXPECT_TRUE(contains(o->trace, "\"cat\":\"fault\""));
+        EXPECT_TRUE(contains(o->trace, "\"name\":\"transient_retry\""));
+        EXPECT_TRUE(contains(o->trace, "\"s\":\"t\"")); // thread-scoped instants
     }
-    EXPECT_GT(metrics_reg.histogram("disk0.read_latency_us").count(), 0u);
-    EXPECT_GT(metrics_reg.histogram("disk0.write_latency_us").count(), 0u);
-    ASSERT_GT(disks.stats().transient_retries, 0u);
-    std::ostringstream os;
-    tracer.write_chrome_trace(os);
-    const std::string trace = os.str();
-    ASSERT_TRUE(JsonChecker(trace).valid());
-    EXPECT_TRUE(contains(trace, "\"cat\":\"fault\""));
-    EXPECT_TRUE(contains(trace, "\"name\":\"transient_retry\""));
-    EXPECT_TRUE(contains(trace, "\"s\":\"t\"")); // thread-scoped instants
 }
 
 } // namespace

@@ -46,13 +46,16 @@ struct SortTrace {
 };
 
 /// Run one sort while hashing the full parallel-step sequence the array
-/// observer sees and the sorted output records.
+/// observer sees and the sorted output records. A memory-backed array runs
+/// the inline executor unless `workers`; a file-backed one always sorts on
+/// the workers.
 SortTrace traced_sort(Workload w, const PdmConfig& cfg, const SortOptions& opt,
-                      DiskBackend backend) {
+                      DiskBackend backend, bool workers = false) {
     DiskArray disks = backend == DiskBackend::kFile
                           ? DiskArray(cfg.d, cfg.b, DiskBackend::kFile,
                                       std::filesystem::temp_directory_path().string())
                           : DiskArray(cfg.d, cfg.b);
+    disks.set_async(workers);
     SortTrace t;
     disks.set_step_observer([&t](bool is_read, std::span<const BlockOp> ops) {
         t.step_hash = fnv1a(t.step_hash, is_read ? 1 : 2);
@@ -149,41 +152,47 @@ TEST(PipelineGoldens, HierSortHmmLog) {
 }
 
 // ---------------------------------------------------------------------------
-// Mode matrix: every combination of backend, engine, pooling, and staging
-// must produce identical model quantities, observer sequences, and output.
+// Mode matrix: every combination of executor (mem-inline, mem-worker,
+// file-worker), pooling, and staging must produce identical model
+// quantities, observer sequences, and output.
 // ---------------------------------------------------------------------------
 
 TEST(PipelineModes, AccountingIdenticalAcrossAllModes) {
     PdmConfig cfg{.n = 20000, .m = 1024, .d = 4, .b = 8, .p = 2};
     SortOptions ref_opt;
-    ref_opt.async_io = AsyncIo::kOff;
     ref_opt.pool_buffers = false;
     ref_opt.cross_bucket_prefetch = false;
     const SortTrace ref = traced_sort(Workload::kUniform, cfg, ref_opt, DiskBackend::kMemory);
     ASSERT_GT(ref.io.io_steps(), 0u);
 
-    for (DiskBackend backend : {DiskBackend::kMemory, DiskBackend::kFile}) {
-        for (AsyncIo async : {AsyncIo::kOff, AsyncIo::kOn}) {
-            for (bool pool : {false, true}) {
-                for (bool stage : {false, true}) {
-                    SortOptions opt;
-                    opt.async_io = async;
-                    opt.pool_buffers = pool;
-                    opt.cross_bucket_prefetch = stage;
-                    const SortTrace t = traced_sort(Workload::kUniform, cfg, opt, backend);
-                    SCOPED_TRACE(std::string(backend == DiskBackend::kFile ? "file" : "mem") +
-                                 (async == AsyncIo::kOn ? "+async" : "+sync") +
-                                 (pool ? "+pool" : "") + (stage ? "+stage" : ""));
-                    EXPECT_EQ(t.io.read_steps, ref.io.read_steps);
-                    EXPECT_EQ(t.io.write_steps, ref.io.write_steps);
-                    EXPECT_EQ(t.io.blocks_read, ref.io.blocks_read);
-                    EXPECT_EQ(t.io.blocks_written, ref.io.blocks_written);
-                    EXPECT_EQ(t.levels, ref.levels);
-                    EXPECT_EQ(t.base_cases, ref.base_cases);
-                    EXPECT_EQ(t.step_hash, ref.step_hash);
-                    EXPECT_EQ(t.out_hash, ref.out_hash);
-                    EXPECT_EQ(t.report.equal_class_records, ref.report.equal_class_records);
-                }
+    struct Mode {
+        const char* name;
+        DiskBackend backend;
+        bool workers; ///< file-backed sorts turn the workers on themselves
+    };
+    for (const Mode& ex : {Mode{"mem-inline", DiskBackend::kMemory, false},
+                           Mode{"mem-worker", DiskBackend::kMemory, true},
+                           Mode{"file-worker", DiskBackend::kFile, false}}) {
+        for (bool pool : {false, true}) {
+            for (bool stage : {false, true}) {
+                SortOptions opt;
+                opt.pool_buffers = pool;
+                opt.cross_bucket_prefetch = stage;
+                const SortTrace t =
+                    traced_sort(Workload::kUniform, cfg, opt, ex.backend, ex.workers);
+                SCOPED_TRACE(std::string(ex.name) + (pool ? "+pool" : "") +
+                             (stage ? "+stage" : ""));
+                EXPECT_EQ(t.io.read_steps, ref.io.read_steps);
+                EXPECT_EQ(t.io.write_steps, ref.io.write_steps);
+                EXPECT_EQ(t.io.blocks_read, ref.io.blocks_read);
+                EXPECT_EQ(t.io.blocks_written, ref.io.blocks_written);
+                EXPECT_EQ(t.levels, ref.levels);
+                EXPECT_EQ(t.base_cases, ref.base_cases);
+                EXPECT_EQ(t.step_hash, ref.step_hash);
+                EXPECT_EQ(t.out_hash, ref.out_hash);
+                EXPECT_EQ(t.report.equal_class_records, ref.report.equal_class_records);
+                // The executor really was the one named.
+                EXPECT_EQ(t.io.async_block_ops > 0, ex.workers || ex.backend == DiskBackend::kFile);
             }
         }
     }
@@ -297,7 +306,7 @@ TEST(PhaseProfileTest, PopulatedForEverySort) {
     // engine time hidden under compute) can never exceed the wall clock.
     EXPECT_GT(rep.elapsed_seconds, 0.0);
     EXPECT_GE(rep.elapsed_seconds, ph.phase_seconds() - ph.overlap_hidden_seconds);
-    // Memory backend, AsyncIo::kAuto: the engine is off, so no staging.
+    // Memory backend on the inline executor: no engine, so no staging.
     EXPECT_EQ(ph.staged_prefetches, 0u);
     EXPECT_EQ(ph.overlap_hidden_seconds, 0.0);
     // Pooling is on by default and the sort recurses, so reuse happened.
@@ -329,7 +338,7 @@ TEST(CrossBucketStaging, EngagesOnAsyncBackend) {
                     std::filesystem::temp_directory_path().string());
     auto input = generate(Workload::kUniform, cfg.n, 13);
     SortReport rep;
-    balance_sort_records(disks, input, cfg, {}, &rep); // kAuto -> engine on
+    balance_sort_records(disks, input, cfg, {}, &rep); // file-backed: workers on
     EXPECT_GT(rep.phases.staged_prefetches, 0u);
     EXPECT_GT(rep.io.prefetch_block_ops, 0u);
     EXPECT_GT(rep.io.async_block_ops, 0u);
@@ -352,7 +361,7 @@ TEST(CrossBucketStaging, DisabledByOption) {
 
 TEST(CrossBucketStaging, NoOpWithoutEngine) {
     PdmConfig cfg{.n = 20000, .m = 1024, .d = 4, .b = 8, .p = 2};
-    DiskArray disks(cfg.d, cfg.b); // memory backend, kAuto -> engine off
+    DiskArray disks(cfg.d, cfg.b); // memory backend, inline executor
     auto input = generate(Workload::kUniform, cfg.n, 13);
     SortReport rep;
     balance_sort_records(disks, input, cfg, {}, &rep);
@@ -384,11 +393,12 @@ struct CkTrace {
 /// array. The observer hash accumulates across both generations.
 CkTrace checkpointed_sort(const PdmConfig& cfg, const SortOptions& base_opt,
                           DiskBackend backend, const std::string& path,
-                          std::uint64_t crash_at) {
+                          std::uint64_t crash_at, bool workers = false) {
     DiskArray disks = backend == DiskBackend::kFile
                           ? DiskArray(cfg.d, cfg.b, DiskBackend::kFile,
                                       std::filesystem::temp_directory_path().string())
                           : DiskArray(cfg.d, cfg.b);
+    disks.set_async(workers);
     CkTrace t;
     disks.set_step_observer([&t](bool is_read, std::span<const BlockOp> ops) {
         t.step_hash = fnv1a(t.step_hash, is_read ? 1 : 2);
@@ -448,21 +458,20 @@ void expect_resume_equals_fresh(const CkTrace& t, const CkTrace& fresh,
 
 TEST(CrashConsistency, ResumeEqualsFreshAtEveryBoundaryMemory) {
     const PdmConfig cfg{.n = 4000, .m = 512, .d = 4, .b = 8, .p = 2};
-    for (AsyncIo async : {AsyncIo::kOff, AsyncIo::kOn}) {
-        SortOptions opt;
-        opt.async_io = async;
-        const std::string path =
-            (std::filesystem::temp_directory_path() /
-             (std::string("balsort_resume_mem_") + (async == AsyncIo::kOn ? "async" : "sync") +
-              ".ck"))
-                .string();
-        const CkTrace fresh = checkpointed_sort(cfg, opt, DiskBackend::kMemory, path, 0);
+    const SortOptions opt;
+    for (bool workers : {false, true}) {
+        const char* executor = workers ? "worker" : "inline";
+        const std::string path = (std::filesystem::temp_directory_path() /
+                                  (std::string("balsort_resume_mem_") + executor + ".ck"))
+                                     .string();
+        const CkTrace fresh = checkpointed_sort(cfg, opt, DiskBackend::kMemory, path, 0, workers);
         const std::uint64_t k_total = fresh.report.checkpoints_written;
         ASSERT_GT(k_total, 4u) << "config too small to exercise boundaries";
         EXPECT_EQ(fresh.report.resumes, 0u);
 
         // Checkpointing changes no model quantity of the plain run.
-        const SortTrace plain = traced_sort(Workload::kUniform, cfg, opt, DiskBackend::kMemory);
+        const SortTrace plain =
+            traced_sort(Workload::kUniform, cfg, opt, DiskBackend::kMemory, workers);
         EXPECT_EQ(fresh.report.io.read_steps, plain.io.read_steps);
         EXPECT_EQ(fresh.report.io.write_steps, plain.io.write_steps);
         EXPECT_EQ(fresh.report.io.blocks_read, plain.io.blocks_read);
@@ -471,34 +480,28 @@ TEST(CrashConsistency, ResumeEqualsFreshAtEveryBoundaryMemory) {
 
         for (std::uint64_t k = 1; k <= k_total; ++k) {
             SCOPED_TRACE("crash at boundary " + std::to_string(k) + "/" +
-                         std::to_string(k_total) +
-                         (async == AsyncIo::kOn ? " (async)" : " (sync)"));
-            const CkTrace t = checkpointed_sort(cfg, opt, DiskBackend::kMemory, path, k);
+                         std::to_string(k_total) + " (" + executor + ")");
+            const CkTrace t =
+                checkpointed_sort(cfg, opt, DiskBackend::kMemory, path, k, workers);
             expect_resume_equals_fresh(t, fresh, k_total);
         }
     }
 }
 
 TEST(CrashConsistency, ResumeEqualsFreshFileBackend) {
+    // File-backed sorts always run on the worker executor.
     const PdmConfig cfg{.n = 4000, .m = 512, .d = 4, .b = 8, .p = 2};
-    for (AsyncIo async : {AsyncIo::kOff, AsyncIo::kOn}) {
-        SortOptions opt;
-        opt.async_io = async;
-        const std::string path =
-            (std::filesystem::temp_directory_path() /
-             (std::string("balsort_resume_file_") + (async == AsyncIo::kOn ? "async" : "sync") +
-              ".ck"))
-                .string();
-        const CkTrace fresh = checkpointed_sort(cfg, opt, DiskBackend::kFile, path, 0);
-        const std::uint64_t k_total = fresh.report.checkpoints_written;
-        ASSERT_GT(k_total, 4u);
-        for (std::uint64_t k : {std::uint64_t{1}, k_total / 2, k_total}) {
-            SCOPED_TRACE("crash at boundary " + std::to_string(k) + "/" +
-                         std::to_string(k_total) +
-                         (async == AsyncIo::kOn ? " (async)" : " (sync)"));
-            const CkTrace t = checkpointed_sort(cfg, opt, DiskBackend::kFile, path, k);
-            expect_resume_equals_fresh(t, fresh, k_total);
-        }
+    const SortOptions opt;
+    const std::string path =
+        (std::filesystem::temp_directory_path() / "balsort_resume_file.ck").string();
+    const CkTrace fresh = checkpointed_sort(cfg, opt, DiskBackend::kFile, path, 0);
+    const std::uint64_t k_total = fresh.report.checkpoints_written;
+    ASSERT_GT(k_total, 4u);
+    EXPECT_GT(fresh.report.io.async_block_ops, 0u);
+    for (std::uint64_t k : {std::uint64_t{1}, k_total / 2, k_total}) {
+        SCOPED_TRACE("crash at boundary " + std::to_string(k) + "/" + std::to_string(k_total));
+        const CkTrace t = checkpointed_sort(cfg, opt, DiskBackend::kFile, path, k);
+        expect_resume_equals_fresh(t, fresh, k_total);
     }
 }
 

@@ -356,12 +356,13 @@ TEST(DeadlineFailover, TimedOutReadsServedFromParityWithCleanModelCounts) {
     PdmConfig cfg{.n = 4096, .m = 512, .d = 4, .b = 8, .p = 2};
     auto input = generate(Workload::kUniform, cfg.n, 42);
 
+    // Deadlines are a worker-executor feature: both arrays run on it.
     SortOptions opt;
-    opt.async_io = AsyncIo::kOn;
     SortReport plain_rep;
     std::vector<Record> plain;
     {
         DiskArray disks(cfg.d, cfg.b);
+        disks.set_async(true);
         plain = balance_sort_records(disks, input, cfg, opt, &plain_rep);
     }
 
@@ -377,6 +378,7 @@ TEST(DeadlineFailover, TimedOutReadsServedFromParityWithCleanModelCounts) {
     SortOptions mopt = opt;
     mopt.metrics = &reg;
     DiskArray disks(cfg.d, cfg.b, DiskBackend::kMemory, ".", Constraint::kIndependentDisks, ft);
+    disks.set_async(true);
     const std::vector<Record> sorted = balance_sort_records(disks, input, cfg, mopt, &rep);
 
     // Deadlines fired and were served by reconstruction, not by waiting.

@@ -81,12 +81,15 @@ std::vector<JobSpec> make_specs(std::size_t count) {
     return specs;
 }
 
+/// One schedule on a fresh array. A memory-backed array runs the inline
+/// executor unless `workers`; the scheduler turns a file-backed array's
+/// workers on itself.
 std::vector<JobStatus> run_schedule(const std::vector<JobSpec>& specs, DiskBackend backend,
-                                    bool async_io, std::uint32_t max_active) {
+                                    bool workers, std::uint32_t max_active) {
     DiskArray disks = make_array(backend);
+    disks.set_async(workers);
     SchedulerConfig cfg;
     cfg.max_active = max_active;
-    cfg.async_io = async_io;
     SortScheduler sched(disks, cfg);
     for (const JobSpec& s : specs) {
         AdmissionResult adm = sched.submit(s);
@@ -97,11 +100,11 @@ std::vector<JobStatus> run_schedule(const std::vector<JobSpec>& specs, DiskBacke
 
 /// The matrix body: solo goldens on a fresh array, then the concurrent
 /// schedule on another fresh array, per-job quantities must match exactly.
-void expect_concurrent_matches_solo(DiskBackend backend, bool async_io, std::size_t n_jobs,
+void expect_concurrent_matches_solo(DiskBackend backend, bool workers, std::size_t n_jobs,
                                     std::uint32_t max_active) {
     const auto specs = make_specs(n_jobs);
-    const auto solo = run_schedule(specs, backend, async_io, /*max_active=*/1);
-    const auto conc = run_schedule(specs, backend, async_io, max_active);
+    const auto solo = run_schedule(specs, backend, workers, /*max_active=*/1);
+    const auto conc = run_schedule(specs, backend, workers, max_active);
     ASSERT_EQ(solo.size(), specs.size());
     ASSERT_EQ(conc.size(), specs.size());
     for (std::size_t i = 0; i < specs.size(); ++i) {
@@ -123,20 +126,24 @@ void expect_concurrent_matches_solo(DiskBackend backend, bool async_io, std::siz
     }
 }
 
+// "Sync" runs the inline executor, "Async" the per-disk workers. A
+// file-backed array is always on the workers while a scheduler owns it.
 TEST(SvcMatrixTest, MemorySyncFourJobs) {
-    expect_concurrent_matches_solo(DiskBackend::kMemory, /*async_io=*/false, 4, 4);
+    expect_concurrent_matches_solo(DiskBackend::kMemory, /*workers=*/false, 4, 4);
 }
 
 TEST(SvcMatrixTest, MemoryAsyncEightJobs) {
-    expect_concurrent_matches_solo(DiskBackend::kMemory, /*async_io=*/true, 8, 4);
+    expect_concurrent_matches_solo(DiskBackend::kMemory, /*workers=*/true, 8, 4);
 }
 
-TEST(SvcMatrixTest, FileSyncTwoJobs) {
-    expect_concurrent_matches_solo(DiskBackend::kFile, /*async_io=*/false, 2, 2);
+TEST(SvcMatrixTest, FileWorkerTwoJobs) {
+    // The caller leaves the array inline; the scheduler turns the workers on.
+    expect_concurrent_matches_solo(DiskBackend::kFile, /*workers=*/false, 2, 2);
 }
 
 TEST(SvcMatrixTest, FileAsyncFourJobs) {
-    expect_concurrent_matches_solo(DiskBackend::kFile, /*async_io=*/true, 4, 4);
+    // The caller already enabled the workers; the scheduler keeps them.
+    expect_concurrent_matches_solo(DiskBackend::kFile, /*workers=*/true, 4, 4);
 }
 
 // ---------------------------------------------------------------------------
@@ -152,7 +159,6 @@ std::vector<JobStatus> run_schedule_exec(const std::vector<JobSpec>& specs,
     DiskArray disks = make_array(DiskBackend::kMemory);
     SchedulerConfig cfg;
     cfg.max_active = max_active;
-    cfg.async_io = false;
     cfg.share_executor = share_executor;
     cfg.executor_threads = executor_threads;
     SortScheduler sched(disks, cfg);
@@ -293,7 +299,6 @@ TEST(SvcLifecycleTest, CancelMidPhaseLeavesArrayHealthy) {
     DiskArray disks(8, 64);
     SchedulerConfig cfg;
     cfg.max_active = 1;
-    cfg.async_io = false;
     SortScheduler sched(disks, cfg);
 
     const AdmissionResult victim = sched.submit(big_spec("victim"));
@@ -314,7 +319,7 @@ TEST(SvcLifecycleTest, CancelMidPhaseLeavesArrayHealthy) {
     ASSERT_EQ(done.state, JobState::kSucceeded) << done.error;
 
     const auto golden = run_schedule({small_spec("after")}, DiskBackend::kMemory,
-                                     /*async_io=*/false, 1);
+                                     /*workers=*/false, 1);
     ASSERT_EQ(golden.size(), 1u);
     EXPECT_EQ(done.output_hash, golden[0].output_hash);
     EXPECT_EQ(done.io.io_steps(), golden[0].io.io_steps());
@@ -324,7 +329,6 @@ TEST(SvcLifecycleTest, CancelQueuedJobIsImmediate) {
     DiskArray disks(8, 64);
     SchedulerConfig cfg;
     cfg.max_active = 1;
-    cfg.async_io = false;
     SortScheduler sched(disks, cfg);
 
     const AdmissionResult head = sched.submit(big_spec("head"));
@@ -356,7 +360,6 @@ TEST(SvcLifecycleTest, ExclusiveCheckpointJobRunsAmongNeighbours) {
     DiskArray disks(8, 64);
     SchedulerConfig cfg;
     cfg.max_active = 2;
-    cfg.async_io = false;
     SortScheduler sched(disks, cfg);
 
     JobSpec ck = small_spec("checkpointed", 11);
@@ -382,7 +385,6 @@ TEST(SvcLifecycleTest, ManifestWrittenPerSucceededJob) {
     DiskArray disks(8, 64);
     SchedulerConfig cfg;
     cfg.max_active = 2;
-    cfg.async_io = false;
     cfg.manifest_dir = dir.string();
     SortScheduler sched(disks, cfg);
 
@@ -459,7 +461,6 @@ TEST(SvcAdmissionTest, FullQueueRejectsUntilSlotsFree) {
     SchedulerConfig cfg;
     cfg.max_active = 1;
     cfg.queue_capacity = 1;
-    cfg.async_io = false;
     SortScheduler sched(disks, cfg);
 
     const AdmissionResult running = sched.submit(big_spec("running"));
@@ -480,7 +481,6 @@ TEST(SvcAdmissionTest, ScratchBudgetChargesAndReleases) {
     DiskArray disks(8, 64); // B = 64: estimate = 4 * ceil(n / 64)
     SchedulerConfig cfg;
     cfg.max_active = 1;
-    cfg.async_io = false;
     cfg.scratch_block_budget = 5000;
     SortScheduler sched(disks, cfg);
 
@@ -518,7 +518,6 @@ TEST(SvcObservatoryTest, QueuedStatusReportsPositionAndReason) {
     DiskArray disks(8, 64);
     SchedulerConfig cfg;
     cfg.max_active = 1;
-    cfg.async_io = false;
     SortScheduler sched(disks, cfg);
 
     const AdmissionResult running = sched.submit(big_spec("running"));
@@ -556,7 +555,6 @@ TEST(SvcObservatoryTest, ProgressAdvancesAndFreezesAtDone) {
     DiskArray disks(8, 64);
     SchedulerConfig cfg;
     cfg.max_active = 1;
-    cfg.async_io = false;
     SortScheduler sched(disks, cfg);
     const AdmissionResult adm = sched.submit(big_spec("tracked"));
     ASSERT_TRUE(adm.admitted) << adm.reason;
@@ -596,7 +594,6 @@ TEST(SvcObservatoryTest, ExpositionServesMidRunDuringConcurrentSort) {
     MetricsRegistry registry;
     SchedulerConfig cfg;
     cfg.max_active = 4;
-    cfg.async_io = false;
     cfg.metrics = &registry;
     SortScheduler sched(disks, cfg);
 
@@ -657,8 +654,8 @@ TEST(SvcObservatoryTest, FlightRecorderOverheadGuard) {
     // is well-formed Chrome-trace JSON.
     const std::uint64_t notes_before = FlightRecorder::instance().note_count();
     const auto specs = make_specs(2);
-    const auto a = run_schedule(specs, DiskBackend::kMemory, /*async_io=*/true, 2);
-    const auto b = run_schedule(specs, DiskBackend::kMemory, /*async_io=*/true, 2);
+    const auto a = run_schedule(specs, DiskBackend::kMemory, /*workers=*/true, 2);
+    const auto b = run_schedule(specs, DiskBackend::kMemory, /*workers=*/true, 2);
     ASSERT_EQ(a.size(), b.size());
     for (std::size_t i = 0; i < a.size(); ++i) {
         SCOPED_TRACE(specs[i].name);
@@ -710,7 +707,7 @@ TEST(SvcConfigTest, OptionsFlattenIsLossless) {
         .threads(3)
         .reposition(true)
         .cancel(&flag)
-        .io(IoPolicy{}.async(AsyncIo::kOn).prefetch(false).pool(&pool))
+        .io(IoPolicy{}.prefetch(false).pool(&pool))
         .durability(DurabilityPolicy{}.checkpoint("ck.bin"));
     const SortOptions o = cfg.options();
     EXPECT_EQ(o.s_target, 12u);
@@ -719,7 +716,6 @@ TEST(SvcConfigTest, OptionsFlattenIsLossless) {
     EXPECT_EQ(o.max_threads, 3u);
     EXPECT_TRUE(o.reposition_buckets);
     EXPECT_EQ(o.cancel, &flag);
-    EXPECT_EQ(o.async_io, AsyncIo::kOn);
     EXPECT_FALSE(o.cross_bucket_prefetch);
     EXPECT_EQ(o.shared_pool, &pool);
     EXPECT_EQ(o.checkpoint_path, "ck.bin");
