@@ -26,18 +26,19 @@
 // run writes the same trace/manifest/profile outputs, which is how CI
 // produces its reference artifacts.
 #include <cctype>
-#include <cerrno>
 #include <cstdio>
 #include <cstring>
 #include <filesystem>
 #include <iostream>
 #include <memory>
+#include <optional>
 #include <string>
 
 #include "balsort.hpp"
 // Baselines are internals, not part of the facade: include them directly.
 #include "baselines/greed_sort.hpp"
 #include "baselines/striped_merge.hpp"
+#include "cli_number.hpp"
 #include "util/table.hpp"
 #include "util/timer.hpp"
 
@@ -93,15 +94,13 @@ CliOptions parse(int argc, char** argv) {
         // A non-negative decimal no larger than `max`, or a usage error.
         auto number = [&](std::uint64_t max) -> std::uint64_t {
             const std::string v = next();
-            char* end = nullptr;
-            errno = 0;
-            const unsigned long long x = std::strtoull(v.c_str(), &end, 10);
-            if (v.empty() || v[0] == '-' || *end != '\0' || errno != 0 || x > max) {
+            const std::optional<std::uint64_t> x = parse_decimal(v, max);
+            if (!x) {
                 std::cerr << "balsort_cli: " << a << " needs a number up to " << max << ", got '"
                           << v << "'\n";
                 usage(argv[0]);
             }
-            return x;
+            return *x;
         };
         constexpr std::uint64_t kU32 = 0xffffffffu;
         if (a == "--mem") {

@@ -46,6 +46,7 @@
 #include <cstdlib>
 #include <memory>
 #include <fstream>
+#include <optional>
 #include <iostream>
 #include <sstream>
 #include <string>
@@ -59,6 +60,7 @@
 #include <unistd.h>
 
 #include "balsort.hpp"
+#include "cli_number.hpp"
 #include "obs/exposition.hpp"
 #include "obs/flight_recorder.hpp"
 #include "util/table.hpp"
@@ -78,6 +80,34 @@ namespace {
                  "       "
               << argv0 << " --selftest [--scratch DIR] [--stats-port PORT] [--stats-file PATH]\n";
     std::exit(2);
+}
+
+/// A bad flag or job-file field: "balsortd: <reason>", usage, exit 2 —
+/// before anything has created a scratch file.
+[[noreturn]] void config_error(const char* argv0, const std::string& reason) {
+    std::cerr << "balsortd: " << reason << '\n';
+    usage(argv0);
+}
+
+constexpr std::uint64_t kU32 = 0xffffffffu;
+
+/// `v` as a non-negative decimal no larger than `max`, or a usage error
+/// naming `what` (the flag or job-file field).
+std::uint64_t parse_number(const char* argv0, const std::string& what, const std::string& v,
+                           std::uint64_t max) {
+    const std::optional<std::uint64_t> x = parse_decimal(v, max);
+    if (!x) {
+        config_error(argv0, what + " needs a number up to " + std::to_string(max) + ", got '" +
+                                v + "'");
+    }
+    return *x;
+}
+
+/// `v` as a finite decimal fraction, or a usage error naming `what`.
+double parse_real(const char* argv0, const std::string& what, const std::string& v) {
+    const std::optional<double> x = parse_finite(v);
+    if (!x) config_error(argv0, what + " needs a number, got '" + v + "'");
+    return *x;
 }
 
 /// Observability front-end options (DESIGN.md §16).
@@ -233,7 +263,10 @@ bool parse_workload(const std::string& s, Workload* out) {
 }
 
 /// One job per line: whitespace-separated key=value pairs, '#' comments.
-std::vector<JobSpec> parse_job_file(const std::string& path) {
+/// Every job is checked against the D x B array it will share, so a job
+/// the scheduler could only reject is a usage error up front.
+std::vector<JobSpec> parse_job_file(const char* argv0, const std::string& path, std::uint32_t d,
+                                    std::uint32_t b) {
     std::ifstream in(path);
     if (!in) {
         std::cerr << "cannot open job-file " << path << '\n';
@@ -244,6 +277,7 @@ std::vector<JobSpec> parse_job_file(const std::string& path) {
     std::size_t lineno = 0;
     while (std::getline(in, line)) {
         ++lineno;
+        const std::string where = path + ':' + std::to_string(lineno) + ": ";
         if (const auto hash = line.find('#'); hash != std::string::npos) line.erase(hash);
         std::istringstream tokens(line);
         std::string tok;
@@ -252,45 +286,50 @@ std::vector<JobSpec> parse_job_file(const std::string& path) {
         while (tokens >> tok) {
             const auto eq = tok.find('=');
             if (eq == std::string::npos) {
-                std::cerr << path << ':' << lineno << ": expected key=value, got '" << tok
-                          << "'\n";
-                std::exit(2);
+                config_error(argv0, where + "expected key=value, got '" + tok + "'");
             }
             const std::string key = tok.substr(0, eq);
             const std::string val = tok.substr(eq + 1);
+            auto number = [&](std::uint64_t max) {
+                return parse_number(argv0, where + key + "=", val, max);
+            };
             any = true;
             if (key == "name") {
                 spec.name = val;
             } else if (key == "n") {
-                spec.n = std::strtoull(val.c_str(), nullptr, 10);
+                spec.n = number(~std::uint64_t{0});
             } else if (key == "workload") {
                 if (!parse_workload(val, &spec.workload)) {
-                    std::cerr << path << ':' << lineno << ": unknown workload '" << val << "'\n";
-                    std::exit(2);
+                    config_error(argv0, where + "unknown workload '" + val + "'");
                 }
             } else if (key == "seed") {
-                spec.seed = std::strtoull(val.c_str(), nullptr, 10);
+                spec.seed = number(~std::uint64_t{0});
             } else if (key == "m") {
-                spec.m = std::strtoull(val.c_str(), nullptr, 10);
+                spec.m = number(~std::uint64_t{0});
             } else if (key == "p") {
-                spec.p = static_cast<std::uint32_t>(std::stoul(val));
+                spec.p = static_cast<std::uint32_t>(number(kU32));
             } else if (key == "priority") {
-                spec.priority = static_cast<std::uint32_t>(std::stoul(val));
+                spec.priority = static_cast<std::uint32_t>(number(kU32));
             } else if (key == "threads") {
-                spec.config.threads(static_cast<std::uint32_t>(std::stoul(val)));
+                spec.config.threads(static_cast<std::uint32_t>(number(kU32)));
             } else if (key == "verify") {
                 spec.verify = val != "0";
             } else if (key == "profile") {
                 spec.profile_path = val;
             } else {
-                std::cerr << path << ':' << lineno << ": unknown key '" << key << "'\n";
-                std::exit(2);
+                config_error(argv0, where + "unknown key '" + key + "'");
             }
         }
-        if (any) {
-            if (spec.name == "job") spec.name = "job" + std::to_string(specs.size() + 1);
-            specs.push_back(std::move(spec));
+        if (!any) continue;
+        try {
+            PdmConfig{.n = spec.n, .m = spec.m, .d = d, .b = b, .p = spec.p}.validate();
+            BS_REQUIRE(spec.priority >= 1, "priority must be >= 1");
+            spec.config.validate(d);
+        } catch (const std::invalid_argument& e) {
+            config_error(argv0, where + e.what());
         }
+        if (spec.name == "job") spec.name = "job" + std::to_string(specs.size() + 1);
+        specs.push_back(std::move(spec));
     }
     return specs;
 }
@@ -458,35 +497,37 @@ int main(int argc, char** argv) {
     for (int i = 1; i < argc; ++i) {
         const std::string a = argv[i];
         auto next = [&]() -> std::string {
-            if (i + 1 >= argc) usage(argv[0]);
+            if (i + 1 >= argc) config_error(argv[0], a + " needs a value");
             return argv[++i];
         };
+        auto number = [&](std::uint64_t max) { return parse_number(argv[0], a, next(), max); };
+        auto real = [&] { return parse_real(argv[0], a, next()); };
         if (a == "--selftest") {
             run_selftest = true;
         } else if (a == "--stats-port") {
-            stats.port = static_cast<int>(std::stol(next()));
+            stats.port = static_cast<int>(number(65535));
         } else if (a == "--stats-file") {
             stats.file = next();
         } else if (a == "--tick") {
-            stats.tick = std::strtod(next().c_str(), nullptr);
+            stats.tick = real();
         } else if (a == "--flight-dump") {
             flight_dump = next();
         } else if (a == "--disks") {
-            d = static_cast<std::uint32_t>(std::stoul(next()));
+            d = static_cast<std::uint32_t>(number(kU32));
         } else if (a == "--block") {
-            b = static_cast<std::uint32_t>(std::stoul(next()));
+            b = static_cast<std::uint32_t>(number(kU32));
         } else if (a == "--backend") {
             backend = next();
         } else if (a == "--scratch") {
             scratch = next();
         } else if (a == "--max-active") {
-            cfg.max_active = static_cast<std::uint32_t>(std::stoul(next()));
+            cfg.max_active = static_cast<std::uint32_t>(number(kU32));
         } else if (a == "--fairness") {
-            cfg.fairness = std::strtod(next().c_str(), nullptr);
+            cfg.fairness = real();
         } else if (a == "--queue") {
-            cfg.queue_capacity = static_cast<std::uint32_t>(std::stoul(next()));
+            cfg.queue_capacity = static_cast<std::uint32_t>(number(kU32));
         } else if (a == "--budget") {
-            cfg.scratch_block_budget = std::strtoull(next().c_str(), nullptr, 10);
+            cfg.scratch_block_budget = number(~std::uint64_t{0});
         } else if (a == "--manifest-dir") {
             cfg.manifest_dir = next();
         } else if (a == "--trace") {
@@ -494,12 +535,21 @@ int main(int argc, char** argv) {
         } else if (a == "--serial") {
             serial = true;
         } else if (!a.empty() && a[0] == '-') {
-            usage(argv[0]);
+            config_error(argv[0], "unknown flag '" + a + "'");
         } else if (job_file.empty()) {
             job_file = a;
         } else {
-            usage(argv[0]);
+            config_error(argv[0], "more than one job-file: '" + a + "'");
         }
+    }
+    // An impossible machine or service shape is a usage error, reported
+    // before any scratch file is created.
+    if (d < 1) config_error(argv[0], "--disks must be >= 1");
+    if (b < 1) config_error(argv[0], "--block must be >= 1");
+    if (cfg.max_active < 1) config_error(argv[0], "--max-active must be >= 1");
+    if (stats.tick < 0) config_error(argv[0], "--tick must be >= 0");
+    if (backend != "mem" && backend != "file") {
+        config_error(argv[0], "--backend must be mem or file, got '" + backend + "'");
     }
 #ifndef BALSORT_NO_OBS
     if (!flight_dump.empty()) FlightRecorder::instance().set_auto_dump_path(flight_dump);
@@ -526,9 +576,9 @@ int main(int argc, char** argv) {
         final_flight_dump(rc);
         return rc;
     }
-    if (job_file.empty()) usage(argv[0]);
+    if (job_file.empty()) config_error(argv[0], "no job-file given");
 
-    const auto specs = parse_job_file(job_file);
+    const auto specs = parse_job_file(argv[0], job_file, d, b);
     if (specs.empty()) {
         std::cerr << job_file << ": no jobs\n";
         return 1;
@@ -543,7 +593,6 @@ int main(int argc, char** argv) {
         const std::uint32_t hw = std::max(1u, std::thread::hardware_concurrency());
         cfg.executor_threads = std::max(widest - 1, hw);
     }
-    if (backend != "mem" && backend != "file") usage(argv[0]);
     const DiskBackend be = backend == "file" ? DiskBackend::kFile : DiskBackend::kMemory;
 
     Tracer tracer;

@@ -36,22 +36,33 @@
 /// DiskArray at submission time, keeping `io_steps()` bit-identical to
 /// the inline executor (the wall-clock-vs-model-cost separation).
 ///
+/// Queues (DESIGN.md §9): each disk has its own submission queue — an
+/// intrusive FIFO with its own lock and wake-up — shaped like an io_uring
+/// SQ/CQ pair. A submit takes each target disk's lock once and wakes only
+/// the workers it gave work to; a worker takes only its own disk's lock.
+/// A batch completes through an atomic remaining-count: the worker that
+/// finishes a batch wakes that batch's waiters, and the one that finishes
+/// the engine's last outstanding request wakes `drain()`. No engine-wide
+/// lock sits on the submit or complete path, and a batch is a fixed
+/// number of allocations however many requests it carries.
+///
 /// Deadlines (DESIGN.md §13): with `deadline_us > 0` every READ request
 /// carries an absolute deadline and a watchdog thread abandons requests
 /// still outstanding past it, completing them with `TimedOutIo` so the
 /// submitter can fail over to parity reconstruction instead of blocking
 /// on a hung device forever. An abandoned request's worker may still be
 /// stuck inside the disk stack; it therefore executes into a private
-/// staging buffer and only copies into the caller's buffer — under the
-/// engine mutex, after checking it was not abandoned — so a late wakeup
+/// staging buffer and only copies into the caller's buffer — under its
+/// disk's lock, after checking it was not abandoned — so a late wakeup
 /// can never scribble over data the submitter already reconstructed.
+/// The watchdog takes one disk lock at a time.
 /// Writes are never abandoned: a write that eventually lands is
 /// indistinguishable from a successful one, while abandoning it would
 /// force parity bookkeeping for data that may yet appear.
 
+#include <atomic>
 #include <condition_variable>
 #include <cstdint>
-#include <deque>
 #include <exception>
 #include <memory>
 #include <mutex>
@@ -114,9 +125,9 @@ struct RetryPolicy {
 IoCompletion execute_with_retry(Disk& disk, const IoRequest& request, const RetryPolicy& policy,
                                 Histogram* backoff_us = nullptr);
 
-/// Completion handle for one submitted batch of requests. Move-only;
-/// cheap to hold. Dropping a batch without waiting is safe — the engine
-/// keeps the shared completion state alive until every request executed.
+/// Completion handle for one batch of requests. Move-only; cheap to hold.
+/// Dropping a batch without waiting is safe — the engine keeps the batch
+/// alive until it no longer references any of its requests.
 class AsyncBatch {
 public:
     AsyncBatch() = default;
@@ -129,7 +140,8 @@ public:
 
 private:
     friend class AsyncEngine;
-    struct State;
+    struct Item;  ///< one request's queue entry (defined in the .cpp)
+    struct State; ///< requests, work items and completions of one batch
     std::shared_ptr<State> state_;
 };
 
@@ -141,7 +153,8 @@ struct AsyncEngineMetrics {
     std::uint64_t max_in_flight = 0;///< peak submitted-but-not-executed depth
 };
 
-/// Per-disk worker threads + FIFO request queues + completion batches.
+/// Per-disk worker threads + per-disk FIFO submission queues + completion
+/// batches.
 class AsyncEngine {
 public:
     /// `disks[d]` is the top of disk d's decorator stack; the engine does
@@ -165,6 +178,14 @@ public:
     /// order is the submission order). Buffers must outlive the batch.
     AsyncBatch submit(std::vector<IoRequest> requests);
 
+    /// The same, filled in place: `prepare(n)` returns an unsubmitted
+    /// batch of `n` request slots, `request(batch, i)` is slot i, and
+    /// `submit(batch)` enqueues it (once). DiskArray submits this way, so
+    /// no request vector is built and copied per stripe.
+    static AsyncBatch prepare(std::size_t n);
+    static IoRequest& request(AsyncBatch& batch, std::size_t i);
+    void submit(AsyncBatch& batch);
+
     /// Block until every request of `batch` executed; returns completions
     /// ordered by request_index. Idempotent (a second wait returns the
     /// same completions).
@@ -186,14 +207,26 @@ public:
 
     /// Per-disk in-flight depth right now: queued requests plus the one a
     /// worker is executing. Live-gauge source for the stats endpoint
-    /// (DESIGN.md §16); takes the engine mutex briefly.
+    /// (DESIGN.md §16); takes each disk's lock briefly, one at a time.
     std::vector<std::uint32_t> per_disk_in_flight() const;
 
 private:
-    struct WorkItem;
+    using Item = AsyncBatch::Item;
+    using State = AsyncBatch::State;
+    struct DiskQueue; ///< one disk's submission queue, lock and counters
 
     void worker_loop(std::uint32_t disk_index);
     void watchdog_loop();
+    /// Watchdog round: expire overdue reads, one disk lock at a time.
+    /// Returns whether any expired.
+    bool expire_overdue();
+    /// Count one completed request of `batch` (its completion slot already
+    /// filled): wakes the batch's waiters if it was the batch's last, and
+    /// drain() if it was the engine's last outstanding request.
+    void finish(State& batch);
+    /// Drop one engine reference to `batch` (a queued or executing item);
+    /// the last one releases the engine's ownership and may free the batch.
+    static void unpin(State& batch);
 
     std::vector<Disk*> disks_;
     RetryPolicy retry_;
@@ -210,17 +243,16 @@ private:
     std::vector<Histogram*> backoff_us_;     ///< per-disk retry backoff sleeps
     Histogram* queue_depth_ = nullptr;       ///< sampled at each submit
 
-    mutable std::mutex mutex_;
-    std::condition_variable cv_work_;  ///< workers + watchdog: work/stop/tick
-    std::condition_variable cv_done_;  ///< submitters: batch/engine completion
-    std::vector<std::deque<std::shared_ptr<WorkItem>>> queues_; ///< one FIFO per disk
-    std::vector<std::shared_ptr<WorkItem>> executing_; ///< per disk, null when idle
-    std::uint64_t submitted_ = 0;
-    std::uint64_t executed_ = 0;
-    std::uint64_t peak_in_flight_ = 0;
-    std::uint64_t timeouts_ = 0;
-    double busy_seconds_ = 0; ///< guarded by mutex_ (folded per request)
-    bool stop_ = false;
+    std::unique_ptr<DiskQueue[]> queues_; ///< one per disk
+
+    std::atomic<std::uint64_t> in_flight_{0};      ///< submitted, not yet completed
+    std::atomic<std::uint64_t> peak_in_flight_{0};
+    std::atomic<bool> stop_{false};
+    std::mutex idle_mu_;             ///< drain() sleeps here; taken only
+    std::condition_variable idle_cv_;///< when in_flight_ drops to zero
+    std::mutex watchdog_mu_;         ///< watchdog tick and stop only
+    std::condition_variable watchdog_cv_;
+    bool watchdog_stop_ = false;     ///< guarded by watchdog_mu_
 
     std::thread watchdog_;             ///< running only when deadline_us_ > 0
     std::vector<std::thread> workers_; ///< constructed last, joined first

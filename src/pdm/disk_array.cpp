@@ -552,6 +552,7 @@ void DiskArray::set_async(bool enabled) {
         folded_block_ops_ += m.block_ops;
         folded_max_in_flight_ = std::max(folded_max_in_flight_, m.max_in_flight);
         engine_.reset();
+        spare_write_buffers_.clear();
         return;
     }
     std::vector<Disk*> tops;
@@ -672,9 +673,9 @@ void DiskArray::run_inline(const IoRequest& request) {
 AsyncBatch DiskArray::submit(IoRequest::Kind kind, std::span<const BlockOp> ops,
                              Record* read_base, const Record* write_base) {
     BS_REQUIRE(engine_ != nullptr, "DiskArray: the worker executor is off");
-    std::vector<IoRequest> requests(ops.size());
+    AsyncBatch batch = AsyncEngine::prepare(ops.size());
     for (std::size_t i = 0; i < ops.size(); ++i) {
-        IoRequest& r = requests[i];
+        IoRequest& r = AsyncEngine::request(batch, i);
         r.kind = kind;
         r.disk = ops[i].disk;
         r.block = ops[i].block;
@@ -684,7 +685,8 @@ AsyncBatch DiskArray::submit(IoRequest::Kind kind, std::span<const BlockOp> ops,
             r.write_data = write_base + i * b_;
         }
     }
-    return engine_->submit(std::move(requests));
+    engine_->submit(batch);
+    return batch;
 }
 
 void DiskArray::reap(AsyncBatch& batch, IoRequest::Kind kind, Record* read_base,
@@ -826,6 +828,10 @@ void DiskArray::write_stripe_async(std::span<const BlockOp> ops, std::span<const
     charge_write_step(ops);
     JobIoChannel* jc = bound_channel();
     PendingWrite pending;
+    if (!spare_write_buffers_.empty()) {
+        pending.data = std::move(spare_write_buffers_.back());
+        spare_write_buffers_.pop_back();
+    }
     pending.data.assign(src.begin(), src.end());
     pending.owner = jc;
     pending.batch = submit(IoRequest::Kind::kWrite, ops, nullptr, pending.data.data());
@@ -864,6 +870,9 @@ void DiskArray::reap_pending_write(std::size_t idx, std::unique_lock<std::recurs
     PendingWrite pending = std::move(pending_writes_[idx]);
     pending_writes_.erase(pending_writes_.begin() + static_cast<std::ptrdiff_t>(idx));
     reap(pending.batch, IoRequest::Kind::kWrite, nullptr, pending.owner, lk);
+    if (spare_write_buffers_.size() < kMaxPendingWrites) {
+        spare_write_buffers_.push_back(std::move(pending.data));
+    }
 }
 
 void DiskArray::handle_write_failure(const BlockOp& op, const std::exception_ptr& error,

@@ -527,9 +527,10 @@ private:
     bool quarantine_on_ = false;
     std::vector<BlockOp> quarantined_;
     /// Guards all shared bookkeeping (stats_, allocator, quarantine,
-    /// health_, parity/csum state, pending_writes_) against concurrent job
-    /// threads. Recursive: the recovery ladder re-enters public entries.
-    /// Engine workers never take it; the fairness gate runs before it.
+    /// health_, parity/csum state, pending_writes_, spare_write_buffers_)
+    /// against concurrent job threads. Recursive: the recovery ladder
+    /// re-enters public entries. Engine workers never take it; the fairness
+    /// gate runs before it.
     mutable std::recursive_mutex mu_;
     /// Mutable: the const stats() accessor folds live engine metrics in.
     mutable IoStats stats_;
@@ -538,6 +539,10 @@ private:
     // -- worker executor state (null / empty when the engine is off) --
     std::unique_ptr<AsyncEngine> engine_; ///< destroyed before disks_
     std::deque<PendingWrite> pending_writes_;
+    /// Data buffers of reaped write-behind batches, reused by the next
+    /// write_stripe_async instead of allocating per step. At most
+    /// kMaxPendingWrites are kept.
+    std::vector<std::vector<Record>> spare_write_buffers_;
     // Metrics of engines already torn down (set_async(false) folds them
     // here so stats() stays monotone across enable/disable cycles).
     double folded_busy_seconds_ = 0;

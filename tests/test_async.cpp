@@ -8,7 +8,14 @@
 // the worker threads.
 #include <gtest/gtest.h>
 
+#include <atomic>
+#include <chrono>
+#include <condition_variable>
+#include <deque>
 #include <filesystem>
+#include <future>
+#include <mutex>
+#include <thread>
 
 #include "balsort.hpp"
 #include "pdm/async_engine.hpp"
@@ -128,6 +135,291 @@ TEST(AsyncEngine, TransientRetriesAreCountedAndDeterministic) {
     run_once(b);
     EXPECT_GT(a, 0u); // 64 reads at rate .3: retries essentially certain
     EXPECT_EQ(a, b);  // per-disk FIFO + seeded stream => same fault sequence
+}
+
+// ------------------------------------------------- AsyncEngine under load
+
+/// A memory disk that hangs on demand: while its gate is closed every
+/// operation blocks inside the disk, as a stuck device would.
+class GatedDisk final : public Disk {
+public:
+    explicit GatedDisk(std::size_t b) : inner_(b) {}
+
+    std::size_t block_size() const override { return inner_.block_size(); }
+    std::uint64_t size_blocks() const override { return inner_.size_blocks(); }
+    void read_block(std::uint64_t index, std::span<Record> out) const override {
+        pass();
+        inner_.read_block(index, out);
+    }
+    void write_block(std::uint64_t index, std::span<const Record> in) override {
+        pass();
+        inner_.write_block(index, in);
+    }
+
+    MemDisk& inner() { return inner_; }
+    void close() {
+        std::lock_guard<std::mutex> lock(mu_);
+        open_ = false;
+    }
+    void open() {
+        {
+            std::lock_guard<std::mutex> lock(mu_);
+            open_ = true;
+        }
+        cv_.notify_all();
+    }
+    /// Operations that reached the disk (including ones still blocked).
+    std::uint64_t entered() const { return entered_.load(); }
+
+private:
+    void pass() const {
+        entered_.fetch_add(1);
+        std::unique_lock<std::mutex> lock(mu_);
+        cv_.wait(lock, [&] { return open_; });
+    }
+
+    MemDisk inner_;
+    mutable std::mutex mu_;
+    mutable std::condition_variable cv_;
+    bool open_ = true;
+    mutable std::atomic<std::uint64_t> entered_{0};
+};
+
+/// Opens a gated disk when the test leaves its scope — on a failed
+/// assertion too — so the engine's workers can be joined.
+struct Reopen {
+    GatedDisk& disk;
+    ~Reopen() { disk.open(); }
+};
+
+/// Poll (with short sleeps) until `pred` holds; false after ~10 s.
+template <class Pred>
+bool eventually(Pred pred) {
+    for (int i = 0; i < 10000; ++i) {
+        if (pred()) return true;
+        std::this_thread::sleep_for(std::chrono::milliseconds(1));
+    }
+    return pred();
+}
+
+TEST(AsyncEngineStress, ConcurrentSubmittersKeepPerDiskFifo) {
+    // Four submitters stream mixed batches over every disk while a fifth
+    // thread drains. Each submitter owns its own blocks, and each batch
+    // writes one new block per disk, reads it back in the same batch, and
+    // reads the block the previous (possibly still queued) batch wrote:
+    // per-disk FIFO must make both reads see the written images.
+    constexpr std::uint32_t kDisks = 4;
+    constexpr std::size_t kB = 4;
+    constexpr int kThreads = 4;
+    constexpr std::uint64_t kRounds = 400;
+    constexpr std::size_t kWindow = 3; // batches a submitter keeps in flight
+    constexpr std::size_t kPerBatch = 3 * kDisks;
+    std::vector<std::unique_ptr<MemDisk>> disks;
+    std::vector<Disk*> tops;
+    for (std::uint32_t d = 0; d < kDisks; ++d) {
+        disks.push_back(std::make_unique<MemDisk>(kB));
+        tops.push_back(disks.back().get());
+    }
+    AsyncEngine engine(tops, /*max_retries=*/0, /*backoff_base_us=*/0);
+
+    struct InFlight {
+        AsyncBatch batch;
+        std::vector<Record> images;   ///< per disk: the block this batch writes
+        std::vector<Record> readback; ///< per disk: same-batch read
+        std::vector<Record> prev;     ///< per disk: previous batch's block
+        std::vector<Record> prev_images;
+    };
+    std::atomic<int> submitters_left{kThreads};
+    std::atomic<std::uint64_t> mismatches{0}, failures{0}, drains{0};
+    auto submitter = [&](int t) {
+        std::deque<InFlight> window;
+        std::vector<Record> last_images;
+        auto settle = [&](InFlight& f, bool poll) {
+            if (poll) {
+                while (!engine.done(f.batch)) std::this_thread::yield();
+            }
+            for (const IoCompletion& c : engine.wait(f.batch)) failures += c.ok ? 0 : 1;
+            if (f.readback != f.images) ++mismatches;
+            if (f.prev != f.prev_images) ++mismatches;
+        };
+        for (std::uint64_t round = 0; round < kRounds; ++round) {
+            const std::uint64_t blk = round * kThreads + static_cast<std::uint64_t>(t);
+            InFlight f;
+            f.images.resize(kDisks * kB);
+            for (std::size_t i = 0; i < f.images.size(); ++i) {
+                f.images[i] = {blk * 1000 + i, static_cast<std::uint64_t>(t)};
+            }
+            f.readback.resize(kDisks * kB);
+            const bool has_prev = round > 0;
+            if (has_prev) {
+                f.prev.resize(kDisks * kB);
+                f.prev_images = last_images;
+            }
+            std::vector<IoRequest> reqs;
+            for (std::uint32_t k = 0; k < kDisks; ++k) {
+                // Rotate the disk order so batches interleave differently.
+                const std::uint32_t d = (k + static_cast<std::uint32_t>(round)) % kDisks;
+                reqs.push_back({.kind = IoRequest::Kind::kWrite,
+                                .disk = d,
+                                .block = blk,
+                                .write_data = f.images.data() + d * kB});
+                reqs.push_back({.disk = d, .block = blk, .read_buf = f.readback.data() + d * kB});
+                if (has_prev) {
+                    reqs.push_back({.disk = d,
+                                    .block = blk - kThreads,
+                                    .read_buf = f.prev.data() + d * kB});
+                } else {
+                    // Keep every batch the same size: a second read-back.
+                    reqs.push_back(
+                        {.disk = d, .block = blk, .read_buf = f.readback.data() + d * kB});
+                }
+            }
+            f.batch = engine.submit(std::move(reqs));
+            last_images = f.images;
+            window.push_back(std::move(f));
+            if (window.size() > kWindow) {
+                settle(window.front(), round % 2 == 0);
+                window.pop_front();
+            }
+        }
+        while (!window.empty()) {
+            settle(window.front(), false);
+            window.pop_front();
+        }
+        --submitters_left;
+    };
+    std::thread drainer([&] {
+        while (submitters_left.load() > 0) {
+            engine.drain();
+            ++drains;
+        }
+    });
+    std::vector<std::thread> threads;
+    for (int t = 0; t < kThreads; ++t) threads.emplace_back(submitter, t);
+    for (auto& th : threads) th.join();
+    drainer.join();
+    engine.drain();
+
+    EXPECT_EQ(failures.load(), 0u);
+    EXPECT_EQ(mismatches.load(), 0u);
+    EXPECT_GT(drains.load(), 0u);
+    const AsyncEngineMetrics m = engine.metrics();
+    EXPECT_EQ(m.block_ops, kThreads * kRounds * kPerBatch);
+    // A batch is counted in flight all at once; at most kWindow + 1 batches
+    // per submitter are outstanding.
+    EXPECT_GE(m.max_in_flight, kPerBatch);
+    EXPECT_LE(m.max_in_flight, kThreads * (kWindow + 1) * kPerBatch);
+    EXPECT_EQ(engine.timeouts(), 0u);
+    for (std::uint32_t depth : engine.per_disk_in_flight()) EXPECT_EQ(depth, 0u);
+}
+
+TEST(AsyncEngineStress, BatchCompletesWhileAnotherDiskIsBlocked) {
+    // Completing a batch must not wait for the engine to go idle: a batch
+    // on disk 0 finishes while disk 1 hangs inside a write.
+    constexpr std::size_t kB = 4;
+    MemDisk free_disk(kB);
+    GatedDisk stuck(kB);
+    AsyncEngine engine({&free_disk, &stuck}, 0, 0);
+    const auto img = make_block(kB, 7);
+    // wait() runs on its own thread so a wait that needs the engine idle
+    // fails below instead of hanging the test; the gate reopens before
+    // that thread is joined.
+    std::future<std::vector<IoCompletion>> waited;
+    stuck.close();
+    Reopen reopen{stuck};
+    AsyncBatch hung = engine.submit(
+        {{.kind = IoRequest::Kind::kWrite, .disk = 1, .block = 0, .write_data = img.data()}});
+    ASSERT_TRUE(eventually([&] { return stuck.entered() == 1; }));
+
+    constexpr std::uint64_t kBlocks = 32;
+    std::vector<std::vector<Record>> images;
+    for (std::uint64_t i = 0; i < kBlocks; ++i) images.push_back(make_block(kB, i));
+    std::vector<Record> readback(kBlocks * kB);
+    std::vector<IoRequest> reqs;
+    for (std::uint64_t i = 0; i < kBlocks; ++i) {
+        reqs.push_back({.kind = IoRequest::Kind::kWrite,
+                        .disk = 0,
+                        .block = i,
+                        .write_data = images[i].data()});
+        reqs.push_back({.disk = 0, .block = i, .read_buf = readback.data() + i * kB});
+    }
+    AsyncBatch quick = engine.submit(std::move(reqs));
+    waited = std::async(std::launch::async, [&] { return engine.wait(quick); });
+    ASSERT_EQ(waited.wait_for(std::chrono::seconds(10)), std::future_status::ready);
+    for (const IoCompletion& c : waited.get()) EXPECT_TRUE(c.ok);
+    for (std::uint64_t i = 0; i < kBlocks; ++i) {
+        EXPECT_TRUE(std::equal(images[i].begin(), images[i].end(),
+                               readback.begin() + static_cast<std::ptrdiff_t>(i * kB)));
+    }
+    EXPECT_FALSE(engine.done(hung));
+    EXPECT_EQ(engine.per_disk_in_flight(), (std::vector<std::uint32_t>{0, 1}));
+    EXPECT_EQ(engine.metrics().block_ops, 2 * kBlocks);
+
+    stuck.open();
+    EXPECT_TRUE(engine.wait(hung)[0].ok);
+    engine.drain();
+    EXPECT_EQ(engine.metrics().block_ops, 2 * kBlocks + 1);
+    EXPECT_EQ(engine.metrics().max_in_flight, 2 * kBlocks + 1);
+}
+
+TEST(AsyncEngineStress, DeadlineExpiresHungReadsWhileOtherDisksComplete) {
+    // Disk 0 hangs inside its first read; two more reads queue behind it.
+    // Past the deadline the watchdog completes all three as TimedOutIo —
+    // the executing one abandoned, the queued ones unlinked unexecuted —
+    // while disks 1 and 2 keep serving batches throughout.
+    constexpr std::size_t kB = 4;
+    constexpr std::uint64_t kDeadlineUs = 300'000;
+    GatedDisk hung_disk(kB);
+    MemDisk d1(kB), d2(kB);
+    const auto img = make_block(kB, 3);
+    for (std::uint64_t i = 0; i < 3; ++i) {
+        hung_disk.inner().write_block(i, img);
+        d1.write_block(i, img);
+        d2.write_block(i, img);
+    }
+    AsyncEngine engine({&hung_disk, &d1, &d2}, 0, 0, kDeadlineUs);
+    hung_disk.close();
+    const Record sentinel{0xdead, 0xbeef};
+    std::vector<Record> hung_buf(3 * kB, sentinel);
+    std::vector<IoRequest> hung_reqs;
+    for (std::uint64_t i = 0; i < 3; ++i) {
+        hung_reqs.push_back({.disk = 0, .block = i, .read_buf = hung_buf.data() + i * kB});
+    }
+    AsyncBatch hung = engine.submit(std::move(hung_reqs));
+    Reopen reopen{hung_disk};
+    ASSERT_TRUE(eventually([&] { return hung_disk.entered() == 1; }));
+
+    constexpr int kOtherBatches = 20;
+    for (int k = 0; k < kOtherBatches; ++k) {
+        std::vector<Record> buf(2 * kB);
+        AsyncBatch other = engine.submit({{.disk = 1, .block = 1, .read_buf = buf.data()},
+                                          {.disk = 2, .block = 2, .read_buf = buf.data() + kB}});
+        for (const IoCompletion& c : engine.wait(other)) EXPECT_TRUE(c.ok);
+        EXPECT_TRUE(std::equal(img.begin(), img.end(), buf.begin()));
+        if (k == 0) {
+            EXPECT_FALSE(engine.done(hung)); // others finish first
+        }
+    }
+
+    ASSERT_TRUE(eventually([&] { return engine.done(hung); }));
+    const auto& comps = engine.wait(hung);
+    ASSERT_EQ(comps.size(), 3u);
+    for (const IoCompletion& c : comps) {
+        EXPECT_FALSE(c.ok);
+        EXPECT_THROW(std::rethrow_exception(c.error), TimedOutIo);
+    }
+    EXPECT_EQ(engine.timeouts(), 3u);
+    EXPECT_EQ(hung_disk.entered(), 1u); // the queued two never ran
+    EXPECT_EQ(engine.metrics().block_ops, 2u * kOtherBatches + 3);
+
+    // The abandoned read returns late; its data must not land.
+    hung_disk.open();
+    ASSERT_TRUE(eventually([&] { return engine.per_disk_in_flight()[0] == 0; }));
+    engine.drain();
+    for (const Record& r : hung_buf) EXPECT_EQ(r, sentinel);
+    EXPECT_EQ(hung_disk.entered(), 1u);
+    EXPECT_EQ(engine.timeouts(), 3u);
+    EXPECT_EQ(engine.metrics().block_ops, 2u * kOtherBatches + 3);
 }
 
 // ------------------------------------------------- DiskArray async routing
