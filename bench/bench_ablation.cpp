@@ -21,7 +21,7 @@ int main() {
     {
         Table t({"D'", "I/O steps", "worst bucket ratio", "matched", "deferred"});
         for (std::uint32_t dv : {1u, 2u, 4u, 8u}) {
-            SortOptions opt;
+            SortJobConfig opt;
             opt.d_virtual = dv;
             auto rep = run_balance_sort(cfg, w, 1, opt);
             t.add_row({Table::num(dv), Table::num(rep.io.io_steps()),
@@ -35,7 +35,7 @@ int main() {
     {
         Table t({"S", "levels", "I/O steps", "PRAM time"});
         for (std::uint32_t s : {2u, 4u, 8u, 16u}) {
-            SortOptions opt;
+            SortJobConfig opt;
             opt.s_target = s;
             opt.bucket_policy = BucketPolicy::kFixed;
             auto rep = run_balance_sort(cfg, w, 2, opt);
@@ -49,8 +49,8 @@ int main() {
         Table t({"matching", "I/O steps", "wall (ms)", "max rounds/track"});
         for (auto strat : {MatchStrategy::kGreedy, MatchStrategy::kRandomized,
                            MatchStrategy::kDerandomized}) {
-            SortOptions opt;
-            opt.balance.matching = strat;
+            SortJobConfig opt;
+            opt.balance_opts.matching = strat;
             Timer timer;
             auto rep = run_balance_sort(cfg, w, 3, opt);
             t.add_row({to_string(strat), Table::num(rep.io.io_steps()),
@@ -63,8 +63,8 @@ int main() {
     {
         Table t({"aux rule", "I/O steps", "worst bucket ratio", "matched"});
         for (auto aux : {AuxRule::kPaperMedian, AuxRule::kArgTwiceAvg}) {
-            SortOptions opt;
-            opt.balance.aux = aux;
+            SortJobConfig opt;
+            opt.balance_opts.aux = aux;
             auto rep = run_balance_sort(cfg, w, 4, opt);
             t.add_row({aux == AuxRule::kPaperMedian ? "paper median" : "[Arg] twice-avg",
                        Table::num(rep.io.io_steps()),
@@ -78,8 +78,8 @@ int main() {
         Table t({"assignment", "matched", "deferred", "worst bucket ratio", "I/O steps"});
         for (auto assign : {AssignPolicy::kCyclic, AssignPolicy::kLeastLoaded,
                             AssignPolicy::kMinCostMatching}) {
-            SortOptions opt;
-            opt.balance.assign = assign;
+            SortJobConfig opt;
+            opt.balance_opts.assign = assign;
             auto rep = run_balance_sort(cfg, w, 5, opt);
             const char* name = assign == AssignPolicy::kCyclic ? "cyclic"
                                : assign == AssignPolicy::kLeastLoaded
@@ -96,8 +96,8 @@ int main() {
     {
         Table t({"defer policy", "deferred", "tracks", "I/O steps"});
         for (auto defer : {DeferPolicy::kPaperDefer, DeferPolicy::kRebalanceAll}) {
-            SortOptions opt;
-            opt.balance.defer = defer;
+            SortJobConfig opt;
+            opt.balance_opts.defer = defer;
             auto rep = run_balance_sort(cfg, w, 6, opt);
             t.add_row({defer == DeferPolicy::kPaperDefer ? "paper (Algorithm 5)" : "rebalance-all",
                        Table::num(rep.balance.deferred_blocks), Table::num(rep.balance.tracks),
@@ -109,7 +109,7 @@ int main() {
     {
         Table t({"pivot method", "read steps", "write steps", "I/O ratio"});
         for (auto method : {PivotMethod::kSamplingPass, PivotMethod::kStreamingSketch}) {
-            SortOptions opt;
+            SortJobConfig opt;
             opt.pivot_method = method;
             auto rep = run_balance_sort(cfg, w, 7, opt);
             t.add_row({method == PivotMethod::kSamplingPass ? "sampling pass (§5, paper)"
@@ -126,8 +126,8 @@ int main() {
         for (bool synced : {false, true}) {
             DiskArray disks(cfg.d, cfg.b);
             auto input = generate(w, cfg.n, 8);
-            SortOptions opt;
-            opt.synchronized_writes = synced;
+            SortJobConfig opt;
+            opt.io_policy.synchronized_writes = synced;
             SortReport rep;
             auto sorted = balance_sort_records(disks, input, cfg, opt, &rep);
             if (!is_sorted_by_key(sorted)) std::abort();

@@ -33,7 +33,7 @@ RunResult run_one(const PdmConfig& cfg, const std::vector<Record>& input, bool w
                     Constraint::kIndependentDisks, {}, dev);
     RunResult r;
     Timer timer;
-    r.sorted = balance_sort_records(disks, input, cfg, SortOptions{}, &r.rep);
+    r.sorted = balance_sort_records(disks, input, cfg, SortJobConfig{}, &r.rep);
     r.wall_s = timer.seconds();
     return r;
 }

@@ -56,7 +56,7 @@ int main() {
         {
             DiskArray disks(cfg.d, cfg.b);
             BlockRun run = write_striped(disks, input);
-            SortOptions opt;
+            SortJobConfig opt;
             opt.pivot_method = PivotMethod::kStreamingSketch;
             SortReport rep;
             Timer timer;

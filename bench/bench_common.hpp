@@ -32,7 +32,7 @@ inline void banner(const std::string& id, const std::string& claim) {
 /// A wrong output is a bench bug: it throws (propagating to a proper
 /// message and nonzero exit) rather than core-dumping via abort().
 inline SortReport run_balance_sort(const PdmConfig& cfg, Workload w, std::uint64_t seed,
-                                   SortOptions opt = {}) {
+                                   SortJobConfig opt = {}) {
     DiskArray disks(cfg.d, cfg.b);
     auto input = generate(w, cfg.n, seed);
     SortReport rep;

@@ -23,8 +23,8 @@ struct SoakRow {
 SoakRow soak(const PdmConfig& cfg, const FaultTolerance& ft, std::uint64_t seed) {
     SoakRow r;
     auto input = generate(Workload::kUniform, cfg.n, seed);
-    SortOptions opt;
-    opt.synchronized_writes = true;
+    SortJobConfig opt;
+    opt.io_policy.synchronized_writes = true;
     {
         DiskArray disks(cfg.d, cfg.b, DiskBackend::kMemory, ".", Constraint::kIndependentDisks,
                         ft);

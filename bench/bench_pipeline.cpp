@@ -42,11 +42,11 @@ RunResult run_one(const PdmConfig& cfg, const std::vector<Record>& input, const 
                   DeviceModel dev, Tracer* trace = nullptr, MetricsRegistry* metrics = nullptr) {
     DiskArray disks(cfg.d, cfg.b, DiskBackend::kFile, "/tmp", Constraint::kIndependentDisks, {},
                     dev);
-    SortOptions opt; // file-backed: the sort runs on the worker executor
-    opt.pool_buffers = v.pool;
-    opt.cross_bucket_prefetch = v.stage;
-    opt.trace = trace;
-    opt.metrics = metrics;
+    SortJobConfig opt; // file-backed: the sort runs on the worker executor
+    opt.io_policy.pool_buffers = v.pool;
+    opt.io_policy.cross_bucket_prefetch = v.stage;
+    opt.obs_policy.trace = trace;
+    opt.obs_policy.metrics = metrics;
     RunResult r;
     Timer timer;
     r.sorted = balance_sort_records(disks, input, cfg, opt, &r.rep);

@@ -42,7 +42,7 @@ Row run_pair(const PdmConfig& cfg, std::uint64_t seed) {
         // the column before).
         DiskArray disks(cfg.d, cfg.b);
         BlockRun run = write_striped(disks, input);
-        SortOptions opt;
+        SortJobConfig opt;
         opt.pivot_method = PivotMethod::kStreamingSketch;
         SortReport rep;
         (void)balance_sort(disks, run, cfg, opt, &rep);

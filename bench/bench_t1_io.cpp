@@ -21,7 +21,7 @@ int main(int argc, char** argv) {
 
     BenchSuite suite = make_suite("t1_io", smoke);
     auto measure = [&suite](const std::string& variant, const PdmConfig& cfg, Workload w,
-                            std::uint64_t seed, SortOptions opt = {}) {
+                            std::uint64_t seed, SortJobConfig opt = {}) {
         Timer timer;
         SortReport rep = run_balance_sort(cfg, w, seed, opt);
         suite.results.push_back(

@@ -80,8 +80,14 @@ int main() {
             auto input = generate(Workload::kUniform, 1 << 14, 5);
             HierSortReport rep;
             (void)hier_sort(input, cfg, &rep);
-            t.add_row({"(" + Table::fixed(rho, 0) + "," + Table::fixed(nu, 1) + ")",
-                       Table::fixed(rep.total_time, 0), Table::num(rep.tracks)});
+            // Appends, not a `"(" + ...` chain: GCC 12 at -O3 reports a
+            // false -Werror=restrict inside libstdc++ for the latter.
+            std::string label = "(";
+            label += Table::fixed(rho, 0);
+            label += ',';
+            label += Table::fixed(nu, 1);
+            label += ')';
+            t.add_row({label, Table::fixed(rep.total_time, 0), Table::num(rep.tracks)});
         }
         std::cout << "\nP-UMH variants (deterministic versions of [ViN]):\n";
         t.print(std::cout);

@@ -24,7 +24,7 @@ int main(int argc, char** argv) {
 
     BenchSuite suite = make_suite("t4_balance", smoke);
     auto measure = [&suite](const std::string& variant, const PdmConfig& cfg, Workload w,
-                            std::uint64_t seed, SortOptions opt = {}) {
+                            std::uint64_t seed, SortJobConfig opt = {}) {
         Timer timer;
         SortReport rep = run_balance_sort(cfg, w, seed, opt);
         suite.results.push_back(
@@ -37,8 +37,8 @@ int main(int argc, char** argv) {
         const std::uint64_t n = smoke ? (1 << 15) : (1 << 18);
         for (Workload w : all_workloads()) {
             PdmConfig cfg{.n = n, .m = 1 << 12, .d = 8, .b = 16, .p = 2};
-            SortOptions opt;
-            opt.balance.check_invariants = true;
+            SortJobConfig opt;
+            opt.balance_opts.check_invariants = true;
             auto rep = measure(std::string("w=") + to_string(w), cfg, w, 3, opt);
             t.add_row({to_string(w), Table::fixed(rep.worst_bucket_read_ratio, 3),
                        rep.balance.invariant1_held ? "held" : "VIOLATED",
@@ -83,7 +83,7 @@ int main(int argc, char** argv) {
         PdmConfig cfg = smoke ? PdmConfig{.n = 1 << 14, .m = 1 << 11, .d = 8, .b = 16, .p = 1}
                               : PdmConfig{.n = 1 << 17, .m = 1 << 12, .d = 8, .b = 16, .p = 1};
         for (std::uint32_t dv : {1u, 2u, 4u, 8u}) {
-            SortOptions opt;
+            SortJobConfig opt;
             opt.d_virtual = dv;
             auto rep = measure("dv=" + std::to_string(dv), cfg, Workload::kZipf, 9, opt);
             t.add_row({Table::num(dv), Table::fixed(rep.worst_bucket_read_ratio, 3),

@@ -65,8 +65,8 @@ void quality_table(bool smoke, BenchSuite& suite) {
                        MatchStrategy::kDerandomized}) {
         PdmConfig cfg = smoke ? PdmConfig{.n = 1 << 14, .m = 1 << 10, .d = 8, .b = 16, .p = 1}
                               : PdmConfig{.n = 1 << 17, .m = 1 << 11, .d = 8, .b = 16, .p = 1};
-        SortOptions opt;
-        opt.balance.matching = strat;
+        SortJobConfig opt;
+        opt.balance_opts.matching = strat;
         Timer timer;
         auto rep = run_balance_sort(cfg, Workload::kGaussian, 11, opt);
         suite.results.push_back(BenchResult::from_report(

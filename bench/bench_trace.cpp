@@ -51,8 +51,8 @@ BenchResult ladder_rung(const char* variant, const PdmConfig& cfg, std::uint64_t
                         bool dump, bool profile = false) {
     const auto t0 = std::chrono::steady_clock::now();
     Profiler profiler;
-    SortOptions opt;
-    if (profile) opt.profiler = &profiler;
+    SortJobConfig opt;
+    if (profile) opt.obs_policy.profiler = &profiler;
     SortReport rep = run_balance_sort(cfg, Workload::kUniform, 5, opt);
     for (std::uint64_t i = 0; i < notes; ++i) {
         flight_note("bench.tick", "bench", static_cast<std::int64_t>(i));
@@ -95,7 +95,7 @@ int main(int argc, char** argv) {
                    Table::fixed(row.imbalance, 3), Table::fixed(row.sequential, 2)});
     }
     {
-        SortOptions opt;
+        SortJobConfig opt;
         opt.pivot_method = PivotMethod::kStreamingSketch;
         auto row = traced(cfg, input, [&](DiskArray& d, const BlockRun& r) {
             (void)balance_sort(d, r, cfg, opt, nullptr);

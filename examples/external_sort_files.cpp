@@ -7,19 +7,43 @@
 // The example creates an unsorted input file, spreads it across D scratch
 // disk files, runs Balance Sort, writes the sorted output file, and
 // verifies it. All I/O statistics reported are real pread/pwrite traffic.
+// A malformed number or an impossible machine shape is a usage error
+// (reason + usage on stderr, exit 2), reported before any file is created.
 #include <cstdio>
 #include <cstdlib>
 #include <filesystem>
 #include <iostream>
+#include <limits>
+#include <stdexcept>
 #include <string>
 
 #include "balsort.hpp"
+#include "cli_number.hpp"
 #include "util/table.hpp"
 #include "util/timer.hpp"
 
 using namespace balsort;
 
 namespace {
+
+constexpr const char* kUsage = "usage: external_sort_files [N] [M] [D] [B] [scratch-dir]\n";
+
+[[noreturn]] void usage_error(const std::string& reason) {
+    std::cerr << "external_sort_files: " << reason << '\n' << kUsage;
+    std::exit(2);
+}
+
+/// Positional argument `i` as a number up to `max`, or `fallback` when absent.
+std::uint64_t positional(int argc, char** argv, int i, const char* name, std::uint64_t max,
+                         std::uint64_t fallback) {
+    if (argc <= i) return fallback;
+    const std::optional<std::uint64_t> v = parse_decimal(argv[i], max);
+    if (!v) {
+        usage_error(std::string(name) + " needs a number up to " + std::to_string(max) +
+                    ", got '" + argv[i] + "'");
+    }
+    return *v;
+}
 
 void write_record_file(const std::string& path, const std::vector<Record>& records) {
     std::FILE* f = std::fopen(path.c_str(), "wb");
@@ -50,12 +74,24 @@ std::vector<Record> read_record_file(const std::string& path) {
 } // namespace
 
 int main(int argc, char** argv) {
+    if (argc > 1 && (std::string(argv[1]) == "--help" || std::string(argv[1]) == "-h")) {
+        std::cout << kUsage;
+        return 0;
+    }
+    if (argc > 6) usage_error("too many arguments");
+    constexpr std::uint64_t kU64 = std::numeric_limits<std::uint64_t>::max();
+    constexpr std::uint64_t kU32 = std::numeric_limits<std::uint32_t>::max();
     PdmConfig cfg;
-    cfg.n = argc > 1 ? std::strtoull(argv[1], nullptr, 10) : 1u << 19;
-    cfg.m = argc > 2 ? std::strtoull(argv[2], nullptr, 10) : 1u << 14;
-    cfg.d = argc > 3 ? static_cast<std::uint32_t>(std::atoi(argv[3])) : 8;
-    cfg.b = argc > 4 ? static_cast<std::uint32_t>(std::atoi(argv[4])) : 128;
+    cfg.n = positional(argc, argv, 1, "N", kU64, 1u << 19);
+    cfg.m = positional(argc, argv, 2, "M", kU64, 1u << 14);
+    cfg.d = static_cast<std::uint32_t>(positional(argc, argv, 3, "D", kU32, 8));
+    cfg.b = static_cast<std::uint32_t>(positional(argc, argv, 4, "B", kU32, 128));
     cfg.p = 2;
+    try {
+        cfg.validate();
+    } catch (const std::invalid_argument& e) {
+        usage_error(e.what());
+    }
     const std::string dir = argc > 5 ? argv[5] : "/tmp";
     const std::string in_path = dir + "/balsort_example_input.bin";
     const std::string out_path = dir + "/balsort_example_sorted.bin";

@@ -12,11 +12,10 @@
 ///    the asynchronous request/completion engine (pdm/disk_array.hpp);
 ///  * `BlockRun`, `write_striped`, `read_run` — laying data out on the
 ///    array and getting it back (pdm/striping.hpp);
-///  * `SortOptions`, `SortReport`, `balance_sort`, `balance_sort_records`
-///    — the flagship Theorem 1 sort and its measurements
-///    (core/balance_sort.hpp);
-///  * `SortJobConfig`, `IoPolicy`, `DurabilityPolicy`, `ObsPolicy` — the
-///    builder-style job configuration surface that subsumes `SortOptions`
+///  * `SortReport`, `balance_sort`, `balance_sort_records` — the flagship
+///    Theorem 1 sort and its measurements (core/balance_sort.hpp);
+///  * `SortJobConfig`, `IoPolicy`, `ComputePolicy`, `DurabilityPolicy`,
+///    `ObsPolicy` — the sort configuration, one builder-style struct
 ///    (core/sort_config.hpp);
 ///  * `SortScheduler`, `SchedulerConfig`, `JobSpec`, `JobStatus`,
 ///    `IoArbiter` — the concurrent multi-job sort service: admission

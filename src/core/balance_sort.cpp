@@ -15,23 +15,6 @@
 
 namespace balsort {
 
-void SortOptions::validate(std::uint32_t d) const {
-    BS_REQUIRE(!(pivot_method == PivotMethod::kStreamingSketch &&
-                 bucket_policy == BucketPolicy::kSqrtLevel),
-               "SortOptions: PivotMethod::kStreamingSketch cannot be combined with "
-               "BucketPolicy::kSqrtLevel — the child level's S is unknown while the parent "
-               "runs, so no sketch can be sized for it");
-    BS_REQUIRE(s_target == 0 || bucket_policy == BucketPolicy::kFixed,
-               "SortOptions: s_target != 0 requires BucketPolicy::kFixed; set bucket_policy "
-               "explicitly instead of relying on an implied fixed policy");
-    BS_REQUIRE(d_virtual == 0 || (d_virtual <= d && d % d_virtual == 0),
-               "SortOptions: d_virtual must divide the number of disks D");
-    BS_REQUIRE(executor == nullptr || max_threads == 0 ||
-                   max_threads <= executor->workers() + 1,
-               "SortOptions: max_threads exceeds what the borrowed executor can honor "
-               "(its workers() + the submitting thread)");
-}
-
 std::uint32_t default_bucket_count(const PdmConfig& cfg, std::uint32_t vblock_records) {
     const std::uint64_t mb = std::max<std::uint64_t>(2, cfg.m / cfg.b);
     auto s = static_cast<std::uint32_t>(iroot(mb, 4));
@@ -93,22 +76,20 @@ private:
     bool prev_;
 };
 
-} // namespace
-
-BlockRun balance_sort(DiskArray& disks, const BlockRun& input, const PdmConfig& cfg,
-                      const SortOptions& opt, SortReport* report) {
+/// The sort proper, on a configuration the entry points validated.
+BlockRun sort_validated(DiskArray& disks, const BlockRun& input, const PdmConfig& cfg,
+                        const SortJobConfig& job, SortReport* report) {
     const auto t_entry = std::chrono::steady_clock::now();
-    cfg.validate();
-    opt.validate(disks.num_disks());
     BS_REQUIRE(input.n_records == cfg.n, "balance_sort: cfg.n != input.n_records");
-    const std::uint32_t dv = opt.d_virtual != 0
-                                 ? opt.d_virtual
+    const std::uint32_t dv = job.d_virtual != 0
+                                 ? job.d_virtual
                                  : VirtualDisks::default_virtual_count(disks.num_disks());
-    std::uint32_t threads = opt.max_threads;
+    Executor* const shared_exec = job.compute_policy.shared_executor;
+    std::uint32_t threads = job.compute_policy.threads;
     if (threads == 0) {
-        if (opt.executor != nullptr) {
+        if (shared_exec != nullptr) {
             threads = std::min<std::uint32_t>(
-                cfg.p, static_cast<std::uint32_t>(opt.executor->workers()) + 1);
+                cfg.p, static_cast<std::uint32_t>(shared_exec->workers()) + 1);
         } else {
             const std::uint32_t hw = std::max(1u, std::thread::hardware_concurrency());
             threads = std::min<std::uint32_t>(cfg.p, std::max(hw, 1u) * 2);
@@ -116,15 +97,15 @@ BlockRun balance_sort(DiskArray& disks, const BlockRun& input, const PdmConfig& 
     }
     // Observability first: DriverState binds the installed tracer at
     // construction and the AsyncGuard below creates the engine (which binds
-    // its instruments in its constructor), so both must see opt.trace /
-    // opt.metrics already published. Null options leave any ambient
+    // its instruments in its constructor), so both must see the tracer and
+    // registry already published. Null sinks leave any ambient
     // installation (e.g. the CLI's whole-run guard) untouched.
-    TracerInstallGuard trace_guard(opt.trace);
-    MetricsInstallGuard metrics_guard(opt.metrics);
+    TracerInstallGuard trace_guard(job.obs_policy.trace);
+    MetricsInstallGuard metrics_guard(job.obs_policy.metrics);
     // Sampling covers exactly the sort's extent; start()/stop() nest by
     // refcount, so concurrent scheduler jobs sharing one profiler stack.
-    ProfilerScope profile_guard(opt.profiler);
-    DriverState st(disks, cfg, opt, dv, threads, report);
+    ProfilerScope profile_guard(job.obs_policy.profiler);
+    DriverState st(disks, cfg, job, dv, threads, report);
     Span sort_span(st.tracer, "balance_sort", "sort",
                    st.tracer != nullptr ? st.tracer->lane("sort") : 0);
     sort_span.arg("records", static_cast<std::int64_t>(cfg.n));
@@ -151,25 +132,24 @@ BlockRun balance_sort(DiskArray& disks, const BlockRun& input, const PdmConfig& 
     const IoStats before = channel_bound ? disks.job_stats() : disks.stats();
 
     // ---- Crash consistency (DESIGN.md §13). ----
-    const bool checkpointing = !opt.checkpoint_path.empty();
+    const DurabilityPolicy& dur = job.durability_policy;
+    const bool checkpointing = !dur.checkpoint_path.empty();
     QuarantineGuard quarantine_guard(disks, checkpointing);
     std::unique_ptr<Checkpointer> checkpointer;
     if (checkpointing) {
-        checkpointer = std::make_unique<Checkpointer>(opt.checkpoint_path, st, before);
+        checkpointer = std::make_unique<Checkpointer>(dur.checkpoint_path, st, before);
         st.checkpointer = checkpointer.get();
     }
     ResumeCursor cursor;
     ResumeCursor* resume = nullptr;
     IoStats io_resumed{};
-    if (!opt.resume_from.empty()) {
-        BS_REQUIRE(checkpointing,
-                   "SortOptions::resume_from requires checkpoint_path — the resumed run "
-                   "continues checkpointing where the interrupted one stopped");
-        CheckpointRecord rec = load_checkpoint(opt.resume_from);
+    if (!dur.resume_from.empty()) {
+        CheckpointRecord rec = load_checkpoint(dur.resume_from);
         BS_REQUIRE(rec.n == cfg.n && rec.m == cfg.m && rec.p == cfg.p &&
                        rec.d == disks.num_disks() && rec.b == disks.block_size() &&
                        rec.dv == dv && rec.backend == static_cast<std::uint8_t>(disks.backend()) &&
-                       rec.synchronized_writes == (opt.synchronized_writes ? 1 : 0),
+                       rec.synchronized_writes ==
+                           (job.io_policy.synchronized_writes ? 1 : 0),
                    "resume: checkpoint was written under a different configuration");
         disks.restore(rec.disks);
         st.meter.add_comparisons(rec.comparisons);
@@ -239,7 +219,7 @@ BlockRun balance_sort(DiskArray& disks, const BlockRun& input, const PdmConfig& 
             static_cast<double>(st.compute.wait_ns.load(std::memory_order_relaxed)) * 1e-9;
         st.profile.io_wait_seconds = report->io.engine_stall_seconds;
         report->phases = st.profile;
-        if (opt.shared_pool == nullptr) {
+        if (job.io_policy.shared_pool == nullptr) {
             // A shared pool's hit/miss counters mix every co-scheduled
             // job's traffic; only a private pool's stats describe this run.
             const BufferPool::Stats pstats = st.buffers.stats();
@@ -252,12 +232,23 @@ BlockRun balance_sort(DiskArray& disks, const BlockRun& input, const PdmConfig& 
     return result;
 }
 
+} // namespace
+
+BlockRun balance_sort(DiskArray& disks, const BlockRun& input, const PdmConfig& cfg,
+                      const SortJobConfig& job, SortReport* report) {
+    cfg.validate();
+    job.validate(disks.num_disks());
+    return sort_validated(disks, input, cfg, job, report);
+}
+
 std::vector<Record> balance_sort_records(DiskArray& disks, std::vector<Record> records,
-                                         const PdmConfig& cfg, const SortOptions& opt,
+                                         const PdmConfig& cfg, const SortJobConfig& job,
                                          SortReport* report) {
+    cfg.validate();
+    job.validate(disks.num_disks());
     BS_REQUIRE(records.size() == cfg.n, "balance_sort_records: cfg.n != records.size()");
     BlockRun input = write_striped(disks, records);
-    BlockRun output = balance_sort(disks, input, cfg, opt, report);
+    BlockRun output = sort_validated(disks, input, cfg, job, report);
     return read_run(disks, output);
 }
 

@@ -557,7 +557,7 @@ CheckpointRecord Checkpointer::capture() const {
     rec.b = st_.disks.block_size();
     rec.dv = st_.vdisks.count();
     rec.backend = static_cast<std::uint8_t>(st_.disks.backend());
-    rec.synchronized_writes = st_.opt.synchronized_writes ? 1 : 0;
+    rec.synchronized_writes = st_.job.io_policy.synchronized_writes ? 1 : 0;
 
     rec.frames.reserve(st_.frames.size());
     for (const PipelineFrame& pf : st_.frames) {
@@ -625,7 +625,7 @@ void Checkpointer::boundary() {
     if (MetricsRegistry* reg = metrics(); reg != nullptr) {
         reg->counter("recovery.checkpoints_written").add();
     }
-    if (st_.opt.on_checkpoint) st_.opt.on_checkpoint(seq_);
+    if (const auto& hook = st_.job.durability_policy.on_checkpoint; hook) hook(seq_);
 }
 
 } // namespace balsort

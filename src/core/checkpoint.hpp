@@ -13,7 +13,7 @@
 /// (tmp + fsync + rename), so a crash at any instant leaves either the
 /// previous checkpoint or the new one, never a torn record.
 ///
-/// `balance_sort` with `SortOptions::resume_from` loads such a record,
+/// `balance_sort` with `DurabilityPolicy::resume_from` loads such a record,
 /// restores the array and driver state, and replays the pipeline from the
 /// last durable boundary. Because every boundary is reached with the
 /// engine drained and the release-quarantine flushed, and because the
@@ -118,7 +118,7 @@ struct ResumeCursor {
 };
 
 /// Writes checkpoints at pipeline boundaries. Owned by balance_sort when
-/// SortOptions::checkpoint_path is set; the pipeline reaches it through
+/// DurabilityPolicy::checkpoint_path is set; the pipeline reaches it through
 /// DriverState::checkpointer.
 class Checkpointer {
 public:
@@ -133,7 +133,7 @@ public:
 
     /// One durable boundary: drain the async engine, flush the array's
     /// release quarantine, capture the full record, write it atomically,
-    /// then fire SortOptions::on_checkpoint (the chaos harness's crash
+    /// then fire DurabilityPolicy::on_checkpoint (the chaos harness's crash
     /// hook — it may throw or _exit).
     void boundary();
 

@@ -47,13 +47,31 @@ std::vector<Record> hier_sort(std::vector<Record> records, const HierSortConfig&
     const std::uint64_t n = records.size();
     if (n <= 1) return records;
 
+    const std::uint32_t hv = cfg.h_virtual != 0
+                                 ? cfg.h_virtual
+                                 : VirtualDisks::default_virtual_count(cfg.h);
+    SortJobConfig job;
+    job.virtual_disks(hv).balance(cfg.balance).observability(cfg.obs).durability(cfg.durability);
+    if (cfg.s_target != 0) {
+        job.buckets(cfg.s_target, BucketPolicy::kFixed);
+    } else {
+        job.bucket_rule(BucketPolicy::kSqrtLevel); // §4.3, per level
+    }
+    // Reject an incoherent hierarchy config before the lanes hold anything.
+    job.validate(cfg.h);
+    // NOTE on §4.4: the paper repositions buckets on BT hierarchies via
+    // the [ACSa] generalized matrix transposition, whose O((N/H)
+    // (loglog)^4) cost relies on sub-block piecewise moves — below this
+    // simulator's block granularity. A block-granular reposition
+    // (SortJobConfig::reposition_buckets) re-sweeps the level region per
+    // bucket and measures slightly worse, so it stays opt-in; the
+    // resulting measured/formula drift for BT with alpha >= 1 is
+    // quantified in EXPERIMENTS.md.
+
     // The H hierarchies are lanes of a block-size-1 array (one record per
     // depth per lane); partial striping and the Balance machinery are the
     // PDM ones, re-priced by the HierarchyMeter.
     DiskArray lanes(cfg.h, /*b=*/1);
-    const std::uint32_t hv = cfg.h_virtual != 0
-                                 ? cfg.h_virtual
-                                 : VirtualDisks::default_virtual_count(cfg.h);
     HierarchyMeter meter(cfg.model.make(cfg.h), cfg.interconnect, cfg.h);
 
     // Loading the input is not part of the sorting time: attach the
@@ -69,32 +87,8 @@ std::vector<Record> hier_sort(std::vector<Record> records, const HierSortConfig&
     pdm.b = 1;
     pdm.p = cfg.h;
 
-    SortOptions opt;
-    opt.d_virtual = hv;
-    if (cfg.s_target != 0) {
-        opt.s_target = cfg.s_target;
-        opt.bucket_policy = BucketPolicy::kFixed;
-    } else {
-        opt.bucket_policy = BucketPolicy::kSqrtLevel; // §4.3, per level
-    }
-    opt.balance = cfg.balance;
-    opt.trace = cfg.trace;
-    opt.metrics = cfg.metrics;
-    opt.checkpoint_path = cfg.checkpoint_path;
-    opt.resume_from = cfg.resume_from;
-    opt.on_checkpoint = cfg.on_checkpoint;
-    opt.validate(cfg.h); // reject incoherent hierarchy configs up front
-    // NOTE on §4.4: the paper repositions buckets on BT hierarchies via
-    // the [ACSa] generalized matrix transposition, whose O((N/H)
-    // (loglog)^4) cost relies on sub-block piecewise moves — below this
-    // simulator's block granularity. A block-granular reposition
-    // (SortOptions::reposition_buckets) re-sweeps the level region per
-    // bucket and measures slightly worse, so it stays opt-in; the
-    // resulting measured/formula drift for BT with alpha >= 1 is
-    // quantified in EXPERIMENTS.md.
-
     SortReport mech;
-    BlockRun output = balance_sort(lanes, input, pdm, opt, &mech);
+    BlockRun output = balance_sort(lanes, input, pdm, job, &mech);
     lanes.set_step_observer(nullptr);
 
     // Base-case internal sorts: each track of H records sorted on the

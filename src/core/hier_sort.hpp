@@ -53,20 +53,16 @@ struct HierSortConfig {
     Interconnect interconnect = Interconnect::kPram;
     std::uint32_t s_target = 0;    ///< bucket count; 0 = §4.3's choice
     BalanceOptions balance{};
-    /// Observability passthrough (DESIGN.md §11): forwarded into the
-    /// underlying balance_sort's SortOptions. Charged model quantities are
-    /// unaffected; spans/histograms describe the simulated lane traffic.
-    Tracer* trace = nullptr;
-    MetricsRegistry* metrics = nullptr;
-    /// Crash consistency passthrough (DESIGN.md §13), forwarded into the
-    /// underlying balance_sort's SortOptions. Caveat: the charged
+    /// Observability sinks (DESIGN.md §11, §17), passed unchanged into the
+    /// underlying balance_sort's SortJobConfig. Charged model quantities
+    /// are unaffected; spans/histograms describe the simulated lane traffic.
+    ObsPolicy obs{};
+    /// Crash consistency (DESIGN.md §13), passed unchanged into the
+    /// underlying balance_sort's SortJobConfig. Caveat: the charged
     /// hierarchy_time is observer-driven, so a resumed run's hierarchy
     /// accounting reflects only the post-resume traffic (the checkpoint
     /// preserves the PDM model quantities; the lane meter restarts).
-    std::string checkpoint_path;
-    std::string resume_from;
-    /// Test/chaos hook, forwarded to SortOptions::on_checkpoint.
-    std::function<void(std::uint64_t)> on_checkpoint;
+    DurabilityPolicy durability{};
 };
 
 struct HierSortReport : ReportBase {

@@ -47,25 +47,28 @@ private:
 
 } // namespace
 
-DriverState::DriverState(DiskArray& d, const PdmConfig& c, const SortOptions& o, std::uint32_t dv,
-                         std::uint32_t threads, SortReport* rep)
+DriverState::DriverState(DiskArray& d, const PdmConfig& c, const SortJobConfig& j,
+                         std::uint32_t dv, std::uint32_t threads, SortReport* rep)
     : disks(d),
-      vdisks(d, dv, o.synchronized_writes),
+      vdisks(d, dv, j.io_policy.synchronized_writes),
       cfg(c),
-      opt(o),
+      job(j),
       // Borrow the service's shared executor when one was supplied; spin a
       // private one only for a genuinely multi-threaded private run. The
       // Parallel view's logical width is `threads` either way — charges
       // never depend on the physical worker count.
-      owned_exec(o.executor == nullptr && threads > 1
+      owned_exec(j.compute_policy.shared_executor == nullptr && threads > 1
                      ? std::make_unique<Executor>(threads - 1)
                      : nullptr),
-      pool(threads, o.executor != nullptr ? o.executor : owned_exec.get(), &compute),
+      pool(threads,
+           j.compute_policy.shared_executor != nullptr ? j.compute_policy.shared_executor
+                                                       : owned_exec.get(),
+           &compute),
       cost(c.p),
       // §6: with synchronized writes even the output run is written in
       // fully striped (common fresh index) stripes, so *every* write of
       // the sort is parity-friendly, not just the bucket tracks.
-      out(d, 0, o.synchronized_writes),
+      out(d, 0, j.io_policy.synchronized_writes),
       report(rep),
       // Retain at most a few memoryloads of idle capacity — roughly the
       // serial driver's peak live staging (base-case load + prefetch
@@ -73,8 +76,9 @@ DriverState::DriverState(DiskArray& d, const PdmConfig& c, const SortOptions& o,
       // free their memory instead of hoarding it. kPoolRetainAuto keeps
       // that default; any other value is the caller's explicit cap
       // (0 = unlimited, matching BufferPool's contract).
-      buffers(o.pool_retain_records == SortOptions::kPoolRetainAuto ? 4 * c.m
-                                                                    : o.pool_retain_records) {
+      buffers(j.io_policy.pool_retain_records == IoPolicy::kPoolRetainAuto
+                  ? 4 * c.m
+                  : j.io_policy.pool_retain_records) {
     tracer = balsort::tracer();
     if (tracer != nullptr) {
         lane_pivot = tracer->lane("phase:pivot");
@@ -85,7 +89,7 @@ DriverState::DriverState(DiskArray& d, const PdmConfig& c, const SortOptions& o,
 }
 
 void DriverState::check_cancelled() const {
-    if (opt.cancel != nullptr && opt.cancel->load(std::memory_order_relaxed)) {
+    if (job.cancel_flag != nullptr && job.cancel_flag->load(std::memory_order_relaxed)) {
         throw JobCancelled("balance_sort: cancelled by request");
     }
 }
@@ -97,7 +101,7 @@ PhaseTimer::~PhaseTimer() {
 }
 
 std::uint32_t PivotPhase::choose_s(std::uint64_t n) const {
-    switch (st_.opt.bucket_policy) {
+    switch (st_.job.bucket_policy) {
         case BucketPolicy::kSqrtLevel:
             // §4.3 square-root decomposition, re-evaluated at every level.
             return std::max<std::uint32_t>(
@@ -106,8 +110,8 @@ std::uint32_t PivotPhase::choose_s(std::uint64_t n) const {
         case BucketPolicy::kFixed:
         case BucketPolicy::kPaperPdm:
         default:
-            return st_.opt.s_target != 0
-                       ? st_.opt.s_target
+            return st_.job.s_target != 0
+                       ? st_.job.s_target
                        : default_bucket_count(st_.cfg, st_.vdisks.vblock_records());
     }
 }
@@ -137,7 +141,7 @@ std::vector<BucketOutput> BalancePhase::run(
     std::vector<BucketOutput> buckets;
     {
         auto src = take_source();
-        buckets = balance_pass(*src, pivots, st_.vdisks, st_.cfg.m, st_.opt.balance, st_.pool,
+        buckets = balance_pass(*src, pivots, st_.vdisks, st_.cfg.m, st_.job.balance_opts, st_.pool,
                                &st_.meter, &st_.cost, &bstats, sketch_child_s, st_.buffer_pool());
     }
     if (st_.report != nullptr) {
@@ -177,7 +181,7 @@ void BaseCasePhase::run(RecordSource& src, std::uint64_t n,
     // The scheduler's staging point: the next bucket's memoryload goes to
     // the engine here, so its transfers run under the sort below.
     if (after_load) after_load();
-    if (st_.opt.internal_sort == InternalSort::kParallelRadix) {
+    if (st_.job.internal_sort == InternalSort::kParallelRadix) {
         parallel_radix_sort(*buf, st_.pool, &st_.meter, &st_.cost);
     } else {
         parallel_merge_sort(*buf, st_.pool, &st_.meter, &st_.cost);
@@ -245,9 +249,9 @@ SortPipeline::SortPipeline(DriverState& st)
     : st_(st), pivot_(st), balance_(st), base_(st), emit_(st) {}
 
 void SortPipeline::run(const SourceFactory& top, std::uint64_t n, ResumeCursor* resume) {
-    if (st_.opt.progress != nullptr) {
-        st_.opt.progress->records_total.store(n, std::memory_order_relaxed);
-        st_.opt.progress->records_emitted.store(0, std::memory_order_relaxed);
+    if (ProgressSink* p = st_.job.obs_policy.progress; p != nullptr) {
+        p->records_total.store(n, std::memory_order_relaxed);
+        p->records_emitted.store(0, std::memory_order_relaxed);
     }
     process_node(top, nullptr, n, 0, nullptr, {}, resume);
     st_.progress_phase(ProgressSink::kDone);
@@ -317,8 +321,8 @@ void SortPipeline::process_node(const SourceFactory& factory,
     if (st_.checkpointer != nullptr && !node_resumed) st_.checkpointer->boundary();
 
     // ---- Stage 2: Balance (Algorithms 3-6). ----
-    const bool sketch_children = st_.opt.pivot_method == PivotMethod::kStreamingSketch &&
-                                 st_.opt.bucket_policy != BucketPolicy::kSqrtLevel;
+    const bool sketch_children = st_.job.pivot_method == PivotMethod::kStreamingSketch &&
+                                 st_.job.bucket_policy != BucketPolicy::kSqrtLevel;
     const bool buckets_restored = node_resumed && restored.has_buckets;
     std::vector<BucketOutput> buckets =
         buckets_restored ? std::move(restored.buckets)
@@ -353,7 +357,7 @@ void SortPipeline::walk_buckets(std::vector<BucketOutput>& buckets, std::uint64_
     // §4.4: only buckets that will recurse are repositioned; base cases
     // are read exactly once anyway.
     auto will_reposition = [&](const BucketOutput& b) {
-        return st_.opt.reposition_buckets && !sorted_already(b) && b.run.n_records > st_.cfg.m;
+        return st_.job.reposition_buckets && !sorted_already(b) && b.run.n_records > st_.cfg.m;
     };
 
     // Each bucket's blocks are released once it has been fully consumed,
@@ -376,7 +380,7 @@ void SortPipeline::walk_buckets(std::vector<BucketOutput>& buckets, std::uint64_
         // delay nearer reads), and never one that will be repositioned
         // (repositioning rewrites and releases the staged storage).
         std::function<void()> hook;
-        if (st_.opt.cross_bucket_prefetch) {
+        if (st_.job.io_policy.cross_bucket_prefetch) {
             std::size_t j = i + 1;
             while (j < buckets.size() && buckets[j].run.n_records == 0) ++j;
             if (j < buckets.size() && !will_reposition(buckets[j])) {

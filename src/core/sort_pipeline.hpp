@@ -69,8 +69,9 @@ struct DriverState {
     DiskArray& disks;
     VirtualDisks vdisks;
     const PdmConfig& cfg;
-    const SortOptions& opt;
-    /// Private executor, created only when no borrowed SortOptions::executor
+    /// The validated sort configuration, read directly by every stage.
+    const SortJobConfig& job;
+    /// Private executor, created only when no ComputePolicy::shared_executor
     /// was supplied and the resolved thread count exceeds 1.
     std::unique_ptr<Executor> owned_exec;
     /// This sort's compute-accounting channel: task counts on a shared
@@ -89,7 +90,7 @@ struct DriverState {
     PhaseProfile profile;
 
     // Observability (DESIGN.md §11): the installed tracer bound once at
-    // construction (balance_sort publishes opt.trace first) plus one
+    // construction (balance_sort publishes ObsPolicy::trace first) plus one
     // timeline lane per pipeline phase. All phases no-op on a null tracer.
     Tracer* tracer = nullptr;
     std::uint32_t lane_pivot = 0;
@@ -102,37 +103,41 @@ struct DriverState {
 
     // Checkpointing (DESIGN.md §13): the live recursion stack (root first,
     // internal nodes only — base cases are atomic between boundaries) and
-    // the boundary writer, null unless SortOptions::checkpoint_path is set.
+    // the boundary writer, null unless DurabilityPolicy::checkpoint_path is
+    // set.
     std::vector<PipelineFrame> frames;
     Checkpointer* checkpointer = nullptr;
 
-    DriverState(DiskArray& d, const PdmConfig& c, const SortOptions& o, std::uint32_t dv,
+    DriverState(DiskArray& d, const PdmConfig& c, const SortJobConfig& j, std::uint32_t dv,
                 std::uint32_t threads, SortReport* rep);
 
-    /// The staging pool, or null when SortOptions::pool_buffers is off
-    /// (call sites then fall back to plain per-pass buffers). A caller-
-    /// provided SortOptions::shared_pool takes precedence over the sort's
-    /// own pool so co-scheduled jobs can recycle buffers across each other.
+    /// The staging pool, or null when IoPolicy::pool_buffers is off (call
+    /// sites then fall back to plain per-pass buffers). A caller-provided
+    /// IoPolicy::shared_pool takes precedence over the sort's own pool so
+    /// co-scheduled jobs can recycle buffers across each other.
     BufferPool* buffer_pool() {
-        if (!opt.pool_buffers) return nullptr;
-        return opt.shared_pool != nullptr ? opt.shared_pool : &buffers;
+        const IoPolicy& io = job.io_policy;
+        if (!io.pool_buffers) return nullptr;
+        return io.shared_pool != nullptr ? io.shared_pool : &buffers;
     }
 
     /// Cooperative cancellation (DESIGN.md §14): throws JobCancelled when
-    /// SortOptions::cancel is set and has been raised. Called at node entry
-    /// and between buckets — boundaries where the array holds no partially
-    /// transferred state, so the caller can reclaim scratch safely.
+    /// SortJobConfig::cancel_flag is set and has been raised. Called at
+    /// node entry and between buckets — boundaries where the array holds no
+    /// partially transferred state, so the caller can reclaim scratch safely.
     void check_cancelled() const;
 
     /// Live-progress publication (DESIGN.md §16): no-ops without a
-    /// SortOptions::progress sink. Relaxed stores — watchers tolerate any
+    /// ObsPolicy::progress sink. Relaxed stores — watchers tolerate any
     /// interleaving; no model quantity reads these.
     void progress_phase(std::uint32_t id) const {
-        if (opt.progress != nullptr) opt.progress->phase_id.store(id, std::memory_order_relaxed);
+        if (ProgressSink* p = job.obs_policy.progress; p != nullptr) {
+            p->phase_id.store(id, std::memory_order_relaxed);
+        }
     }
     void progress_emitted(std::uint64_t n_records) const {
-        if (opt.progress != nullptr) {
-            opt.progress->records_emitted.fetch_add(n_records, std::memory_order_relaxed);
+        if (ProgressSink* p = job.obs_policy.progress; p != nullptr) {
+            p->records_emitted.fetch_add(n_records, std::memory_order_relaxed);
         }
     }
 };

@@ -120,7 +120,7 @@ class Profiler {
     Impl* impl_;
 };
 
-/// RAII start/stop for the optional profiler carried by SortOptions: a
+/// RAII start/stop for the optional profiler carried by ObsPolicy: a
 /// null profiler is a no-op guard, like TracerInstallGuard.
 class ProfilerScope {
   public:

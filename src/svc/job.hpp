@@ -13,7 +13,7 @@
 #include <string>
 #include <vector>
 
-#include "core/sort_config.hpp"
+#include "core/balance_sort.hpp"
 #include "pdm/io_stats.hpp"
 #include "util/record.hpp"
 #include "util/workload.hpp"

@@ -102,19 +102,13 @@ AdmissionResult SortScheduler::submit(JobSpec spec) {
         BS_REQUIRE(spec.config.compute_policy.shared_executor == nullptr,
                    "JobSpec: the scheduler wires the shared Executor; leave "
                    "ComputePolicy::shared_executor null");
-        // ComputePolicy::validate() can't see the scheduler's executor at
-        // admission (it is only wired in at execute() time), so the
-        // lane-count-vs-executor-width check must happen here — otherwise
-        // an oversubscribed job is admitted and dies mid-run as a job
-        // failure instead of an AdmissionResult rejection.
-        BS_REQUIRE(executor_ == nullptr ||
-                       spec.config.compute_policy.threads <= executor_->workers() + 1,
-                   "JobSpec: threads exceeds what the scheduler's shared executor can "
-                   "honor (its workers() + the submitting thread)");
         BS_REQUIRE(spec.config.obs_policy.trace == nullptr &&
                        spec.config.obs_policy.metrics == nullptr,
                    "JobSpec: per-job observability sinks would fight over the process-wide "
                    "installation; use SchedulerConfig::trace/metrics");
+        BS_REQUIRE(spec.config.obs_policy.progress == nullptr,
+                   "JobSpec: the scheduler publishes each job's progress; read it through "
+                   "SortScheduler::status()");
         PdmConfig pdm;
         pdm.n = n;
         pdm.m = spec.m;
@@ -122,7 +116,10 @@ AdmissionResult SortScheduler::submit(JobSpec spec) {
         pdm.b = disks_.block_size();
         pdm.p = spec.p;
         pdm.validate();
-        spec.config.validate(disks_.num_disks());
+        // Validated as it will run, shared executor included, so a lane cap
+        // the executor cannot honor is an AdmissionResult rejection rather
+        // than a mid-run job failure.
+        wire_shared(spec.config).validate(disks_.num_disks());
     } catch (const std::exception& e) {
         res.reason = e.what();
         return res;
@@ -228,6 +225,17 @@ void SortScheduler::run_job(Job& job) {
     finish(job, terminal, error);
 }
 
+SortJobConfig SortScheduler::wire_shared(SortJobConfig cfg) {
+    if (cfg_.share_buffer_pool && cfg.io_policy.pool_buffers) {
+        // The shared pool's retention is fixed at construction; a per-job
+        // cap would only have sized the private pool this replaces.
+        cfg.io_policy.shared_pool = &shared_pool_;
+        cfg.io_policy.pool_retain_records = IoPolicy::kPoolRetainAuto;
+    }
+    if (executor_ != nullptr) cfg.compute_policy.shared_executor = executor_.get();
+    return cfg;
+}
+
 void SortScheduler::execute(Job& job) {
     const auto t_enter = std::chrono::steady_clock::now();
     const JobSpec& spec = job.spec;
@@ -241,16 +249,9 @@ void SortScheduler::execute(Job& job) {
     pdm.b = disks_.block_size();
     pdm.p = spec.p;
 
-    SortJobConfig cfg = spec.config;
+    SortJobConfig cfg = wire_shared(spec.config);
     cfg.cancel(&job.cancel);
-    if (cfg_.share_buffer_pool && cfg.io_policy.pool_buffers) {
-        cfg.io_policy.shared_pool = &shared_pool_;
-    }
-    if (executor_ != nullptr) {
-        cfg.compute_policy.shared_executor = executor_.get();
-    }
-    SortOptions opt = cfg.options();
-    opt.progress = &job.progress;
+    cfg.obs_policy.progress = &job.progress;
 
     // Fairness: every charged step passes the arbiter before the array's
     // internal lock (the gate contract). The wrapper times the charge —
@@ -297,7 +298,7 @@ void SortScheduler::execute(Job& job) {
             std::lock_guard<std::mutex> lock(mu_);
             job.other_seconds += seg;
         }
-        BlockRun out = balance_sort(disks_, in_run, pdm, opt, &job.report);
+        BlockRun out = balance_sort(disks_, in_run, pdm, cfg, &job.report);
         t_post = std::chrono::steady_clock::now();
         waited_at_post = waited();
         sorted = read_run(disks_, out);

@@ -167,7 +167,7 @@ private:
         double elapsed_seconds = 0;
         IoStats final_io; ///< channel accounting frozen at termination
         /// Live pipeline progress, written by the sort's driver via
-        /// SortOptions::progress (DESIGN.md §16).
+        /// ObsPolicy::progress (DESIGN.md §16).
         ProgressSink progress;
         /// Worker start time (kRunning: the live-elapsed origin).
         std::chrono::steady_clock::time_point started_at{};
@@ -183,6 +183,9 @@ private:
     /// for an empty array and block later starts until they finish
     /// (head-of-line, deliberately: their checkpoints snapshot everything).
     void maybe_start_locked();
+    /// `cfg` with the scheduler's shared pool and executor wired in — the
+    /// configuration a job runs under, so admission validates exactly that.
+    SortJobConfig wire_shared(SortJobConfig cfg);
     void run_job(Job& job);
     /// The job body (worker thread, channel bound). Returns the report,
     /// output hash and elapsed time via `job`; throws on failure.

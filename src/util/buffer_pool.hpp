@@ -17,7 +17,7 @@
 ///  * A Lease is move-only; moving transfers the return obligation.
 ///  * `BufferPool::acquire_from(nullptr, n)` yields an *unpooled* lease —
 ///    a plain vector freed on destruction — so call sites stay uniform when
-///    pooling is disabled (SortOptions::pool_buffers == false).
+///    pooling is disabled (IoPolicy::pool_buffers == false).
 ///
 /// Thread safety: acquire/return are mutex-guarded (cheap, uncontended —
 /// the driver stages on one thread; engine workers only fill buffer memory

@@ -84,10 +84,10 @@ public:
     using IoError::IoError;
 };
 
-/// A cooperative cancellation request (SortOptions::cancel) was observed at
-/// a pipeline boundary (DESIGN.md §14). Not a fault: the array is left
-/// healthy and the caller reclaims the job's scratch. Deliberately outside
-/// the IoError family so recovery ladders never swallow it.
+/// A cooperative cancellation request (SortJobConfig::cancel_flag) was
+/// observed at a pipeline boundary (DESIGN.md §14). Not a fault: the array
+/// is left healthy and the caller reclaims the job's scratch. Deliberately
+/// outside the IoError family so recovery ladders never swallow it.
 class JobCancelled : public std::runtime_error {
 public:
     explicit JobCancelled(const std::string& what) : std::runtime_error(what) {}

@@ -90,11 +90,12 @@ struct Result {
     // re-lays it out: identical blocks land at identical indices before
     // restore() rewinds the allocator to the checkpointed cut.
     const BlockRun input = write_striped(disks, records);
-    SortOptions opt;
-    opt.checkpoint_path = (dir / "chaos.ck").string();
-    if (resume && fs::exists(opt.checkpoint_path)) opt.resume_from = opt.checkpoint_path;
+    SortJobConfig opt;
+    DurabilityPolicy& dur = opt.durability_policy;
+    dur.checkpoint_path = (dir / "chaos.ck").string();
+    if (resume && fs::exists(dur.checkpoint_path)) dur.resume_from = dur.checkpoint_path;
     if (kill_boundary != 0) {
-        opt.on_checkpoint = [kill_boundary](std::uint64_t seq) {
+        dur.on_checkpoint = [kill_boundary](std::uint64_t seq) {
             if (seq == kill_boundary) ::_exit(kKillExit);
         };
     }
@@ -173,8 +174,8 @@ void hang_scenario(const fs::path& dir) {
     DiskArray disks(kCfg.d, kCfg.b, DiskBackend::kFile, dir.string(),
                     Constraint::kIndependentDisks, ft);
     auto records = generate(Workload::kUniform, kCfg.n, kInputSeed);
-    SortOptions opt;
-    opt.metrics = &reg;
+    SortJobConfig opt;
+    opt.obs_policy.metrics = &reg;
     SortReport rep;
     const auto sorted = balance_sort_records(disks, std::move(records), kCfg, opt, &rep);
     check(std::is_sorted(sorted.begin(), sorted.end(),

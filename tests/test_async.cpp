@@ -522,13 +522,13 @@ TEST(BalanceSortAsync, ReportBitIdenticalToSyncOnMemoryBackend) {
     std::vector<Record> sync_sorted, async_sorted;
     {
         DiskArray disks(cfg.d, cfg.b); // inline executor
-        sync_sorted = balance_sort_records(disks, input, cfg, SortOptions{}, &sync_rep);
+        sync_sorted = balance_sort_records(disks, input, cfg, SortJobConfig{}, &sync_rep);
         EXPECT_FALSE(disks.async_enabled());
     }
     {
         DiskArray disks(cfg.d, cfg.b);
         disks.set_async(true); // the same kind of array on the workers
-        async_sorted = balance_sort_records(disks, input, cfg, SortOptions{}, &async_rep);
+        async_sorted = balance_sort_records(disks, input, cfg, SortJobConfig{}, &async_rep);
         // The sort left a memory-backed array's executor as its owner set it.
         EXPECT_TRUE(disks.async_enabled());
     }
@@ -557,14 +557,14 @@ TEST(BalanceSortAsync, FileBackendAutoEnablesTheEngine) {
     std::vector<Record> auto_sorted, off_sorted;
     {
         DiskArray disks(cfg.d, cfg.b, DiskBackend::kFile, dir);
-        auto_sorted = balance_sort_records(disks, input, cfg, SortOptions{}, &auto_rep);
+        auto_sorted = balance_sort_records(disks, input, cfg, SortJobConfig{}, &auto_rep);
         // The workers are scoped to the sort: the caller's array is back on
         // the inline executor afterwards.
         EXPECT_FALSE(disks.async_enabled());
     }
     {
         DiskArray disks(cfg.d, cfg.b); // memory-backed: inline unless set
-        off_sorted = balance_sort_records(disks, input, cfg, SortOptions{}, &off_rep);
+        off_sorted = balance_sort_records(disks, input, cfg, SortJobConfig{}, &off_rep);
     }
     EXPECT_GT(auto_rep.io.async_block_ops, 0u); // file-backed sorts run on the workers
     EXPECT_EQ(off_rep.io.async_block_ops, 0u);
@@ -572,17 +572,17 @@ TEST(BalanceSortAsync, FileBackendAutoEnablesTheEngine) {
     EXPECT_EQ(auto_rep.io.io_steps(), off_rep.io.io_steps());
 }
 
-// ------------------------------------------------- SortOptions::validate()
+// ------------------------------------ SortJobConfig::validate(d), per rule
 
 TEST(SortOptionsValidate, RejectsSketchWithSqrtLevelPolicy) {
-    SortOptions opt;
+    SortJobConfig opt;
     opt.pivot_method = PivotMethod::kStreamingSketch;
     opt.bucket_policy = BucketPolicy::kSqrtLevel;
     EXPECT_THROW(opt.validate(8), std::invalid_argument);
 }
 
 TEST(SortOptionsValidate, RejectsSTargetWithoutFixedPolicy) {
-    SortOptions opt;
+    SortJobConfig opt;
     opt.s_target = 4; // policy left at kPaperPdm
     EXPECT_THROW(opt.validate(8), std::invalid_argument);
     opt.bucket_policy = BucketPolicy::kFixed;
@@ -590,7 +590,7 @@ TEST(SortOptionsValidate, RejectsSTargetWithoutFixedPolicy) {
 }
 
 TEST(SortOptionsValidate, RejectsDVirtualNotDividingD) {
-    SortOptions opt;
+    SortJobConfig opt;
     opt.d_virtual = 3;
     EXPECT_THROW(opt.validate(8), std::invalid_argument);
     opt.d_virtual = 4;
@@ -603,10 +603,11 @@ TEST(SortOptionsValidate, BalanceSortRejectsIncoherentOptionsUpFront) {
     PdmConfig cfg{.n = 1000, .m = 256, .d = 4, .b = 4, .p = 1};
     DiskArray disks(cfg.d, cfg.b);
     auto input = generate(Workload::kUniform, cfg.n, 1);
-    SortOptions opt;
-    opt.s_target = 4; // without kFixed: previously silently implied
+    SortJobConfig opt;
+    opt.s_target = 4; // without kFixed: never silently implied
     EXPECT_THROW((void)balance_sort_records(disks, input, cfg, opt, nullptr),
                  std::invalid_argument);
+    EXPECT_EQ(disks.stats().blocks_written, 0u);
 }
 
 } // namespace

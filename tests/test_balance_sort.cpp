@@ -3,7 +3,11 @@
 // balance, determinism, report contents, and error handling.
 #include <gtest/gtest.h>
 
+#include <functional>
+
 #include "core/balance_sort.hpp"
+#include "core/hier_sort.hpp"
+#include "util/buffer_pool.hpp"
 #include "util/workload.hpp"
 
 namespace balsort {
@@ -24,8 +28,8 @@ TEST_P(SortGridTest, SortsCorrectlyWithInvariants) {
     PdmConfig cfg{.n = g.n, .m = g.m, .d = g.d, .b = g.b, .p = g.p};
     DiskArray disks(cfg.d, cfg.b);
     auto input = generate(w, cfg.n, 1234 + g.n);
-    SortOptions opt;
-    opt.balance.check_invariants = true;
+    SortJobConfig opt;
+    opt.balance_opts.check_invariants = true;
     SortReport rep;
     auto sorted = balance_sort_records(disks, input, cfg, opt, &rep);
     EXPECT_TRUE(is_sorted_permutation_of(input, sorted))
@@ -62,8 +66,8 @@ TEST_P(SortShapeTest, UniformAcrossMachineShapes) {
     PdmConfig cfg{.n = g.n, .m = g.m, .d = g.d, .b = g.b, .p = g.p};
     DiskArray disks(cfg.d, cfg.b);
     auto input = generate(Workload::kUniform, cfg.n, 777);
-    SortOptions opt;
-    opt.balance.check_invariants = true;
+    SortJobConfig opt;
+    opt.balance_opts.check_invariants = true;
     SortReport rep;
     auto sorted = balance_sort_records(disks, input, cfg, opt, &rep);
     EXPECT_TRUE(is_sorted_permutation_of(input, sorted))
@@ -88,7 +92,7 @@ TEST(BalanceSort, IoWithinConstantFactorOfTheorem1) {
     DiskArray disks(cfg.d, cfg.b);
     auto input = generate(Workload::kUniform, cfg.n, 42);
     SortReport rep;
-    auto sorted = balance_sort_records(disks, input, cfg, SortOptions{}, &rep);
+    auto sorted = balance_sort_records(disks, input, cfg, SortJobConfig{}, &rep);
     ASSERT_TRUE(is_sorted_by_key(sorted));
     EXPECT_GT(rep.io_ratio, 1.0);   // cannot beat the lower bound
     EXPECT_LT(rep.io_ratio, 25.0);  // and stays a small constant above it
@@ -105,7 +109,7 @@ TEST(BalanceSort, IoRatioFlatInN) {
         DiskArray disks(cfg.d, cfg.b);
         auto input = generate(Workload::kUniform, n, n);
         SortReport rep;
-        auto sorted = balance_sort_records(disks, input, cfg, SortOptions{}, &rep);
+        auto sorted = balance_sort_records(disks, input, cfg, SortJobConfig{}, &rep);
         ASSERT_TRUE(is_sorted_by_key(sorted));
         lo = std::min(lo, rep.io_ratio);
         hi = std::max(hi, rep.io_ratio);
@@ -119,7 +123,7 @@ TEST(BalanceSort, Theorem4WorstBucketRatio) {
         DiskArray disks(cfg.d, cfg.b);
         auto input = generate(w, cfg.n, 5);
         SortReport rep;
-        (void)balance_sort_records(disks, input, cfg, SortOptions{}, &rep);
+        (void)balance_sort_records(disks, input, cfg, SortJobConfig{}, &rep);
         EXPECT_LE(rep.worst_bucket_read_ratio, 2.25) << to_string(w);
     }
 }
@@ -129,8 +133,8 @@ TEST(BalanceSort, DeterministicAcrossRuns) {
     auto input = generate(Workload::kGaussian, cfg.n, 99);
     SortReport r1, r2;
     DiskArray d1(cfg.d, cfg.b), d2(cfg.d, cfg.b);
-    auto s1 = balance_sort_records(d1, input, cfg, SortOptions{}, &r1);
-    auto s2 = balance_sort_records(d2, input, cfg, SortOptions{}, &r2);
+    auto s1 = balance_sort_records(d1, input, cfg, SortJobConfig{}, &r1);
+    auto s2 = balance_sort_records(d2, input, cfg, SortJobConfig{}, &r2);
     EXPECT_EQ(s1, s2);
     EXPECT_EQ(r1.io.io_steps(), r2.io.io_steps());
     EXPECT_EQ(r1.balance.tracks, r2.balance.tracks);
@@ -145,11 +149,11 @@ TEST(BalanceSort, AllOptionCombinationsSort) {
         for (auto aux : {AuxRule::kPaperMedian, AuxRule::kArgTwiceAvg}) {
             for (auto defer : {DeferPolicy::kPaperDefer, DeferPolicy::kRebalanceAll}) {
                 DiskArray disks(cfg.d, cfg.b);
-                SortOptions opt;
-                opt.balance.matching = strat;
-                opt.balance.aux = aux;
-                opt.balance.defer = defer;
-                opt.balance.check_invariants = (aux == AuxRule::kPaperMedian);
+                SortJobConfig opt;
+                opt.balance_opts.matching = strat;
+                opt.balance_opts.aux = aux;
+                opt.balance_opts.defer = defer;
+                opt.balance_opts.check_invariants = (aux == AuxRule::kPaperMedian);
                 SortReport rep;
                 auto sorted = balance_sort_records(disks, input, cfg, opt, &rep);
                 EXPECT_TRUE(is_sorted_permutation_of(input, sorted))
@@ -166,7 +170,7 @@ TEST(BalanceSort, ExplicitSAndDVirtualOverrides) {
     for (std::uint32_t dv : {1u, 2u, 4u, 8u}) {
         for (std::uint32_t s : {2u, 3u, 8u}) {
             DiskArray disks(cfg.d, cfg.b);
-            SortOptions opt;
+            SortJobConfig opt;
             opt.d_virtual = dv;
             opt.s_target = s;
             opt.bucket_policy = BucketPolicy::kFixed;
@@ -183,7 +187,7 @@ TEST(BalanceSort, EqualClassFastPathEngages) {
     DiskArray disks(cfg.d, cfg.b);
     auto input = generate(Workload::kDuplicateHeavy, cfg.n, 11); // 16 keys
     SortReport rep;
-    auto sorted = balance_sort_records(disks, input, cfg, SortOptions{}, &rep);
+    auto sorted = balance_sort_records(disks, input, cfg, SortJobConfig{}, &rep);
     EXPECT_TRUE(is_sorted_permutation_of(input, sorted));
     // Nearly all mass should flow through equal-class streaming, keeping
     // the recursion shallow despite N/M = 48 and massive duplication.
@@ -196,7 +200,7 @@ TEST(BalanceSort, AllEqualInput) {
     DiskArray disks(cfg.d, cfg.b);
     auto input = generate(Workload::kAllEqual, cfg.n, 1);
     SortReport rep;
-    auto sorted = balance_sort_records(disks, input, cfg, SortOptions{}, &rep);
+    auto sorted = balance_sort_records(disks, input, cfg, SortJobConfig{}, &rep);
     EXPECT_TRUE(is_sorted_permutation_of(input, sorted));
     EXPECT_LE(rep.levels, 2u);
 }
@@ -215,41 +219,79 @@ TEST(BalanceSort, ConfigValidationErrors) {
     wrong_n.n = 99;
     EXPECT_THROW(balance_sort(disks, run, wrong_n, {}, nullptr), std::invalid_argument);
     // d_virtual that does not divide D.
-    SortOptions opt;
+    SortJobConfig opt;
     opt.d_virtual = 3;
     EXPECT_THROW(balance_sort(disks, run, ok, opt, nullptr), std::invalid_argument);
 }
 
 TEST(BalanceSort, ValidateRejectsIncoherentOptions) {
-    // Streaming sketch + per-level sqrt policy: the child S is unknown
-    // while the parent runs, so no sketch can be sized for it.
-    SortOptions sketch_sqrt;
-    sketch_sqrt.pivot_method = PivotMethod::kStreamingSketch;
-    sketch_sqrt.bucket_policy = BucketPolicy::kSqrtLevel;
-    EXPECT_THROW(sketch_sqrt.validate(4), std::invalid_argument);
+    // Every incoherent configuration is rejected with std::invalid_argument
+    // on entry — through balance_sort_records before the input layout
+    // writes a block, and through hier_sort wherever HierSortConfig can
+    // express the same mistake. SortJobConfig::validate is the one place
+    // each rule lives.
+    Executor exec(1); // workers() + the submitting thread = 2 lanes
+    BufferPool pool;
+    const auto hook = [](std::uint64_t) {};
+    struct Case {
+        const char* name;
+        std::function<void(SortJobConfig&)> sort;
+        std::function<void(HierSortConfig&)> hier; ///< empty: not expressible
+    };
+    const std::vector<Case> cases = {
+        {"hook without checkpoint path",
+         [&](SortJobConfig& c) { c.durability(DurabilityPolicy{}.hook(hook)); },
+         [&](HierSortConfig& h) { h.durability.hook(hook); }},
+        {"shared pool with pooling off",
+         [&](SortJobConfig& c) { c.io(IoPolicy{}.pooled(false).pool(&pool)); }, {}},
+        {"retention cap with pooling off",
+         [](SortJobConfig& c) { c.io(IoPolicy{}.pooled(false).pool_retain(1000)); }, {}},
+        {"resume without checkpoint",
+         [](SortJobConfig& c) { c.durability(DurabilityPolicy{}.resume("ck.bin")); },
+         [](HierSortConfig& h) { h.durability.resume("ck.bin"); }},
+        // The child S is unknown while the parent runs, so no sketch can
+        // be sized for it.
+        {"sketch with sqrt-level policy",
+         [](SortJobConfig& c) {
+             c.pivots(PivotMethod::kStreamingSketch).bucket_rule(BucketPolicy::kSqrtLevel);
+         },
+         {}},
+        {"s_target with the paper policy",
+         [](SortJobConfig& c) { c.buckets(8, BucketPolicy::kPaperPdm); }, {}},
+        {"s_target with sqrt-level policy",
+         [](SortJobConfig& c) { c.buckets(8, BucketPolicy::kSqrtLevel); }, {}},
+        {"d_virtual not dividing D", [](SortJobConfig& c) { c.virtual_disks(3); },
+         [](HierSortConfig& h) { h.h_virtual = 3; }},
+        {"d_virtual above D", [](SortJobConfig& c) { c.virtual_disks(8); },
+         [](HierSortConfig& h) { h.h_virtual = 16; }},
+        {"thread cap above the shared executor",
+         [&](SortJobConfig& c) { c.compute(ComputePolicy{}.executor(&exec).lanes(3)); }, {}},
+    };
+    const PdmConfig cfg{.n = 1000, .m = 256, .d = 4, .b = 4, .p = 4};
+    const auto input = generate(Workload::kUniform, cfg.n, 1);
+    for (const Case& c : cases) {
+        SCOPED_TRACE(c.name);
+        SortJobConfig job;
+        c.sort(job);
+        DiskArray disks(cfg.d, cfg.b);
+        EXPECT_THROW((void)balance_sort_records(disks, input, cfg, job, nullptr),
+                     std::invalid_argument);
+        EXPECT_EQ(disks.stats().blocks_written, 0u);
+        if (c.hier) {
+            HierSortConfig hc;
+            hc.h = 8;
+            c.hier(hc);
+            EXPECT_THROW((void)hier_sort(input, hc, nullptr), std::invalid_argument);
+        }
+    }
 
-    // s_target with a non-fixed policy (previously silently implied kFixed).
-    SortOptions s_no_fixed;
-    s_no_fixed.s_target = 8;
-    s_no_fixed.bucket_policy = BucketPolicy::kPaperPdm;
-    EXPECT_THROW(s_no_fixed.validate(4), std::invalid_argument);
-    s_no_fixed.bucket_policy = BucketPolicy::kSqrtLevel;
-    EXPECT_THROW(s_no_fixed.validate(4), std::invalid_argument);
-    s_no_fixed.bucket_policy = BucketPolicy::kFixed;
-    EXPECT_NO_THROW(s_no_fixed.validate(4));
-
-    // d_virtual must divide D (and not exceed it).
-    SortOptions dv;
-    dv.d_virtual = 3;
-    EXPECT_THROW(dv.validate(4), std::invalid_argument);
-    dv.d_virtual = 8;
-    EXPECT_THROW(dv.validate(4), std::invalid_argument);
-    dv.d_virtual = 2;
-    EXPECT_NO_THROW(dv.validate(4));
-
-    // The defaults are coherent for any D.
-    EXPECT_NO_THROW(SortOptions{}.validate(1));
-    EXPECT_NO_THROW(SortOptions{}.validate(16));
+    // The coherent neighbours of those cases pass, and the defaults are
+    // coherent for any D.
+    EXPECT_NO_THROW(SortJobConfig{}.buckets(8, BucketPolicy::kFixed).validate(4));
+    EXPECT_NO_THROW(SortJobConfig{}.virtual_disks(2).validate(4));
+    EXPECT_NO_THROW(SortJobConfig{}.compute(ComputePolicy{}.executor(&exec).lanes(2)).validate(4));
+    EXPECT_NO_THROW(SortJobConfig{}.validate(1));
+    EXPECT_NO_THROW(SortJobConfig{}.validate(16));
 }
 
 TEST(BalanceSort, EqualClassStreamCopyResolvesAllEqualWithoutRecursion) {
@@ -260,8 +302,8 @@ TEST(BalanceSort, EqualClassStreamCopyResolvesAllEqualWithoutRecursion) {
     for (bool pool : {true, false}) {
         DiskArray disks(cfg.d, cfg.b);
         auto input = generate(Workload::kAllEqual, cfg.n, 3);
-        SortOptions opt;
-        opt.pool_buffers = pool;
+        SortJobConfig opt;
+        opt.io_policy.pool_buffers = pool;
         SortReport rep;
         auto sorted = balance_sort_records(disks, input, cfg, opt, &rep);
         EXPECT_TRUE(is_sorted_permutation_of(input, sorted)) << "pool=" << pool;
@@ -276,7 +318,7 @@ TEST(BalanceSort, WorkMetricsPopulated) {
     DiskArray disks(cfg.d, cfg.b);
     auto input = generate(Workload::kUniform, cfg.n, 17);
     SortReport rep;
-    (void)balance_sort_records(disks, input, cfg, SortOptions{}, &rep);
+    (void)balance_sort_records(disks, input, cfg, SortJobConfig{}, &rep);
     EXPECT_GT(rep.comparisons, cfg.n); // at least one comparison per record
     EXPECT_GT(rep.pram_time, 0.0);
     EXPECT_GT(rep.optimal_work, 0.0);

@@ -90,9 +90,9 @@ TEST(MinCostBalance, SortsAndNeedsNoRebalancing) {
     for (Workload w : {Workload::kUniform, Workload::kGaussian, Workload::kZipf}) {
         DiskArray disks(cfg.d, cfg.b);
         auto input = generate(w, cfg.n, 31);
-        SortOptions opt;
-        opt.balance.assign = AssignPolicy::kMinCostMatching;
-        opt.balance.check_invariants = true;
+        SortJobConfig opt;
+        opt.balance_opts.assign = AssignPolicy::kMinCostMatching;
+        opt.balance_opts.check_invariants = true;
         SortReport rep;
         auto sorted = balance_sort_records(disks, input, cfg, opt, &rep);
         EXPECT_TRUE(is_sorted_permutation_of(input, sorted)) << to_string(w);
@@ -114,12 +114,12 @@ TEST(MinCostBalance, BalancesAtLeastAsWellAsCyclic) {
     SortReport cyclic_rep, mincost_rep;
     {
         DiskArray disks(cfg.d, cfg.b);
-        (void)balance_sort_records(disks, input, cfg, SortOptions{}, &cyclic_rep);
+        (void)balance_sort_records(disks, input, cfg, SortJobConfig{}, &cyclic_rep);
     }
     {
         DiskArray disks(cfg.d, cfg.b);
-        SortOptions opt;
-        opt.balance.assign = AssignPolicy::kMinCostMatching;
+        SortJobConfig opt;
+        opt.balance_opts.assign = AssignPolicy::kMinCostMatching;
         (void)balance_sort_records(disks, input, cfg, opt, &mincost_rep);
     }
     EXPECT_LE(mincost_rep.worst_bucket_read_ratio,
@@ -149,8 +149,8 @@ TEST(SynchronizedWrites, EveryBucketWriteStepIsOneStripe) {
             }
         }
     });
-    SortOptions opt;
-    opt.synchronized_writes = true;
+    SortJobConfig opt;
+    opt.io_policy.synchronized_writes = true;
     SortReport rep;
     BlockRun out = balance_sort(disks, run, cfg, opt, &rep);
     disks.set_step_observer(nullptr);
@@ -186,13 +186,13 @@ TEST(SynchronizedWrites, SameIoStepsMoreSpace) {
     std::uint64_t plain_hw = 0, synced_hw = 0;
     {
         DiskArray disks(cfg.d, cfg.b);
-        (void)balance_sort_records(disks, input, cfg, SortOptions{}, &plain);
+        (void)balance_sort_records(disks, input, cfg, SortJobConfig{}, &plain);
         for (std::uint32_t d = 0; d < cfg.d; ++d) plain_hw += disks.high_water(d);
     }
     {
         DiskArray disks(cfg.d, cfg.b);
-        SortOptions opt;
-        opt.synchronized_writes = true;
+        SortJobConfig opt;
+        opt.io_policy.synchronized_writes = true;
         (void)balance_sort_records(disks, input, cfg, opt, &synced);
         for (std::uint32_t d = 0; d < cfg.d; ++d) synced_hw += disks.high_water(d);
     }
@@ -223,7 +223,7 @@ TEST(Allocator, SortFootprintStaysBounded) {
     DiskArray disks(cfg.d, cfg.b);
     auto input = generate(Workload::kUniform, cfg.n, 13);
     SortReport rep;
-    auto sorted = balance_sort_records(disks, input, cfg, SortOptions{}, &rep);
+    auto sorted = balance_sort_records(disks, input, cfg, SortJobConfig{}, &rep);
     ASSERT_TRUE(is_sorted_by_key(sorted));
     ASSERT_GE(rep.levels, 3u); // deep recursion actually happened
     std::uint64_t total_hw = 0;

@@ -492,8 +492,8 @@ SoakResult run_faulty_sort(const PdmConfig& cfg, const FaultTolerance& ft,
     DiskArray disks(cfg.d, cfg.b, DiskBackend::kMemory, ".", Constraint::kIndependentDisks, ft);
     disks.set_async(workers);
     auto input = generate(Workload::kUniform, cfg.n, data_seed);
-    SortOptions opt;
-    opt.synchronized_writes = true;
+    SortJobConfig opt;
+    opt.io_policy.synchronized_writes = true;
     SoakResult r;
     r.sorted = balance_sort_records(disks, input, cfg, opt, &r.report);
     return r;
@@ -690,8 +690,8 @@ TEST(BalanceSortFaults, SynchronizedWritesMakeParityRmwFree) {
     ft.parity = true;
     DiskArray disks(cfg.d, cfg.b, DiskBackend::kMemory, ".", Constraint::kIndependentDisks, ft);
     auto input = generate(Workload::kUniform, cfg.n, 13);
-    SortOptions opt;
-    opt.synchronized_writes = true;
+    SortJobConfig opt;
+    opt.io_policy.synchronized_writes = true;
     SortReport rep;
     auto sorted = balance_sort_records(disks, input, cfg, opt, &rep);
     EXPECT_TRUE(is_sorted_by_key(sorted));
@@ -704,8 +704,8 @@ TEST(BalanceSortFaults, CleanRunStepCountUnchangedByFaultMachinery) {
     // Checksums + parity must not disturb the paper's I/O measure.
     PdmConfig cfg{.n = 2000, .m = 256, .d = 4, .b = 4, .p = 2};
     auto input = generate(Workload::kUniform, cfg.n, 3);
-    SortOptions opt;
-    opt.synchronized_writes = true;
+    SortJobConfig opt;
+    opt.io_policy.synchronized_writes = true;
     SortReport plain, guarded;
     {
         DiskArray disks(cfg.d, cfg.b);

@@ -54,18 +54,18 @@ TEST(Fuzz, BalanceSortRandomOptionMatrix) {
         FuzzCase f = random_case(rng);
         auto input = generate(f.workload, f.cfg.n, f.seed);
         auto want = reference_sorted(input);
-        SortOptions opt;
-        opt.balance.matching =
+        SortJobConfig opt;
+        opt.balance_opts.matching =
             static_cast<MatchStrategy>(rng.below(3));
-        opt.balance.aux = static_cast<AuxRule>(rng.below(2));
-        opt.balance.defer = static_cast<DeferPolicy>(rng.below(2));
-        opt.balance.assign = static_cast<AssignPolicy>(rng.below(3));
+        opt.balance_opts.aux = static_cast<AuxRule>(rng.below(2));
+        opt.balance_opts.defer = static_cast<DeferPolicy>(rng.below(2));
+        opt.balance_opts.assign = static_cast<AssignPolicy>(rng.below(3));
         opt.pivot_method = static_cast<PivotMethod>(rng.below(2));
         opt.internal_sort = static_cast<InternalSort>(rng.below(2));
-        opt.synchronized_writes = rng.below(2) == 1;
+        opt.io_policy.synchronized_writes = rng.below(2) == 1;
         opt.reposition_buckets = rng.below(2) == 1;
-        opt.balance.check_invariants = opt.balance.aux == AuxRule::kPaperMedian;
-        opt.balance.seed = rng();
+        opt.balance_opts.check_invariants = opt.balance_opts.aux == AuxRule::kPaperMedian;
+        opt.balance_opts.seed = rng();
         DiskArray disks(f.cfg.d, f.cfg.b);
         std::vector<Record> sorted;
         ASSERT_NO_THROW(sorted = balance_sort_records(disks, input, f.cfg, opt, nullptr))

@@ -18,8 +18,8 @@ TEST(Integration, FileBackedBalanceSortEndToEnd) {
     PdmConfig cfg{.n = 30000, .m = 1024, .d = 8, .b = 16, .p = 2};
     DiskArray disks(cfg.d, cfg.b, DiskBackend::kFile, "/tmp");
     auto input = generate(Workload::kUniform, cfg.n, 2025);
-    SortOptions opt;
-    opt.balance.check_invariants = true;
+    SortJobConfig opt;
+    opt.balance_opts.check_invariants = true;
     SortReport rep;
     auto sorted = balance_sort_records(disks, input, cfg, opt, &rep);
     EXPECT_TRUE(is_sorted_permutation_of(input, sorted));
@@ -144,8 +144,8 @@ TEST(Integration, StressManySmallSorts) {
         DiskArray disks(cfg.d, cfg.b);
         const auto w = all_workloads()[trial % all_workloads().size()];
         auto input = generate(w, n, trial);
-        SortOptions opt;
-        opt.balance.check_invariants = true;
+        SortJobConfig opt;
+        opt.balance_opts.check_invariants = true;
         auto sorted = balance_sort_records(disks, input, cfg, opt, nullptr);
         ASSERT_TRUE(is_sorted_permutation_of(input, sorted))
             << "trial=" << trial << " n=" << n << " d=" << d << " b=" << b << " m=" << m

@@ -14,6 +14,7 @@
 #include <thread>
 
 #include "core/balance_sort.hpp"
+#include "core/hier_sort.hpp"
 #include "obs/bench_result.hpp"
 #include "obs/json.hpp"
 #include "obs/metrics.hpp"
@@ -487,9 +488,9 @@ TEST(BalanceTimelineTest, RecordsEveryTrackOnFileBackedSort) {
 
     MetricsRegistry metrics_reg;
     BalanceTimeline timeline;
-    SortOptions opt;
-    opt.balance.timeline = &timeline;
-    opt.balance.check_invariants = true;
+    SortJobConfig opt;
+    opt.balance_opts.timeline = &timeline;
+    opt.balance_opts.check_invariants = true;
     SortReport rep;
     {
         MetricsInstallGuard mg(&metrics_reg);
@@ -559,9 +560,9 @@ TEST(ObservabilityAcceptance, FileBackedSortEmitsSpansPairsAndHistograms) {
 
     Tracer tracer;
     MetricsRegistry metrics_reg;
-    SortOptions opt; // file-backed: the sort runs on the worker executor
-    opt.trace = &tracer;
-    opt.metrics = &metrics_reg;
+    SortJobConfig opt; // file-backed: the sort runs on the worker executor
+    opt.obs_policy.trace = &tracer;
+    opt.obs_policy.metrics = &metrics_reg;
     SortReport rep;
     auto sorted = balance_sort_records(disks, input, cfg, opt, &rep);
     ASSERT_TRUE(is_sorted_permutation_of(input, sorted));
@@ -622,6 +623,30 @@ TEST(ObservabilityAcceptance, FileBackedSortEmitsSpansPairsAndHistograms) {
     std::filesystem::remove(tmp);
 }
 
+// hier_sort passes its ObsPolicy unchanged into the SortJobConfig it
+// builds, so the sort over the simulated lanes reports to the caller's
+// tracer like a plain balance_sort.
+TEST(ObservabilityAcceptance, HierSortObsPolicyReachesTheTracer) {
+    Tracer tracer;
+    HierSortConfig hc;
+    hc.h = 8;
+    hc.obs.tracer(&tracer);
+    const auto input = generate(Workload::kUniform, 4096, 3);
+    HierSortReport rep;
+    const auto sorted = hier_sort(input, hc, &rep);
+    ASSERT_TRUE(is_sorted_permutation_of(input, sorted));
+
+    std::ostringstream os;
+    tracer.write_chrome_trace(os);
+    const std::string trace = os.str();
+    ASSERT_TRUE(JsonChecker(trace).valid());
+    EXPECT_TRUE(contains(trace, "\"name\":\"balance_sort\""));
+    EXPECT_TRUE(contains(trace, "\"name\":\"pivot\""));
+    EXPECT_TRUE(contains(trace, "\"name\":\"balance\""));
+    EXPECT_TRUE(contains(trace, "\"name\":\"base_case\""));
+    EXPECT_EQ(balsort::tracer(), nullptr); // the sort's install guard restored the slot
+}
+
 // Both executors report through the one recovery ladder: a faulty sort on
 // the inline executor emits fault instants, and the same memory-backed
 // array switched to the worker executor records per-op latency histograms
@@ -649,7 +674,7 @@ TEST(ObservabilityAcceptance, SyncPathHistogramsAndFaultInstants) {
             // Enabled under the guards: the engine binds its instruments
             // at construction.
             disks.set_async(workers);
-            auto sorted = balance_sort_records(disks, input, cfg, SortOptions{}, nullptr);
+            auto sorted = balance_sort_records(disks, input, cfg, SortJobConfig{}, nullptr);
             disks.set_async(false);
             ASSERT_TRUE(is_sorted_permutation_of(input, sorted));
         }
@@ -775,7 +800,7 @@ TEST(ProfilerTest, LiveSamplingCapturesRealStacks) {
     // time, so this cannot hang on an idle machine — only on a stopped
     // clock). Cap the spin to keep a worst-case bound.
     volatile std::uint64_t sink = 0;
-    for (std::uint64_t i = 0; i < 2'000'000'000ull && p.sample_count() < 5; ++i) sink += i;
+    for (std::uint64_t i = 0; i < 2'000'000'000ull && p.sample_count() < 5; ++i) sink = sink + i;
     p.stop();
     EXPECT_GE(p.sample_count(), 5u);
     const std::string folded = p.folded_string();

@@ -49,7 +49,7 @@ struct SortTrace {
 /// observer sees and the sorted output records. A memory-backed array runs
 /// the inline executor unless `workers`; a file-backed one always sorts on
 /// the workers.
-SortTrace traced_sort(Workload w, const PdmConfig& cfg, const SortOptions& opt,
+SortTrace traced_sort(Workload w, const PdmConfig& cfg, const SortJobConfig& opt,
                       DiskBackend backend, bool workers = false) {
     DiskArray disks = backend == DiskBackend::kFile
                           ? DiskArray(cfg.d, cfg.b, DiskBackend::kFile,
@@ -112,7 +112,7 @@ TEST(PipelineGoldens, DefaultOptionsUniform) {
 
 TEST(PipelineGoldens, StreamingSketchZipf) {
     PdmConfig cfg{.n = 20000, .m = 1024, .d = 4, .b = 8, .p = 2};
-    SortOptions opt;
+    SortJobConfig opt;
     opt.pivot_method = PivotMethod::kStreamingSketch;
     const Golden g{3052, 3156, 12142, 9642, 4, 21, 3,
                    2001929164921609248ull, 4489769194646271066ull};
@@ -121,8 +121,8 @@ TEST(PipelineGoldens, StreamingSketchZipf) {
 
 TEST(PipelineGoldens, SynchronizedWritesReverse) {
     PdmConfig cfg{.n = 12000, .m = 512, .d = 8, .b = 8, .p = 2};
-    SortOptions opt;
-    opt.synchronized_writes = true;
+    SortJobConfig opt;
+    opt.io_policy.synchronized_writes = true;
     const Golden g{2139, 1165, 16748, 9208, 6, 32, 2,
                    15301356196869035716ull, 11783058181912304141ull};
     expect_matches(traced_sort(Workload::kReverse, cfg, opt, DiskBackend::kMemory), g);
@@ -159,9 +159,9 @@ TEST(PipelineGoldens, HierSortHmmLog) {
 
 TEST(PipelineModes, AccountingIdenticalAcrossAllModes) {
     PdmConfig cfg{.n = 20000, .m = 1024, .d = 4, .b = 8, .p = 2};
-    SortOptions ref_opt;
-    ref_opt.pool_buffers = false;
-    ref_opt.cross_bucket_prefetch = false;
+    SortJobConfig ref_opt;
+    ref_opt.io_policy.pool_buffers = false;
+    ref_opt.io_policy.cross_bucket_prefetch = false;
     const SortTrace ref = traced_sort(Workload::kUniform, cfg, ref_opt, DiskBackend::kMemory);
     ASSERT_GT(ref.io.io_steps(), 0u);
 
@@ -175,9 +175,9 @@ TEST(PipelineModes, AccountingIdenticalAcrossAllModes) {
                            Mode{"file-worker", DiskBackend::kFile, false}}) {
         for (bool pool : {false, true}) {
             for (bool stage : {false, true}) {
-                SortOptions opt;
-                opt.pool_buffers = pool;
-                opt.cross_bucket_prefetch = stage;
+                SortJobConfig opt;
+                opt.io_policy.pool_buffers = pool;
+                opt.io_policy.cross_bucket_prefetch = stage;
                 const SortTrace t =
                     traced_sort(Workload::kUniform, cfg, opt, ex.backend, ex.workers);
                 SCOPED_TRACE(std::string(ex.name) + (pool ? "+pool" : "") +
@@ -211,9 +211,9 @@ TEST(ObservabilityGuard, TracingChangesNoModelQuantity) {
 
     Tracer tracer;
     MetricsRegistry metrics;
-    SortOptions opt;
-    opt.trace = &tracer;
-    opt.metrics = &metrics;
+    SortJobConfig opt;
+    opt.obs_policy.trace = &tracer;
+    opt.obs_policy.metrics = &metrics;
     const SortTrace obs = traced_sort(Workload::kUniform, cfg, opt, DiskBackend::kMemory);
 
     EXPECT_EQ(obs.io.read_steps, plain.io.read_steps);
@@ -242,8 +242,8 @@ TEST(ObservabilityGuard, SamplingProfilerChangesNoModelQuantity) {
     const SortTrace plain = traced_sort(Workload::kUniform, cfg, {}, DiskBackend::kMemory);
 
     Profiler profiler; // default config = the CLI's default rate (997 Hz)
-    SortOptions opt;
-    opt.profiler = &profiler;
+    SortJobConfig opt;
+    opt.obs_policy.profiler = &profiler;
     const SortTrace prof = traced_sort(Workload::kUniform, cfg, opt, DiskBackend::kMemory);
 
     EXPECT_EQ(prof.io.io_steps(), plain.io.io_steps());
@@ -267,8 +267,8 @@ TEST(ObservabilityGuard, BalanceTimelineChangesNoModelQuantity) {
     const SortTrace plain = traced_sort(Workload::kUniform, cfg, {}, DiskBackend::kMemory);
 
     BalanceTimeline timeline;
-    SortOptions opt;
-    opt.balance.timeline = &timeline;
+    SortJobConfig opt;
+    opt.balance_opts.timeline = &timeline;
     const SortTrace obs = traced_sort(Workload::kUniform, cfg, opt, DiskBackend::kMemory);
 
     EXPECT_EQ(obs.io.io_steps(), plain.io.io_steps());
@@ -319,8 +319,8 @@ TEST(PhaseProfileTest, PoolCountersZeroWhenPoolingOff) {
     PdmConfig cfg{.n = 5000, .m = 512, .d = 4, .b = 8, .p = 2};
     DiskArray disks(cfg.d, cfg.b);
     auto input = generate(Workload::kUniform, cfg.n, 12);
-    SortOptions opt;
-    opt.pool_buffers = false;
+    SortJobConfig opt;
+    opt.io_policy.pool_buffers = false;
     SortReport rep;
     balance_sort_records(disks, input, cfg, opt, &rep);
     EXPECT_EQ(rep.phases.pool_hits, 0u);
@@ -349,8 +349,8 @@ TEST(CrossBucketStaging, DisabledByOption) {
     DiskArray disks(cfg.d, cfg.b, DiskBackend::kFile,
                     std::filesystem::temp_directory_path().string());
     auto input = generate(Workload::kUniform, cfg.n, 13);
-    SortOptions opt;
-    opt.cross_bucket_prefetch = false;
+    SortJobConfig opt;
+    opt.io_policy.cross_bucket_prefetch = false;
     SortReport rep;
     balance_sort_records(disks, input, cfg, opt, &rep);
     EXPECT_EQ(rep.phases.staged_prefetches, 0u);
@@ -391,7 +391,7 @@ struct CkTrace {
 /// One checkpointing sort on a single live array: optionally crash (throw)
 /// at boundary `crash_at`, then resume from the checkpoint on the same
 /// array. The observer hash accumulates across both generations.
-CkTrace checkpointed_sort(const PdmConfig& cfg, const SortOptions& base_opt,
+CkTrace checkpointed_sort(const PdmConfig& cfg, const SortJobConfig& base_opt,
                           DiskBackend backend, const std::string& path,
                           std::uint64_t crash_at, bool workers = false) {
     DiskArray disks = backend == DiskBackend::kFile
@@ -410,12 +410,12 @@ CkTrace checkpointed_sort(const PdmConfig& cfg, const SortOptions& base_opt,
     });
     auto records = generate(Workload::kUniform, cfg.n, 42);
     const BlockRun input = write_striped(disks, records);
-    SortOptions opt = base_opt;
-    opt.checkpoint_path = path;
+    SortJobConfig opt = base_opt;
+    opt.durability_policy.checkpoint_path = path;
     BlockRun out;
     bool crashed = false;
     if (crash_at != 0) {
-        opt.on_checkpoint = [crash_at](std::uint64_t seq) {
+        opt.durability_policy.on_checkpoint = [crash_at](std::uint64_t seq) {
             if (seq == crash_at) throw Crash{};
         };
     }
@@ -425,8 +425,8 @@ CkTrace checkpointed_sort(const PdmConfig& cfg, const SortOptions& base_opt,
         crashed = true;
     }
     if (crashed) {
-        opt.on_checkpoint = nullptr;
-        opt.resume_from = path;
+        opt.durability_policy.on_checkpoint = nullptr;
+        opt.durability_policy.resume_from = path;
         out = balance_sort(disks, input, cfg, opt, &t.report);
     }
     for (const Record& r : read_run(disks, out)) {
@@ -458,7 +458,7 @@ void expect_resume_equals_fresh(const CkTrace& t, const CkTrace& fresh,
 
 TEST(CrashConsistency, ResumeEqualsFreshAtEveryBoundaryMemory) {
     const PdmConfig cfg{.n = 4000, .m = 512, .d = 4, .b = 8, .p = 2};
-    const SortOptions opt;
+    const SortJobConfig opt;
     for (bool workers : {false, true}) {
         const char* executor = workers ? "worker" : "inline";
         const std::string path = (std::filesystem::temp_directory_path() /
@@ -491,7 +491,7 @@ TEST(CrashConsistency, ResumeEqualsFreshAtEveryBoundaryMemory) {
 TEST(CrashConsistency, ResumeEqualsFreshFileBackend) {
     // File-backed sorts always run on the worker executor.
     const PdmConfig cfg{.n = 4000, .m = 512, .d = 4, .b = 8, .p = 2};
-    const SortOptions opt;
+    const SortJobConfig opt;
     const std::string path =
         (std::filesystem::temp_directory_path() / "balsort_resume_file.ck").string();
     const CkTrace fresh = checkpointed_sort(cfg, opt, DiskBackend::kFile, path, 0);
@@ -509,8 +509,8 @@ TEST(CrashConsistency, ResumeEqualsFreshFileBackend) {
 // point suffices to pin the resume contract there too.
 TEST(CrashConsistency, ResumeEqualsFreshSynchronizedWrites) {
     const PdmConfig cfg{.n = 4000, .m = 512, .d = 4, .b = 8, .p = 2};
-    SortOptions opt;
-    opt.synchronized_writes = true;
+    SortJobConfig opt;
+    opt.io_policy.synchronized_writes = true;
     const std::string path =
         (std::filesystem::temp_directory_path() / "balsort_resume_syncw.ck").string();
     const CkTrace fresh = checkpointed_sort(cfg, opt, DiskBackend::kMemory, path, 0);
@@ -531,7 +531,7 @@ TEST(CrashConsistency, HierSortResumesOnFreshLanes) {
     HierSortConfig hc;
     hc.h = 16;
     hc.model = HierModelSpec::hmm(CostFn::log());
-    hc.checkpoint_path = path;
+    hc.durability.checkpoint_path = path;
     auto recs = generate(Workload::kUniform, 4096, 7);
 
     HierSortReport fresh_rep;
@@ -539,13 +539,13 @@ TEST(CrashConsistency, HierSortResumesOnFreshLanes) {
     const std::uint64_t k_total = fresh_rep.mechanics.checkpoints_written;
     ASSERT_GT(k_total, 2u);
 
-    hc.on_checkpoint = [k_total](std::uint64_t seq) {
+    hc.durability.on_checkpoint = [k_total](std::uint64_t seq) {
         if (seq == k_total / 2) throw Crash{};
     };
     EXPECT_THROW(hier_sort(recs, hc, nullptr), Crash);
 
-    hc.on_checkpoint = nullptr;
-    hc.resume_from = path;
+    hc.durability.on_checkpoint = nullptr;
+    hc.durability.resume_from = path;
     HierSortReport rep;
     const auto resumed = hier_sort(recs, hc, &rep);
     EXPECT_EQ(resumed, fresh);
@@ -557,7 +557,7 @@ TEST(CrashConsistency, HierSortResumesOnFreshLanes) {
     EXPECT_EQ(rep.mechanics.resumes, 1u);
     // The lane meter is observer-driven and restarts on resume, so its
     // track count covers only the post-resume traffic (the caveat
-    // documented on HierSortConfig::checkpoint_path).
+    // documented on HierSortConfig::durability).
     EXPECT_GT(rep.tracks, 0u);
     EXPECT_LT(rep.tracks, fresh_rep.tracks);
     std::filesystem::remove(path);
@@ -572,21 +572,21 @@ TEST(CrashConsistency, ResumeRejectsMismatchedConfiguration) {
     DiskArray disks(cfg.d, cfg.b);
     auto records = generate(Workload::kUniform, cfg.n, 42);
     const BlockRun input = write_striped(disks, records);
-    SortOptions opt;
-    opt.checkpoint_path = path;
-    opt.on_checkpoint = [](std::uint64_t seq) {
+    SortJobConfig opt;
+    opt.durability_policy.checkpoint_path = path;
+    opt.durability_policy.on_checkpoint = [](std::uint64_t seq) {
         if (seq == 2) throw Crash{};
     };
     EXPECT_THROW(balance_sort(disks, input, cfg, opt), Crash);
 
-    opt.on_checkpoint = nullptr;
-    opt.resume_from = path;
+    opt.durability_policy.on_checkpoint = nullptr;
+    opt.durability_policy.resume_from = path;
     PdmConfig other = cfg;
     other.m = 1024; // different memory capacity
     EXPECT_THROW(balance_sort(disks, input, other, opt), std::invalid_argument);
     // resume_from without checkpoint_path is rejected up front.
-    SortOptions no_ck;
-    no_ck.resume_from = path;
+    SortJobConfig no_ck;
+    no_ck.durability_policy.resume_from = path;
     EXPECT_THROW(balance_sort(disks, input, cfg, no_ck), std::invalid_argument);
     std::filesystem::remove(path);
 }

@@ -357,7 +357,7 @@ TEST(DeadlineFailover, TimedOutReadsServedFromParityWithCleanModelCounts) {
     auto input = generate(Workload::kUniform, cfg.n, 42);
 
     // Deadlines are a worker-executor feature: both arrays run on it.
-    SortOptions opt;
+    SortJobConfig opt;
     SortReport plain_rep;
     std::vector<Record> plain;
     {
@@ -375,8 +375,8 @@ TEST(DeadlineFailover, TimedOutReadsServedFromParityWithCleanModelCounts) {
     ft.checksums = true;
     SortReport rep;
     MetricsRegistry reg;
-    SortOptions mopt = opt;
-    mopt.metrics = &reg;
+    SortJobConfig mopt = opt;
+    mopt.obs_policy.metrics = &reg;
     DiskArray disks(cfg.d, cfg.b, DiskBackend::kMemory, ".", Constraint::kIndependentDisks, ft);
     disks.set_async(true);
     const std::vector<Record> sorted = balance_sort_records(disks, input, cfg, mopt, &rep);

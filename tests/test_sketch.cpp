@@ -128,9 +128,9 @@ TEST_P(SketchPivotSortTest, SortsCorrectly) {
     PdmConfig cfg{.n = 40000, .m = 1024, .d = 8, .b = 8, .p = 2};
     DiskArray disks(cfg.d, cfg.b);
     auto input = generate(w, cfg.n, 23);
-    SortOptions opt;
+    SortJobConfig opt;
     opt.pivot_method = PivotMethod::kStreamingSketch;
-    opt.balance.check_invariants = true;
+    opt.balance_opts.check_invariants = true;
     SortReport rep;
     auto sorted = balance_sort_records(disks, input, cfg, opt, &rep);
     EXPECT_TRUE(is_sorted_permutation_of(input, sorted)) << to_string(w);
@@ -152,11 +152,11 @@ TEST(SketchPivots, SavesAFullPassPerRecursiveLevel) {
     SortReport sampling_rep, sketch_rep;
     {
         DiskArray disks(cfg.d, cfg.b);
-        (void)balance_sort_records(disks, input, cfg, SortOptions{}, &sampling_rep);
+        (void)balance_sort_records(disks, input, cfg, SortJobConfig{}, &sampling_rep);
     }
     {
         DiskArray disks(cfg.d, cfg.b);
-        SortOptions opt;
+        SortJobConfig opt;
         opt.pivot_method = PivotMethod::kStreamingSketch;
         (void)balance_sort_records(disks, input, cfg, opt, &sketch_rep);
     }
@@ -175,7 +175,7 @@ TEST(SketchPivots, SavesAFullPassPerRecursiveLevel) {
 TEST(SketchPivots, DeterministicAcrossRuns) {
     PdmConfig cfg{.n = 30000, .m = 1024, .d = 4, .b = 8, .p = 1};
     auto input = generate(Workload::kZipf, cfg.n, 11);
-    SortOptions opt;
+    SortJobConfig opt;
     opt.pivot_method = PivotMethod::kStreamingSketch;
     SortReport r1, r2;
     DiskArray d1(cfg.d, cfg.b), d2(cfg.d, cfg.b);

@@ -243,10 +243,9 @@ TEST(SvcExecutorTest, ExternalSharedExecutorIsRejected) {
 }
 
 TEST(SvcExecutorTest, OverwideThreadsRejectedAtAdmission) {
-    // ComputePolicy::validate can't see the scheduler's executor (it is
-    // only wired in at run time), so a lane cap the shared executor cannot
-    // honor must be rejected by submit() itself — as an AdmissionResult,
-    // not a mid-run job failure.
+    // submit() validates the config with the scheduler's executor wired
+    // in, so a lane cap the shared executor cannot honor is rejected as an
+    // AdmissionResult, not a mid-run job failure.
     DiskArray disks(8, 64);
     SchedulerConfig cfg;
     cfg.executor_threads = 1; // 1 worker + the submitting thread = 2 lanes max
@@ -438,11 +437,30 @@ TEST(SvcAdmissionTest, SpecValidationRejectsWithReason) {
         EXPECT_NE(r.reason.find("observability"), std::string::npos) << r.reason;
     }
     {
+        ProgressSink sink;
+        JobSpec bad = base;
+        bad.config.obs_policy.progress = &sink;
+        const AdmissionResult r = sched.submit(bad);
+        EXPECT_FALSE(r.admitted);
+        EXPECT_NE(r.reason.find("progress"), std::string::npos) << r.reason;
+    }
+    {
         JobSpec bad = base;
         bad.m = 0; // PdmConfig::validate rejects
         const AdmissionResult r = sched.submit(bad);
         EXPECT_FALSE(r.admitted);
         EXPECT_FALSE(r.reason.empty());
+    }
+    {
+        // A per-job retention cap is coherent on its own; the scheduler's
+        // shared pool replaces the private pool it would have sized, so
+        // the job runs instead of failing the shared-pool validation.
+        JobSpec capped = base;
+        capped.config.io(IoPolicy{}.pool_retain(4096));
+        const AdmissionResult r = sched.submit(capped);
+        ASSERT_TRUE(r.admitted) << r.reason;
+        const JobStatus st = sched.wait(r.id);
+        EXPECT_EQ(st.state, JobState::kSucceeded) << st.error;
     }
 }
 
@@ -696,29 +714,6 @@ TEST(SvcConfigTest, PolicyValidationRejectsIncoherentCombos) {
     EXPECT_NO_THROW(SortJobConfig{}.validate(8));
     EXPECT_THROW(SortJobConfig{}.io(IoPolicy{}.pooled(false).pool(&pool)).validate(8),
                  std::invalid_argument);
-}
-
-TEST(SvcConfigTest, OptionsFlattenIsLossless) {
-    std::atomic<bool> flag{false};
-    BufferPool pool;
-    SortJobConfig cfg;
-    cfg.buckets(12, BucketPolicy::kFixed)
-        .pivots(PivotMethod::kStreamingSketch)
-        .threads(3)
-        .reposition(true)
-        .cancel(&flag)
-        .io(IoPolicy{}.prefetch(false).pool(&pool))
-        .durability(DurabilityPolicy{}.checkpoint("ck.bin"));
-    const SortOptions o = cfg.options();
-    EXPECT_EQ(o.s_target, 12u);
-    EXPECT_EQ(o.bucket_policy, BucketPolicy::kFixed);
-    EXPECT_EQ(o.pivot_method, PivotMethod::kStreamingSketch);
-    EXPECT_EQ(o.max_threads, 3u);
-    EXPECT_TRUE(o.reposition_buckets);
-    EXPECT_EQ(o.cancel, &flag);
-    EXPECT_FALSE(o.cross_bucket_prefetch);
-    EXPECT_EQ(o.shared_pool, &pool);
-    EXPECT_EQ(o.checkpoint_path, "ck.bin");
 }
 
 // ---------------------------------------------------------------------------
