@@ -2,34 +2,27 @@
 
 #ifndef BALSORT_NO_OBS
 
-#include <chrono>
 #include <cstdlib>
+#include <filesystem>
 #include <fstream>
-#include <memory>
 #include <mutex>
 #include <ostream>
 #include <sstream>
-#include <vector>
 
 #include <unistd.h>
 
+#include "obs/event_ring.hpp"
+
 namespace balsort {
 
-namespace {
-thread_local void* tl_flight_ring = nullptr;
-} // namespace
-
-struct FlightRecorder::Ring {
-    Slot slots[kRingSlots];
-    std::atomic<std::uint64_t> head{0}; // next slot ordinal (pre-wrap)
-    std::uint32_t tid = 0;              // 1-based registration order
-};
-
 struct FlightRecorder::Impl {
-    std::chrono::steady_clock::time_point base = std::chrono::steady_clock::now();
-    std::atomic<std::uint64_t> seq{0}; // global note ordinal
-    mutable std::mutex mu_;            // ring registry + dump path
-    std::vector<std::unique_ptr<Ring>> rings;
+    struct Note {
+        const char* name;
+        const char* cat;
+        std::int64_t ts_us, a0, a1;
+    };
+    EventRings<Note> rings{kRingSlots, /*bounded=*/true};
+    mutable std::mutex mu_; // dump path
     std::string dump_path;
     bool dump_path_set = false;
     std::atomic<std::uint64_t> auto_dump_ordinal{0};
@@ -44,101 +37,29 @@ FlightRecorder& FlightRecorder::instance() {
     return *rec;
 }
 
-std::int64_t FlightRecorder::now_us() const {
-    return std::chrono::duration_cast<std::chrono::microseconds>(
-               std::chrono::steady_clock::now() - impl_->base)
-        .count();
-}
-
-FlightRecorder::Ring* FlightRecorder::local_ring() {
-    if (tl_flight_ring != nullptr) return static_cast<Ring*>(tl_flight_ring);
-    auto ring = std::make_unique<Ring>();
-    Ring* raw = ring.get();
-    {
-        std::lock_guard<std::mutex> lock(impl_->mu_);
-        impl_->rings.push_back(std::move(ring));
-        raw->tid = static_cast<std::uint32_t>(impl_->rings.size());
-    }
-    tl_flight_ring = raw;
-    return raw;
-}
+std::int64_t FlightRecorder::now_us() const { return obs_now_us(); }
 
 void FlightRecorder::note(const char* name, const char* cat, std::int64_t a0, std::int64_t a1) {
-    Ring* ring = local_ring();
-    const std::uint64_t pos = ring->head.fetch_add(1, std::memory_order_relaxed);
-    Slot& s = ring->slots[pos & (kRingSlots - 1)];
-    const std::uint64_t ordinal = impl_->seq.fetch_add(1, std::memory_order_relaxed) + 1;
-    s.name.store(name, std::memory_order_relaxed);
-    s.cat.store(cat, std::memory_order_relaxed);
-    s.ts_us.store(now_us(), std::memory_order_relaxed);
-    s.a0.store(a0, std::memory_order_relaxed);
-    s.a1.store(a1, std::memory_order_relaxed);
-    s.seq.store(ordinal, std::memory_order_release);
+    impl_->rings.local()->push({name, cat, obs_now_us(), a0, a1});
 }
 
-std::uint64_t FlightRecorder::note_count() const {
-    return impl_->seq.load(std::memory_order_relaxed);
-}
-
-namespace {
-
-void write_escaped(std::ostream& os, const char* s) {
-    for (; *s != '\0'; ++s) {
-        const char c = *s;
-        if (c == '"' || c == '\\') {
-            os << '\\' << c;
-        } else if (static_cast<unsigned char>(c) < 0x20) {
-            os << ' ';
-        } else {
-            os << c;
-        }
-    }
-}
-
-} // namespace
+std::uint64_t FlightRecorder::note_count() const { return impl_->rings.count(); }
 
 void FlightRecorder::dump(std::ostream& os) const {
-    // Snapshot the ring registry, then read slots without stopping
-    // writers. A slot whose seq is 0 was never written; a slot racing a
-    // wrap can mix two notes' fields — every field is still valid.
-    std::vector<Ring*> rings;
-    {
-        std::lock_guard<std::mutex> lock(impl_->mu_);
-        rings.reserve(impl_->rings.size());
-        for (const auto& r : impl_->rings) rings.push_back(r.get());
+    ChromeTraceWriter w(os);
+    for (const auto* ring : impl_->rings.rings()) {
+        w.thread_name(ring->tid, "flight " + std::to_string(ring->tid));
+        ring->read([&](const Impl::Note& n) {
+            w.event({n.name, n.cat != nullptr ? n.cat : "flight", 'i', ring->tid, n.ts_us, 0, 0,
+                     {{"a0", n.a0}, {"a1", n.a1}}, 2});
+        });
     }
-    os << "{\"traceEvents\":[";
-    bool first = true;
-    for (Ring* ring : rings) {
-        os << (first ? "" : ",") << "{\"name\":\"thread_name\",\"ph\":\"M\",\"pid\":1,\"tid\":"
-           << ring->tid << ",\"args\":{\"name\":\"flight " << ring->tid << "\"}}";
-        first = false;
-        for (std::uint32_t i = 0; i < kRingSlots; ++i) {
-            const Slot& s = ring->slots[i];
-            const std::uint64_t seq = s.seq.load(std::memory_order_acquire);
-            if (seq == 0) continue;
-            const char* name = s.name.load(std::memory_order_relaxed);
-            const char* cat = s.cat.load(std::memory_order_relaxed);
-            if (name == nullptr) continue;
-            os << ",{\"name\":\"";
-            write_escaped(os, name);
-            os << "\",\"cat\":\"";
-            write_escaped(os, cat != nullptr ? cat : "flight");
-            os << "\",\"ph\":\"i\",\"s\":\"t\",\"pid\":1,\"tid\":" << ring->tid
-               << ",\"ts\":" << s.ts_us.load(std::memory_order_relaxed)
-               << ",\"args\":{\"seq\":" << seq << ",\"a0\":" << s.a0.load(std::memory_order_relaxed)
-               << ",\"a1\":" << s.a1.load(std::memory_order_relaxed) << "}}";
-        }
-    }
-    os << "]}";
 }
 
 bool FlightRecorder::dump_file(const std::string& path) const {
     std::ofstream os(path, std::ios::trunc);
-    if (!os) return false;
-    dump(os);
-    os.flush();
-    return static_cast<bool>(os);
+    if (os) dump(os);
+    return os.flush().good();
 }
 
 void FlightRecorder::set_auto_dump_path(const std::string& path) {
@@ -160,28 +81,17 @@ std::string FlightRecorder::auto_dump(const char* why) {
     note("flight.dump", why);
     const std::string configured = auto_dump_path();
     if (configured.empty()) return {};
-    // Unique per dump: "<stem>.<pid>.<k>.<ext>". The pid separates
-    // concurrent processes (chaos-replay forks) sharing one configured
-    // path; the per-process ordinal separates successive dumps (several
-    // failing jobs in one daemon).
-    const std::uint64_t k =
-        impl_->auto_dump_ordinal.fetch_add(1, std::memory_order_relaxed) + 1;
-    const std::size_t slash = configured.find_last_of('/');
-    const std::size_t dot = configured.find_last_of('.');
-    std::ostringstream name;
-    if (dot != std::string::npos && (slash == std::string::npos || dot > slash)) {
-        name << configured.substr(0, dot) << '.' << ::getpid() << '.' << k
-             << configured.substr(dot);
-    } else {
-        name << configured << '.' << ::getpid() << '.' << k;
-    }
-    const std::string path = name.str();
-    if (!dump_file(path)) return {};
-    {
-        std::lock_guard<std::mutex> lock(impl_->mu_);
-        impl_->last_auto_dump = path;
-    }
-    return path;
+    // The pid separates processes sharing one configured path (chaos-replay
+    // forks); the ordinal separates one process's dumps (failing jobs).
+    const std::uint64_t k = impl_->auto_dump_ordinal.fetch_add(1, std::memory_order_relaxed) + 1;
+    std::filesystem::path path(configured);
+    std::ostringstream suffix;
+    suffix << '.' << ::getpid() << '.' << k << path.extension().string();
+    path.replace_extension() += suffix.str();
+    if (!dump_file(path.string())) return {};
+    std::lock_guard<std::mutex> lock(impl_->mu_);
+    impl_->last_auto_dump = path.string();
+    return impl_->last_auto_dump;
 }
 
 std::string FlightRecorder::last_auto_dump_path() const {

@@ -1,36 +1,15 @@
 #pragma once
-// Flight recorder: an always-on, bounded, lock-free per-thread ring of
-// trace notes — the cheap sibling of the Tracer (tracer.hpp).
+// Flight recorder: the always-on sibling of the Tracer, answering "what were
+// the last few thousand things each thread did before the fault I did not
+// expect". The bounded user of the obs event ring (event_ring.hpp):
+// kRingSlots per thread, a note is a few relaxed stores, nothing allocates
+// after a thread's first note, and new notes overwrite the oldest.
 //
-// The Tracer answers "what happened during this run I chose to trace";
-// the flight recorder answers "what were the last few thousand things
-// each thread did before the fault I did not expect". It is on by
-// default in every build (except BALSORT_NO_OBS), costs a handful of
-// relaxed atomic stores per note, never allocates on the hot path after
-// a thread's first note, and never grows: each thread owns a fixed ring
-// and new notes overwrite the oldest.
-//
-// Dumping: `dump()` serializes the surviving notes of every thread as
-// Chrome trace_event JSON (instant events), loadable in Perfetto next
-// to a Tracer export. `auto_dump(why)` writes to the configured path —
-// set explicitly via set_auto_dump_path() or through the
-// BALSORT_FLIGHT_DUMP environment variable — and is the hook the fault
-// ladder, the deadline watchdog, and the scheduler's job-failure path
-// call so a crash scene is preserved without anyone asking for it.
-//
-// Concurrency model: ring slots are structs of relaxed atomics with a
-// release-published sequence number. Writers never block (after the
-// one-time ring registration) and dumpers never stop writers; a dump
-// racing a wrap-around can observe a slot mixing two notes' fields,
-// which is acceptable for post-mortem forensics — every field is still
-// a valid value (name/cat strings must have static storage duration,
-// exactly like the Tracer's).
-//
-// The recorder deliberately has no install slot and no epoch check: it
-// is a process singleton, constructed on first use, alive until exit.
-// BALSORT_NO_OBS compiles the free helpers to no-ops so instrumented
-// call sites dead-code eliminate the same way tracer()/metrics() do.
-#include <atomic>
+// dump() writes the surviving notes as Chrome trace instants on the obs
+// clock, the time axis of a Tracer export, without stopping writers. The
+// fault ladder, the deadline watchdog and the scheduler's job-failure path
+// call auto_dump(why), so a crash scene is kept without anyone asking.
+// A process singleton; with BALSORT_NO_OBS the free helpers are no-ops.
 #include <cstdint>
 #include <iosfwd>
 #include <string>
@@ -50,35 +29,29 @@ class FlightRecorder {
     /// thread's first note). `name`/`cat` must be static-lifetime strings.
     void note(const char* name, const char* cat, std::int64_t a0 = 0, std::int64_t a1 = 0);
 
-    /// Serializes every surviving note as Chrome trace_event JSON
-    /// ({"traceEvents":[...]}). Safe concurrently with note().
+    /// Every surviving note as Chrome trace JSON. Safe during note().
     void dump(std::ostream& os) const;
     bool dump_file(const std::string& path) const;
 
-    /// Where auto_dump() derives its output name from. An explicit set
-    /// wins over the BALSORT_FLIGHT_DUMP environment variable; empty
-    /// disables.
+    /// Where auto_dump() derives its output name from: an explicit set
+    /// wins over BALSORT_FLIGHT_DUMP; empty disables.
     void set_auto_dump_path(const std::string& path);
     std::string auto_dump_path() const;
 
-    /// Records a "flight.dump" note tagged with `why`, then dumps next to
-    /// the configured path under a unique name: "<stem>.<pid>.<k>.<ext>",
-    /// where k counts this process's auto-dumps. Concurrent failing jobs
-    /// (or chaos-replay forks sharing one configured path) therefore never
-    /// clobber each other's crash scene. Returns the path actually
-    /// written, empty when no path is configured or the write failed.
-    /// `why` must be a static-lifetime string.
+    /// Notes "flight.dump" tagged with `why` (a static-lifetime string),
+    /// then dumps to "<stem>.<pid>.<k>.<ext>" next to the configured path,
+    /// k counting this process's auto-dumps, so concurrent failing jobs or
+    /// chaos-replay forks never clobber each other's crash scene. Returns
+    /// the path written, empty when unconfigured or the write failed.
     std::string auto_dump(const char* why);
 
-    /// The path the most recent successful auto_dump() wrote (this
-    /// process), empty if none yet — how tests and post-mortem tooling
-    /// find the suffixed file.
+    /// The path this process's last successful auto_dump() wrote, if any.
     std::string last_auto_dump_path() const;
 
     /// Total notes ever recorded (monotonic; includes overwritten ones).
     std::uint64_t note_count() const;
 
-    /// Microseconds since recorder construction (steady clock).
+    /// Now on the obs clock, in microseconds.
     std::int64_t now_us() const;
 
   private:
@@ -86,21 +59,6 @@ class FlightRecorder {
     ~FlightRecorder() = delete; // process singleton, never destroyed
     FlightRecorder(const FlightRecorder&) = delete;
     FlightRecorder& operator=(const FlightRecorder&) = delete;
-
-    struct Slot {
-        std::atomic<const char*> name{nullptr};
-        std::atomic<const char*> cat{nullptr};
-        std::atomic<std::int64_t> ts_us{0};
-        std::atomic<std::int64_t> a0{0};
-        std::atomic<std::int64_t> a1{0};
-        /// 0 = never written; otherwise 1-based global note ordinal,
-        /// stored with release semantics after the payload fields.
-        std::atomic<std::uint64_t> seq{0};
-    };
-
-    struct Ring;
-
-    Ring* local_ring();
 
     struct Impl;
     Impl* impl_;
@@ -113,9 +71,7 @@ inline void flight_note(const char* name, const char* cat, std::int64_t a0 = 0,
     FlightRecorder::instance().note(name, cat, a0, a1);
 }
 
-/// Dump the flight rings to a uniquely-suffixed file next to the
-/// configured auto-dump path, tagging the dump with `why`. Returns the
-/// path actually written (empty when unconfigured or the write failed).
+/// FlightRecorder::auto_dump(why) on the singleton (BALSORT_NO_OBS: no-op).
 inline std::string flight_auto_dump(const char* why) {
     return FlightRecorder::instance().auto_dump(why);
 }

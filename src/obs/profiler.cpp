@@ -2,59 +2,58 @@
 
 #ifndef BALSORT_NO_OBS
 
-#include <csignal>
+#include <cerrno>
 #include <cstring>
 #include <sys/time.h>
-#include <unistd.h>
+#include <ucontext.h>
 
 #include <cxxabi.h>
 #include <dlfcn.h>
 #include <execinfo.h>
 
 #include <algorithm>
-#include <chrono>
-#include <deque>
 #include <fstream>
 #include <map>
-#include <memory>
 #include <mutex>
 #include <ostream>
 #include <sstream>
 #include <stdexcept>
+#include <tuple>
 #include <vector>
 
+#include "obs/event_ring.hpp"
 #include "obs/tracer.hpp"
 
 namespace balsort {
 
 namespace {
 
-/// The one profiler the SIGPROF handler samples into. Armed by start(),
-/// cleared by the final stop(). acquire/release pairs with the handler's
-/// load so a handler that observes the pointer also observes the rings.
+/// The profiler the SIGPROF handler samples into: set by start(), cleared
+/// by the final stop(). The handler's acquire load pairs with start().
 std::atomic<Profiler*> g_active_profiler{nullptr};
 
-/// Thread-local ring claim, keyed by a never-reused profiler generation
-/// id — NOT the Profiler's address, which the allocator (or the stack)
-/// happily recycles across back-to-back profiler lifetimes; a recycled
-/// address would revive a stale claim pointing into a freed ring.
-struct TlClaim {
-    std::uint64_t owner_id = 0; ///< 0 = no claim
-    void* ring = nullptr;
-};
-thread_local TlClaim tl_prof_claim;
-
-/// Generation source for TlClaim keys; 0 is reserved for "no claim".
-std::atomic<std::uint64_t> g_profiler_generation{0};
-
-/// A sample pulled out of the rings after quiesce, ready for aggregation.
-struct CollectedSample {
-    std::vector<void*> frames; ///< leaf first (backtrace order)
-    std::int64_t ts_us = 0;
-    std::uint32_t tid = 0;
+/// One captured stack, the profiler's ring payload.
+struct Sample {
+    static constexpr std::uint32_t kMaxFrames = 48;
+    std::int64_t ts_us;
+    std::uint32_t n;
+    void* frames[kMaxFrames]; ///< leaf (the interrupted PC) first
 };
 
-/// Demangled symbol for one return address, via dladdr. Falls back to the
+/// The PC the signal interrupted; nullptr where the ucontext is unknown.
+void* interrupted_pc(void* uctx) {
+    const auto* uc = static_cast<const ucontext_t*>(uctx);
+#if defined(__x86_64__)
+    return reinterpret_cast<void*>(uc->uc_mcontext.gregs[REG_RIP]);
+#elif defined(__aarch64__)
+    return reinterpret_cast<void*>(uc->uc_mcontext.pc);
+#else
+    (void)uc;
+    return nullptr;
+#endif
+}
+
+/// Demangled symbol for one code address, via dladdr. Falls back to the
 /// object's basename+offset, then to a hex literal — always non-empty and
 /// deterministic for a fixed process image.
 std::string symbolize_addr(void* addr) {
@@ -70,125 +69,92 @@ std::string symbolize_addr(void* addr) {
         return info.dli_sname;
     }
     std::ostringstream os;
+    auto offset = reinterpret_cast<std::uintptr_t>(addr);
     if (info.dli_fname != nullptr) {
         const char* base = std::strrchr(info.dli_fname, '/');
-        os << (base != nullptr ? base + 1 : info.dli_fname) << "+0x" << std::hex
-           << (reinterpret_cast<std::uintptr_t>(addr) -
-               reinterpret_cast<std::uintptr_t>(info.dli_fbase));
-    } else {
-        os << "0x" << std::hex << reinterpret_cast<std::uintptr_t>(addr);
+        os << (base != nullptr ? base + 1 : info.dli_fname) << '+';
+        offset -= reinterpret_cast<std::uintptr_t>(info.dli_fbase);
     }
+    os << "0x" << std::hex << offset;
     return os.str();
+}
+
+const ProfilerConfig& checked(const ProfilerConfig& cfg) {
+    if (cfg.hz == 0) throw std::invalid_argument("Profiler: hz must be positive");
+    if (cfg.ring_slots == 0 || (cfg.ring_slots & (cfg.ring_slots - 1)) != 0) {
+        throw std::invalid_argument("Profiler: ring_slots must be a power of two");
+    }
+    if (cfg.max_threads == 0) throw std::invalid_argument("Profiler: max_threads must be positive");
+    return cfg;
 }
 
 } // namespace
 
-/// One captured stack. Payload fields are written in the handler with
-/// plain/relaxed stores, then `seq` is release-published — the flight
-/// recorder's slot discipline (flight_recorder.hpp). Readers run after
-/// stop() (quiesced), so a torn slot can only be seen by a dump the
-/// caller was told not to take.
-struct ProfileSample {
-    static constexpr std::uint32_t kMaxFrames = 48;
-    void* frames[kMaxFrames];
-    std::atomic<std::uint32_t> n_frames{0};
-    std::atomic<std::int64_t> ts_us{0};
-    /// 0 = never written; otherwise 1-based global sample ordinal.
-    std::atomic<std::uint64_t> seq{0};
-};
-
-struct Profiler::Ring {
-    std::vector<ProfileSample> slots;
-    std::atomic<std::uint64_t> head{0}; ///< next slot ordinal (pre-wrap)
-    std::atomic<bool> claimed{false};
-    std::uint32_t tid = 0; ///< 1-based claim order, stable per thread
-};
-
 struct Profiler::Impl {
+    explicit Impl(const ProfilerConfig& c)
+        : cfg(c), rings(c.ring_slots, /*bounded=*/true, c.max_threads) {}
+
     ProfilerConfig cfg;
-    /// This profiler's TlClaim key, unique across all profilers ever
-    /// constructed in the process.
-    const std::uint64_t id =
-        g_profiler_generation.fetch_add(1, std::memory_order_relaxed) + 1;
-    std::chrono::steady_clock::time_point base = std::chrono::steady_clock::now();
-    std::vector<std::unique_ptr<Ring>> rings; ///< preallocated, never grows
-    std::atomic<std::uint32_t> next_ring{0};
-    std::atomic<std::uint64_t> samples{0};
+    EventRings<Sample> rings; ///< preallocated, claimed by the handler
     std::atomic<std::uint64_t> dropped{0};
     // start()/stop() bookkeeping — driver-thread side only, mutex-guarded.
     std::mutex mu;
     int nesting = 0;
     struct sigaction prev_sa {};
     struct itimerval prev_timer {};
-    // Symbol interning for folded()/emit_to_tracer: deque gives the stable
-    // addresses the Tracer's static-lifetime string contract needs.
+    // Symbols for folded()/emit_to_tracer. Map nodes keep each c_str()
+    // stable, as the Tracer's static-lifetime string contract needs.
     mutable std::mutex sym_mu;
-    mutable std::map<void*, const char*> sym_cache;
-    mutable std::deque<std::string> sym_store;
+    mutable std::map<void*, std::string> syms;
 
-    /// Walks every claimed ring and collects surviving samples (seq != 0).
-    /// Caller must have quiesced sampling (post-stop contract).
-    std::vector<CollectedSample> collect() const {
-        std::vector<CollectedSample> out;
-        const std::uint32_t claimed =
-            std::min<std::uint32_t>(next_ring.load(std::memory_order_acquire),
-                                    static_cast<std::uint32_t>(rings.size()));
-        for (std::uint32_t r = 0; r < claimed; ++r) {
-            const Ring& ring = *rings[r];
-            for (const ProfileSample& s : ring.slots) {
-                if (s.seq.load(std::memory_order_acquire) == 0) continue;
-                const std::uint32_t n = std::min(s.n_frames.load(std::memory_order_relaxed),
-                                                 ProfileSample::kMaxFrames);
-                if (n == 0) continue;
-                CollectedSample c;
-                c.frames.assign(s.frames, s.frames + n);
-                c.ts_us = s.ts_us.load(std::memory_order_relaxed);
-                c.tid = ring.tid;
-                out.push_back(std::move(c));
-            }
+    /// The one sample store path, for the SIGPROF handler and
+    /// record_sample_for_test alike: no allocation, no locks.
+    void store(void* const* frames, std::uint32_t n) {
+        auto* ring = rings.local_preallocated();
+        if (ring == nullptr || n == 0) {
+            dropped.fetch_add(1, std::memory_order_relaxed);
+            return;
+        }
+        Sample s{};
+        s.ts_us = obs_now_us();
+        s.n = std::min(n, Sample::kMaxFrames);
+        std::memcpy(s.frames, frames, s.n * sizeof(void*));
+        ring->push(s);
+    }
+
+    /// Every surviving sample with its ring's row. Call after stop().
+    std::vector<std::pair<std::uint32_t, Sample>> collect() const {
+        std::vector<std::pair<std::uint32_t, Sample>> out;
+        for (const auto* ring : rings.rings()) {
+            ring->read([&](const Sample& s) { out.emplace_back(ring->tid, s); });
         }
         return out;
     }
 
-    /// Interns one address's symbol; the returned pointer is stable for
-    /// the profiler's lifetime (deque storage). Caller holds sym_mu.
+    /// Restores the previous timer and handler, then clears the active
+    /// slot; a handler already in flight still sees valid rings.
+    void disarm() {
+        setitimer(ITIMER_PROF, &prev_timer, nullptr);
+        sigaction(SIGPROF, &prev_sa, nullptr);
+        g_active_profiler.store(nullptr, std::memory_order_release);
+    }
+
+    /// One address's symbol, alive as long as the profiler. Caller holds sym_mu.
     const char* intern(void* addr) const {
-        auto it = sym_cache.find(addr);
-        if (it != sym_cache.end()) return it->second;
-        sym_store.push_back(symbolize_addr(addr));
-        const char* stable = sym_store.back().c_str();
-        sym_cache.emplace(addr, stable);
-        return stable;
+        auto [it, fresh] = syms.try_emplace(addr);
+        if (fresh) it->second = symbolize_addr(addr);
+        return it->second.c_str();
     }
 };
 
-Profiler::Profiler(ProfilerConfig cfg) : impl_(new Impl) {
-    if (cfg.hz == 0) throw std::invalid_argument("Profiler: hz must be positive");
-    if (cfg.ring_slots == 0 || (cfg.ring_slots & (cfg.ring_slots - 1)) != 0) {
-        throw std::invalid_argument("Profiler: ring_slots must be a power of two");
-    }
-    if (cfg.max_threads == 0) throw std::invalid_argument("Profiler: max_threads must be positive");
-    impl_->cfg = cfg;
-    impl_->rings.reserve(cfg.max_threads);
-    for (std::uint32_t i = 0; i < cfg.max_threads; ++i) {
-        auto ring = std::make_unique<Ring>();
-        ring->slots = std::vector<ProfileSample>(cfg.ring_slots);
-        ring->tid = i + 1;
-        impl_->rings.push_back(std::move(ring));
-    }
-}
+Profiler::Profiler(ProfilerConfig cfg) : impl_(new Impl(checked(cfg))) {}
 
 Profiler::~Profiler() {
     {
+        // Still armed is a caller bug, but leaving the handler pointed at
+        // freed rings would turn it into a crash.
         std::lock_guard<std::mutex> lock(impl_->mu);
-        // A still-armed profiler must disarm before its rings die; this is
-        // a caller bug, but leaving the handler pointed at freed memory
-        // converts it into a crash. Disarm defensively.
-        if (impl_->nesting > 0) {
-            g_active_profiler.store(nullptr, std::memory_order_release);
-            setitimer(ITIMER_PROF, &impl_->prev_timer, nullptr);
-            sigaction(SIGPROF, &impl_->prev_sa, nullptr);
-        }
+        if (impl_->nesting > 0) impl_->disarm();
     }
     delete impl_;
 }
@@ -199,91 +165,34 @@ bool Profiler::running() const {
     return g_active_profiler.load(std::memory_order_acquire) == this;
 }
 
-std::uint64_t Profiler::sample_count() const {
-    return impl_->samples.load(std::memory_order_relaxed);
-}
+std::uint64_t Profiler::sample_count() const { return impl_->rings.count(); }
 
 std::uint64_t Profiler::dropped_samples() const {
     return impl_->dropped.load(std::memory_order_relaxed);
 }
 
-void Profiler::signal_handler(int) {
-    // Async-signal-safe: one acquire load, then ring stores. Save errno —
-    // the interrupted code may be between a syscall and its errno check.
+void Profiler::signal_handler(int, siginfo_t*, void* uctx) {
+    // Async-signal-safe: an acquire load, an unwind, ring stores. errno is
+    // saved: the interrupted code may be between a syscall and its check.
     const int saved_errno = errno;
-    Profiler* p = g_active_profiler.load(std::memory_order_acquire);
-    if (p != nullptr) p->sample_current_thread();
+    if (Profiler* p = g_active_profiler.load(std::memory_order_acquire)) {
+        void* frames[Sample::kMaxFrames];
+        void** end = frames + std::max(0, ::backtrace(frames, static_cast<int>(Sample::kMaxFrames)));
+        // Attribute the sample to the code it interrupted: the stack starts
+        // at the PC, below this handler and the signal trampoline.
+        void* pc = interrupted_pc(uctx);
+        void** leaf = pc != nullptr ? std::find(frames, end, pc) : frames;
+        if (leaf == end && pc != nullptr) {
+            p->impl_->store(&pc, 1); // the unwinder never reached the PC
+        } else {
+            p->impl_->store(leaf, static_cast<std::uint32_t>(end - leaf));
+        }
+    }
     errno = saved_errno;
 }
 
-void Profiler::sample_current_thread() {
-    Impl* im = impl_;
-    Ring* ring = nullptr;
-    if (tl_prof_claim.owner_id == im->id) {
-        ring = static_cast<Ring*>(tl_prof_claim.ring);
-    } else {
-        // First sample on this thread: claim a preallocated ring with one
-        // fetch_add. No allocation, no locks — pool exhausted means the
-        // sample (and this thread) is dropped, never blocked on.
-        const std::uint32_t idx = im->next_ring.fetch_add(1, std::memory_order_relaxed);
-        if (idx >= im->rings.size()) {
-            im->dropped.fetch_add(1, std::memory_order_relaxed);
-            return;
-        }
-        ring = im->rings[idx].get();
-        ring->claimed.store(true, std::memory_order_release);
-        tl_prof_claim.owner_id = im->id;
-        tl_prof_claim.ring = ring;
-    }
-
-    void* frames[ProfileSample::kMaxFrames];
-    const int n = ::backtrace(frames, static_cast<int>(ProfileSample::kMaxFrames));
-    if (n <= 0) {
-        im->dropped.fetch_add(1, std::memory_order_relaxed);
-        return;
-    }
-
-    const std::uint64_t pos = ring->head.fetch_add(1, std::memory_order_relaxed);
-    ProfileSample& s = ring->slots[pos & (im->cfg.ring_slots - 1)];
-    const std::uint64_t ordinal = im->samples.fetch_add(1, std::memory_order_relaxed) + 1;
-    std::memcpy(s.frames, frames, static_cast<std::size_t>(n) * sizeof(void*));
-    s.n_frames.store(static_cast<std::uint32_t>(n), std::memory_order_relaxed);
-    s.ts_us.store(std::chrono::duration_cast<std::chrono::microseconds>(
-                      std::chrono::steady_clock::now() - im->base)
-                      .count(),
-                  std::memory_order_relaxed);
-    s.seq.store(ordinal, std::memory_order_release);
-}
-
 void Profiler::record_sample_for_test(void* const* frames, std::uint32_t n_frames) {
-    // Exactly the handler's store path, minus backtrace(): tests drive the
-    // wrap-around and ordering logic with fabricated frames.
-    Impl* im = impl_;
-    Ring* ring = nullptr;
-    if (tl_prof_claim.owner_id == im->id) {
-        ring = static_cast<Ring*>(tl_prof_claim.ring);
-    } else {
-        const std::uint32_t idx = im->next_ring.fetch_add(1, std::memory_order_relaxed);
-        if (idx >= im->rings.size()) {
-            im->dropped.fetch_add(1, std::memory_order_relaxed);
-            return;
-        }
-        ring = im->rings[idx].get();
-        ring->claimed.store(true, std::memory_order_release);
-        tl_prof_claim.owner_id = im->id;
-        tl_prof_claim.ring = ring;
-    }
-    const std::uint32_t n = std::min(n_frames, ProfileSample::kMaxFrames);
-    const std::uint64_t pos = ring->head.fetch_add(1, std::memory_order_relaxed);
-    ProfileSample& s = ring->slots[pos & (im->cfg.ring_slots - 1)];
-    const std::uint64_t ordinal = im->samples.fetch_add(1, std::memory_order_relaxed) + 1;
-    std::memcpy(s.frames, frames, n * sizeof(void*));
-    s.n_frames.store(n, std::memory_order_relaxed);
-    s.ts_us.store(std::chrono::duration_cast<std::chrono::microseconds>(
-                      std::chrono::steady_clock::now() - im->base)
-                      .count(),
-                  std::memory_order_relaxed);
-    s.seq.store(ordinal, std::memory_order_release);
+    impl_->store(frames, n_frames);
 }
 
 void Profiler::start() {
@@ -304,12 +213,9 @@ void Profiler::start() {
     (void)::backtrace(warm, 4);
 
     struct sigaction sa {};
-    sa.sa_handler = &Profiler::signal_handler;
+    sa.sa_sigaction = &Profiler::signal_handler;
     sigemptyset(&sa.sa_mask);
-    // SA_RESTART: an interrupted read()/write() resumes instead of
-    // surfacing EINTR into the disk layer's hot path (FileDisk also loops,
-    // but sampling should not change which path executes).
-    sa.sa_flags = SA_RESTART;
+    sa.sa_flags = SA_RESTART | SA_SIGINFO;
     if (sigaction(SIGPROF, &sa, &impl_->prev_sa) != 0) {
         g_active_profiler.store(nullptr, std::memory_order_release);
         throw std::runtime_error("Profiler: sigaction(SIGPROF) failed");
@@ -331,31 +237,21 @@ void Profiler::start() {
 void Profiler::stop() {
     std::lock_guard<std::mutex> lock(impl_->mu);
     if (impl_->nesting == 0) return; // unmatched stop: tolerate
-    if (--impl_->nesting > 0) return;
-    // Disarm the timer first so no new signals fire, then unhook the
-    // handler, then clear the slot. A handler already in flight still
-    // sees valid rings (they outlive this call).
-    setitimer(ITIMER_PROF, &impl_->prev_timer, nullptr);
-    sigaction(SIGPROF, &impl_->prev_sa, nullptr);
-    g_active_profiler.store(nullptr, std::memory_order_release);
+    if (--impl_->nesting == 0) impl_->disarm();
 }
 
-// ---------------------------------------------------------------------------
-// Output (post-stop; allocation and locks are fine here).
-
 void Profiler::folded(std::ostream& os) const {
-    const auto samples = impl_->collect();
     // Aggregate identical stacks on raw addresses first (cheap), then
     // symbolize each unique stack once, re-merging stacks whose symbolized
     // forms collide (adjacent addresses inside one function).
     std::map<std::vector<void*>, std::uint64_t> by_addr;
-    for (const auto& s : samples) ++by_addr[s.frames];
+    for (const auto& [tid, s] : impl_->collect()) ++by_addr[{s.frames, s.frames + s.n}];
 
     std::lock_guard<std::mutex> lock(impl_->sym_mu);
     std::map<std::string, std::uint64_t> by_stack;
     for (const auto& [frames, count] : by_addr) {
         std::string line;
-        // Folded format is root-first; backtrace() returns leaf-first.
+        // Folded format is root-first; samples are stored leaf-first.
         for (auto it = frames.rbegin(); it != frames.rend(); ++it) {
             const char* sym = impl_->intern(*it);
             if (!line.empty()) line += ';';
@@ -371,8 +267,7 @@ void Profiler::folded(std::ostream& os) const {
     // Deterministic order: descending count, then lexicographic.
     std::vector<std::pair<std::string, std::uint64_t>> rows(by_stack.begin(), by_stack.end());
     std::sort(rows.begin(), rows.end(), [](const auto& a, const auto& b) {
-        if (a.second != b.second) return a.second > b.second;
-        return a.first < b.first;
+        return std::tie(b.second, a.first) < std::tie(a.second, b.first);
     });
     for (const auto& [stack, count] : rows) os << stack << ' ' << count << '\n';
 }
@@ -385,43 +280,20 @@ std::string Profiler::folded_string() const {
 
 bool Profiler::folded_file(const std::string& path) const {
     std::ofstream os(path, std::ios::trunc);
-    if (!os) return false;
-    folded(os);
-    os.flush();
-    return static_cast<bool>(os);
+    if (os) folded(os);
+    return os.flush().good();
 }
 
 std::uint64_t Profiler::emit_to_tracer(Tracer* t) const {
     if (t == nullptr) return 0;
-    auto samples = impl_->collect();
-    std::sort(samples.begin(), samples.end(),
-              [](const CollectedSample& a, const CollectedSample& b) { return a.ts_us < b.ts_us; });
+    const auto samples = impl_->collect();
     std::lock_guard<std::mutex> lock(impl_->sym_mu);
-    // Profiler timestamps are microseconds since the profiler's own base;
-    // the tracer counts from its own construction. Both bases are the same
-    // steady clock, so one simultaneous reading of both ("now" in each
-    // epoch) yields the constant offset that rebases every sample onto the
-    // tracer's timeline, lining the lane up with the phase spans.
-    const std::int64_t prof_now_us =
-        std::chrono::duration_cast<std::chrono::microseconds>(std::chrono::steady_clock::now() -
-                                                              impl_->base)
-            .count();
-    const std::int64_t rebase_us = t->now_us() - prof_now_us;
-    std::uint64_t emitted = 0;
-    for (const auto& s : samples) {
-        const std::uint32_t lane = t->lane("profile " + std::to_string(s.tid));
-        TraceEvent ev;
-        ev.name = impl_->intern(s.frames.front()); // leaf symbol
-        ev.cat = "profile";
-        ev.phase = 'i';
-        ev.tid = lane;
-        ev.ts_us = s.ts_us + rebase_us;
-        ev.args[0] = {"frames", static_cast<std::int64_t>(s.frames.size())};
-        ev.n_args = 1;
-        t->emit(ev);
-        ++emitted;
+    for (const auto& [tid, s] : samples) {
+        // Named after the sample's leaf: the interrupted function.
+        t->emit({impl_->intern(s.frames[0]), "profile", 'i', t->lane("profile " + std::to_string(tid)),
+                 s.ts_us, 0, 0, {{"frames", s.n}}, 1});
     }
-    return emitted;
+    return samples.size();
 }
 
 } // namespace balsort

@@ -1,64 +1,17 @@
 #include "obs/tracer.hpp"
 
 #include <fstream>
-#include <ostream>
-
-#include "obs/json.hpp"
 
 namespace balsort {
 
 namespace detail {
 std::atomic<Tracer*> g_tracer{nullptr};
-// Monotonic epoch distinguishing tracer instances: a thread_local cache that
-// matches on the owner pointer alone would go stale if a tracer is destroyed
-// and a new one allocated at the same address. Also the install-slot validity
-// check in tracer() — see the declaration in tracer.hpp.
+// Tracers ever constructed: the install-slot validity check in tracer()
+// (see the declaration in tracer.hpp).
 std::atomic<std::uint64_t> g_tracer_epoch{0};
 } // namespace detail
 
-namespace {
-
-// Escaping is the shared obs/json.hpp helper (DESIGN.md §12).
-void write_escaped(std::ostream& os, const char* s) { write_json_escaped(os, s); }
-
-void write_event(std::ostream& os, const TraceEvent& ev) {
-    os << "{\"name\":\"";
-    write_escaped(os, ev.name != nullptr ? ev.name : "");
-    os << "\",\"cat\":\"";
-    write_escaped(os, ev.cat != nullptr ? ev.cat : "");
-    os << "\",\"ph\":\"" << ev.phase << "\",\"pid\":1,\"tid\":" << ev.tid
-       << ",\"ts\":" << ev.ts_us;
-    if (ev.phase == 'X') os << ",\"dur\":" << ev.dur_us;
-    if (ev.phase == 'b' || ev.phase == 'e') os << ",\"id\":" << ev.id;
-    // Instant events default to thread scope so they render as ticks on
-    // their lane rather than full-height lines.
-    if (ev.phase == 'i') os << ",\"s\":\"t\"";
-    if (ev.n_args > 0) {
-        os << ",\"args\":{";
-        for (std::uint8_t i = 0; i < ev.n_args; ++i) {
-            if (i > 0) os << ',';
-            os << '"';
-            write_escaped(os, ev.args[i].key != nullptr ? ev.args[i].key : "");
-            os << "\":" << ev.args[i].value;
-        }
-        os << '}';
-    }
-    os << '}';
-}
-
-} // namespace
-
-Tracer::Tracer()
-    : base_(std::chrono::steady_clock::now()),
-      epoch_(detail::g_tracer_epoch.fetch_add(1, std::memory_order_relaxed) + 1) {}
-
-Tracer::~Tracer() = default;
-
-std::int64_t Tracer::now_us() const {
-    return std::chrono::duration_cast<std::chrono::microseconds>(std::chrono::steady_clock::now() -
-                                                                 base_)
-        .count();
-}
+Tracer::Tracer() { detail::g_tracer_epoch.fetch_add(1, std::memory_order_relaxed); }
 
 std::uint32_t Tracer::lane(const std::string& name) {
     std::lock_guard<std::mutex> lk(mu_);
@@ -70,70 +23,15 @@ std::uint32_t Tracer::lane(const std::string& name) {
     return tid;
 }
 
-Tracer::ThreadBuf* Tracer::local_buf() {
-    struct Slot {
-        std::uint64_t epoch = 0;
-        Tracer* owner = nullptr;
-        ThreadBuf* buf = nullptr;
-    };
-    thread_local Slot slot;
-    if (slot.owner != this || slot.epoch != epoch_) {
-        auto buf = std::make_unique<ThreadBuf>();
-        buf->events.reserve(256);
-        std::lock_guard<std::mutex> lk(mu_);
-        buf->tid = next_tid_.fetch_add(1, std::memory_order_relaxed) + 1;
-        slot.buf = buf.get();
-        slot.owner = this;
-        slot.epoch = epoch_;
-        bufs_.push_back(std::move(buf));
-    }
-    return slot.buf;
-}
-
 void Tracer::emit(TraceEvent ev) {
-    ThreadBuf* buf = local_buf();
-    if (ev.tid == 0) ev.tid = buf->tid;
-    buf->events.push_back(ev);
+    auto* ring = rings_.local();
+    if (ev.tid == 0) ev.tid = ring->tid;
+    ring->push(ev);
 }
 
-void Tracer::instant(const char* name, const char* cat, std::uint32_t lane_tid,
-                     std::initializer_list<TraceArg> args) {
-    TraceEvent ev;
-    ev.name = name;
-    ev.cat = cat;
-    ev.phase = 'i';
-    ev.tid = lane_tid;
-    ev.ts_us = now_us();
-    for (const TraceArg& a : args) {
-        if (ev.n_args < 4) ev.args[ev.n_args++] = a;
-    }
-    emit(ev);
-}
-
-void Tracer::async_begin(const char* name, const char* cat, std::uint64_t id,
-                         std::uint32_t lane_tid, std::initializer_list<TraceArg> args) {
-    TraceEvent ev;
-    ev.name = name;
-    ev.cat = cat;
-    ev.phase = 'b';
-    ev.tid = lane_tid;
-    ev.ts_us = now_us();
-    ev.id = id;
-    for (const TraceArg& a : args) {
-        if (ev.n_args < 4) ev.args[ev.n_args++] = a;
-    }
-    emit(ev);
-}
-
-void Tracer::async_end(const char* name, const char* cat, std::uint64_t id,
-                       std::uint32_t lane_tid, std::initializer_list<TraceArg> args) {
-    TraceEvent ev;
-    ev.name = name;
-    ev.cat = cat;
-    ev.phase = 'e';
-    ev.tid = lane_tid;
-    ev.ts_us = now_us();
-    ev.id = id;
+void Tracer::point(char phase, const char* name, const char* cat, std::uint64_t id,
+                   std::uint32_t lane_tid, std::initializer_list<TraceArg> args) {
+    TraceEvent ev{name, cat, phase, lane_tid, now_us(), 0, id, {}, 0};
     for (const TraceArg& a : args) {
         if (ev.n_args < 4) ev.args[ev.n_args++] = a;
     }
@@ -142,43 +40,19 @@ void Tracer::async_end(const char* name, const char* cat, std::uint64_t id,
 
 void Tracer::write_chrome_trace(std::ostream& os) const {
     std::lock_guard<std::mutex> lk(mu_);
-    os << "{\"traceEvents\":[";
-    bool first = true;
-    // Lane labels: thread_name metadata so the viewer names the rows.
-    for (const auto& [name, tid] : lanes_) {
-        if (!first) os << ',';
-        first = false;
-        os << "{\"name\":\"thread_name\",\"ph\":\"M\",\"pid\":1,\"tid\":" << tid
-           << ",\"args\":{\"name\":\"";
-        write_escaped(os, name.c_str());
-        os << "\"}}";
+    ChromeTraceWriter w(os);
+    for (const auto& [name, tid] : lanes_) w.thread_name(tid, name);
+    for (const auto* ring : rings_.rings()) {
+        if (ring->count() == 0) continue;
+        w.thread_name(ring->tid, "thread " + std::to_string(ring->tid));
+        ring->read([&w](const TraceEvent& ev) { w.event(ev); });
     }
-    for (const auto& buf : bufs_) {
-        if (buf->events.empty()) continue;
-        if (!first) os << ',';
-        first = false;
-        os << "{\"name\":\"thread_name\",\"ph\":\"M\",\"pid\":1,\"tid\":" << buf->tid
-           << ",\"args\":{\"name\":\"thread " << buf->tid << "\"}}";
-        for (const TraceEvent& ev : buf->events) {
-            os << ',';
-            write_event(os, ev);
-        }
-    }
-    os << "],\"displayTimeUnit\":\"ms\"}\n";
 }
 
 bool Tracer::write_chrome_trace_file(const std::string& path) const {
     std::ofstream os(path);
-    if (!os) return false;
-    write_chrome_trace(os);
+    if (os) write_chrome_trace(os);
     return os.good();
-}
-
-std::size_t Tracer::event_count() const {
-    std::lock_guard<std::mutex> lk(mu_);
-    std::size_t n = 0;
-    for (const auto& buf : bufs_) n += buf->events.size();
-    return n;
 }
 
 TracerInstallGuard::TracerInstallGuard(Tracer* t) {

@@ -1,121 +1,84 @@
 #pragma once
-// Low-overhead span tracer with Chrome trace_event JSON export.
+// Span tracer with Chrome trace export: *when* each pipeline phase ran,
+// what each disk worker did meanwhile, how long a staged prefetch sat in
+// flight. The unbounded user of the obs event ring (event_ring.hpp): each
+// thread's ring grows a chunk at a time and keeps every event, because the
+// analyzer needs every span. Timestamps are on the obs clock, shared with
+// flight dumps and profiler samples.
 //
-// The tracer answers the timeline questions the counters cannot: *when* did
-// each pipeline phase run, what was each disk worker doing while the base
-// case sorted, how long did a staged prefetch sit in flight before the
-// consumer needed it. Events are appended to per-thread buffers (one mutex
-// acquisition per thread per tracer lifetime, lock-free afterwards) and
-// serialized on demand to the Chrome trace_event format, loadable in
-// Perfetto (https://ui.perfetto.dev) or chrome://tracing.
+// Events: Span, an RAII complete event ("X"); instant ("i"): fault
+// retries, reconstructions; async begin/end ("b"/"e") matched by id:
+// prefetch issue/consume. Threads get rows 1..N in registration order;
+// named lanes (a pipeline phase, a disk worker) get rows from 1000 up.
 //
-// Event kinds:
-//   Span        RAII complete event ("X": ts + dur) with optional i64 args
-//   instant     point event ("i") — fault retries, reconstructions, ...
-//   async pair  begin/end ("b"/"e") matched by id — prefetch issue/consume
-//
-// Lanes: real threads get row ids 1..N in registration order; named lanes
-// (one per pipeline phase, one per disk worker) get synthetic row ids from
-// 1000 up via lane(), each labelled with a thread_name metadata event so
-// the viewer shows "phase:pivot", "disk 3 io", etc.
-//
-// Cost model: everything is gated on a raw pointer — call sites hold a
-// `Tracer*` that is null when tracing is off, and every helper (and the
-// Span constructor) no-ops on null. The installed-tracer accessor
-// `balsort::tracer()` reads one relaxed atomic; compiling with
-// BALSORT_NO_OBS makes it constexpr nullptr so the entire instrumentation
-// dead-code eliminates (the compile-time-checkable no-op path).
-//
-// Strings: event/category/arg-key strings must have static storage
-// duration (string literals); the tracer stores the pointers only.
+// Cost model: call sites hold a `Tracer*` that is null when tracing is off,
+// and every helper (and Span) no-ops on null. tracer() reads one atomic;
+// BALSORT_NO_OBS makes it constexpr nullptr so instrumentation compiles out.
 #include <atomic>
 #include <chrono>
 #include <cstdint>
 #include <initializer_list>
 #include <iosfwd>
-#include <memory>
 #include <mutex>
 #include <string>
 #include <vector>
 
+#include "obs/event_ring.hpp"
+
 namespace balsort {
-
-struct TraceArg {
-    const char* key = nullptr;
-    std::int64_t value = 0;
-};
-
-struct TraceEvent {
-    const char* name = nullptr; // static-lifetime string
-    const char* cat = nullptr;  // static-lifetime string
-    char phase = 'X';           // 'X' complete, 'i' instant, 'b'/'e' async
-    std::uint32_t tid = 0;      // row id (thread or lane)
-    std::int64_t ts_us = 0;     // microseconds since tracer construction
-    std::int64_t dur_us = 0;    // 'X' only
-    std::uint64_t id = 0;       // async pair id ('b'/'e' only)
-    TraceArg args[4];
-    std::uint8_t n_args = 0;
-};
 
 class Tracer {
   public:
+    /// Events per chunk of a thread's ring; a full chunk gets a successor.
+    static constexpr std::uint32_t kChunkEvents = 1024;
+
     Tracer();
-    ~Tracer();
-    Tracer(const Tracer&) = delete;
-    Tracer& operator=(const Tracer&) = delete;
 
-    /// Microseconds since tracer construction (steady clock).
-    std::int64_t now_us() const;
+    /// Now on the obs clock, in microseconds.
+    std::int64_t now_us() const { return obs_now_us(); }
 
-    /// Converts an already-captured steady_clock point to trace time, for
-    /// call sites that timestamp before deciding whether to emit.
-    std::int64_t ts_us(std::chrono::steady_clock::time_point tp) const {
-        return std::chrono::duration_cast<std::chrono::microseconds>(tp - base_).count();
-    }
+    /// An already-captured steady_clock point as trace time.
+    std::int64_t ts_us(std::chrono::steady_clock::time_point tp) const { return obs_ts_us(tp); }
 
-    /// Registers (or looks up) a named lane — a synthetic timeline row for
-    /// events that belong to a logical track rather than an OS thread.
-    /// Idempotent per name; thread-safe.
+    /// The row of a named lane (a logical track, not an OS thread),
+    /// registered on first use. Idempotent per name; thread-safe.
     std::uint32_t lane(const std::string& name);
 
     /// Fresh id for an async begin/end pair.
     std::uint64_t next_async_id() { return async_id_.fetch_add(1, std::memory_order_relaxed) + 1; }
 
-    /// Appends a fully-formed event to the calling thread's buffer.
+    /// Appends a fully-formed event to the calling thread's ring.
     /// ev.tid == 0 means "the calling thread's row".
     void emit(TraceEvent ev);
 
     void instant(const char* name, const char* cat, std::uint32_t lane_tid = 0,
-                 std::initializer_list<TraceArg> args = {});
+                 std::initializer_list<TraceArg> args = {}) {
+        point('i', name, cat, 0, lane_tid, args);
+    }
     void async_begin(const char* name, const char* cat, std::uint64_t id,
-                     std::uint32_t lane_tid = 0, std::initializer_list<TraceArg> args = {});
+                     std::uint32_t lane_tid = 0, std::initializer_list<TraceArg> args = {}) {
+        point('b', name, cat, id, lane_tid, args);
+    }
     void async_end(const char* name, const char* cat, std::uint64_t id,
-                   std::uint32_t lane_tid = 0, std::initializer_list<TraceArg> args = {});
+                   std::uint32_t lane_tid = 0, std::initializer_list<TraceArg> args = {}) {
+        point('e', name, cat, id, lane_tid, args);
+    }
 
-    /// Serializes every buffered event as a Chrome trace_event JSON object
-    /// ({"traceEvents": [...]}). Call only when all producing threads have
-    /// quiesced (workers joined); concurrent emit() during export is a race.
+    /// Every event as Chrome trace JSON. Call once producers have quiesced
+    /// (workers joined): a concurrent emit() may or may not make it in.
     void write_chrome_trace(std::ostream& os) const;
     bool write_chrome_trace_file(const std::string& path) const;
 
-    /// Total events buffered so far (for tests; same quiescence caveat).
-    std::size_t event_count() const;
+    /// Total events recorded so far.
+    std::size_t event_count() const { return rings_.count(); }
 
   private:
-    struct ThreadBuf {
-        std::vector<TraceEvent> events;
-        std::uint32_t tid = 0;
-    };
+    void point(char phase, const char* name, const char* cat, std::uint64_t id,
+               std::uint32_t lane_tid, std::initializer_list<TraceArg> args);
 
-    ThreadBuf* local_buf();
-
-    std::chrono::steady_clock::time_point base_;
-    std::uint64_t epoch_; // globally unique per Tracer instance
+    EventRings<TraceEvent> rings_{kChunkEvents, /*bounded=*/false};
     std::atomic<std::uint64_t> async_id_{0};
-    std::atomic<std::uint32_t> next_tid_{0};
-
-    mutable std::mutex mu_;
-    std::vector<std::unique_ptr<ThreadBuf>> bufs_;
+    mutable std::mutex mu_; // lanes_
     std::vector<std::pair<std::string, std::uint32_t>> lanes_;
 };
 
@@ -123,22 +86,13 @@ class Tracer {
 /// Null tracer → every member is a no-op, so call sites need no branches.
 class Span {
   public:
-    Span(Tracer* t, const char* name, const char* cat, std::uint32_t lane_tid = 0)
-        : t_(t), lane_(lane_tid) {
-        if (t_ != nullptr) {
-            ev_.name = name;
-            ev_.cat = cat;
-            start_ = t_->now_us();
-        }
+    Span(Tracer* t, const char* name, const char* cat, std::uint32_t lane_tid = 0) : t_(t) {
+        if (t_ != nullptr) ev_ = {name, cat, 'X', lane_tid, t_->now_us(), 0, 0, {}, 0};
     }
     ~Span() {
-        if (t_ != nullptr) {
-            ev_.phase = 'X';
-            ev_.tid = lane_;
-            ev_.ts_us = start_;
-            ev_.dur_us = t_->now_us() - start_;
-            t_->emit(ev_);
-        }
+        if (t_ == nullptr) return;
+        ev_.dur_us = t_->now_us() - ev_.ts_us;
+        t_->emit(ev_);
     }
     Span(const Span&) = delete;
     Span& operator=(const Span&) = delete;
@@ -149,19 +103,14 @@ class Span {
 
   private:
     Tracer* t_;
-    std::uint32_t lane_;
-    std::int64_t start_ = 0;
     TraceEvent ev_;
 };
 
 namespace detail {
 extern std::atomic<Tracer*> g_tracer;
-/// Count of Tracer objects ever constructed in this process. Doubles as a
-/// validity cross-check for the install slot: a process that never built a
-/// Tracer cannot have a legitimate installation, so `tracer()` refuses to
-/// hand out whatever the slot holds (a stray write to the slot then reads
-/// as "tracing off" instead of a dereference of garbage). Same cache line
-/// as g_tracer, so the extra load is free.
+/// Tracers ever constructed. A process that never built one cannot have a
+/// legitimate installation, so tracer() then ignores the install slot (a
+/// stray write to it reads as "tracing off", not as a garbage pointer).
 extern std::atomic<std::uint64_t> g_tracer_epoch;
 } // namespace detail
 

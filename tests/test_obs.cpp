@@ -6,16 +6,25 @@
 // whose metrics snapshot carries per-disk latency histograms.
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <atomic>
+#include <chrono>
+#include <ctime>
 #include <filesystem>
 #include <fstream>
+#include <map>
 #include <sstream>
 #include <string>
 #include <string_view>
 #include <thread>
+#include <vector>
+
+#include <unistd.h>
 
 #include "core/balance_sort.hpp"
 #include "core/hier_sort.hpp"
 #include "obs/bench_result.hpp"
+#include "obs/flight_recorder.hpp"
 #include "obs/json.hpp"
 #include "obs/metrics.hpp"
 #include "obs/profiler.hpp"
@@ -190,6 +199,48 @@ TEST(TracerTest, PerThreadBuffersMergeOnExport) {
     EXPECT_TRUE(JsonChecker(os.str()).valid());
 }
 
+std::string trace_json(const Tracer& t) {
+    std::ostringstream os;
+    t.write_chrome_trace(os);
+    return os.str();
+}
+
+std::string flight_json() {
+    std::ostringstream os;
+    FlightRecorder::instance().dump(os);
+    return os.str();
+}
+
+/// The events named `name` in a Chrome trace document (throws if the
+/// document does not parse).
+std::vector<JsonValue> events_named(const std::string& json, const std::string& name) {
+    std::vector<JsonValue> out;
+    const JsonValue doc = JsonValue::parse(json).value();
+    for (const JsonValue& ev : doc.find("traceEvents")->items()) {
+        if (ev.find("name")->as_string() == name) out.push_back(ev);
+    }
+    return out;
+}
+
+TEST(TracerTest, UnboundedRingKeepsEveryEventPastOneChunk) {
+    Tracer t;
+    constexpr std::size_t kEvents = 3 * Tracer::kChunkEvents;
+    auto emit = [&t] {
+        for (std::size_t i = 0; i < kEvents; ++i) t.instant("tick", "test", 0, {{"i", static_cast<std::int64_t>(i)}});
+    };
+    std::thread other(emit);
+    emit();
+    other.join();
+    EXPECT_EQ(t.event_count(), 2 * kEvents);
+    // Each thread's events come out whole and in emission order.
+    std::map<double, double> next_i; // tid -> expected arg
+    for (const JsonValue& ev : events_named(trace_json(t), "tick")) {
+        EXPECT_EQ(ev.find("args")->find("i")->as_double(), next_i[ev.find("tid")->as_double()]++);
+    }
+    ASSERT_EQ(next_i.size(), 2u);
+    for (const auto& [tid, n] : next_i) EXPECT_EQ(n, static_cast<double>(kEvents)) << tid;
+}
+
 TEST(TracerTest, NullTracerSpanIsNoOp) {
     Span s(nullptr, "nothing", "test");
     s.arg("ignored", 1); // must not crash
@@ -216,6 +267,55 @@ TEST(TracerTest, InstallGuardPublishesAndRestores) {
         EXPECT_EQ(tracer(), &outer);
     }
     EXPECT_EQ(tracer(), nullptr);
+}
+
+// ---------------------------------------------------------------------------
+// Flight recorder
+// ---------------------------------------------------------------------------
+
+TEST(FlightRecorderTest, WrapKeepsExactlyTheNewestRingSlotsNotes) {
+    constexpr std::int64_t kNotes = FlightRecorder::kRingSlots + 100;
+    const std::int64_t run = obs_now_us(); // tells this run's notes from a repeat's
+    std::thread([run] {
+        for (std::int64_t i = 0; i < kNotes; ++i) flight_note("test.wrap", "test", i, run);
+    }).join();
+    std::vector<double> kept;
+    for (const JsonValue& ev : events_named(flight_json(), "test.wrap")) {
+        if (ev.find("args")->find("a1")->as_double() == static_cast<double>(run)) {
+            kept.push_back(ev.find("args")->find("a0")->as_double());
+        }
+    }
+    ASSERT_EQ(kept.size(), FlightRecorder::kRingSlots);
+    std::sort(kept.begin(), kept.end());
+    for (std::size_t k = 0; k < kept.size(); ++k) EXPECT_EQ(kept[k], static_cast<double>(100 + k));
+}
+
+TEST(FlightRecorderTest, DumpConcurrentWithNotesIsValidJson) {
+    std::atomic<bool> stop{false};
+    std::vector<std::thread> writers;
+    for (std::int64_t w = 0; w < 4; ++w) {
+        writers.emplace_back([&stop, w] {
+            for (std::int64_t i = 0; !stop.load(); ++i) flight_note("test.concurrent", "test", w, i);
+        });
+    }
+    for (int d = 0; d < 20; ++d) EXPECT_TRUE(JsonChecker(flight_json()).valid());
+    stop.store(true);
+    for (std::thread& w : writers) w.join();
+}
+
+TEST(FlightRecorderTest, SharesTheTracersTimeAxis) {
+    // The recorder's first use comes well before the tracer is built; a
+    // per-recorder clock base would shift one export against the other.
+    flight_note("test.axis.warm", "test");
+    std::this_thread::sleep_for(std::chrono::milliseconds(20));
+    Tracer t;
+    flight_note("test.axis", "test");
+    t.instant("test.axis", "test");
+    const auto a = events_named(flight_json(), "test.axis");
+    const auto b = events_named(trace_json(t), "test.axis");
+    ASSERT_FALSE(a.empty());
+    ASSERT_EQ(b.size(), 1u);
+    EXPECT_NEAR(a.back().find("ts")->as_double(), b[0].find("ts")->as_double(), 1000.0);
 }
 
 // ---------------------------------------------------------------------------
@@ -712,12 +812,37 @@ extern "C" {
 int balsort_prof_frame_root() { return 1; }
 int balsort_prof_frame_mid() { return 2; }
 int balsort_prof_frame_leaf() { return 3; }
+// A leaf with no calls and no memory traffic, so a sample taken while it
+// runs can only be attributed to it.
+__attribute__((noinline)) std::uint64_t balsort_prof_spin(std::uint64_t iters) {
+    std::uint64_t x = iters;
+    for (std::uint64_t i = 0; i < iters; ++i) {
+        x = x * 6364136223846793005ull + 1442695040888963407ull;
+        asm volatile("" : "+r"(x));
+    }
+    return x;
+}
 }
 
 namespace balsort {
 namespace {
 
 void* frame_addr(int (*fn)()) { return reinterpret_cast<void*>(fn); }
+
+/// Runs balsort_prof_spin for `cpu_ms` of process CPU time under `p`. The
+/// usleep(0) between spins lets a runtime that defers signals to its next
+/// interceptor (TSan) deliver the pending SIGPROF.
+void spin_sampled(Profiler& p, long cpu_ms) {
+    p.start();
+    const std::clock_t until = std::clock() + cpu_ms * (CLOCKS_PER_SEC / 1000);
+    while (std::clock() < until) {
+        (void)balsort_prof_spin(200'000);
+        ::usleep(0);
+    }
+    p.stop();
+}
+
+ProfilerConfig small_profiler() { return {.ring_slots = 1024, .max_threads = 4}; }
 
 TEST(ProfilerTest, FoldedStacksAggregateRootFirstAndDeterministically) {
     ProfilerConfig cfg;
@@ -833,6 +958,37 @@ TEST(ProfilerTest, EmitToTracerLandsSamplesOnProfileLanes) {
     EXPECT_TRUE(contains(trace, "\"cat\":\"profile\""));
     EXPECT_TRUE(contains(trace, "profile ")); // per-thread lane metadata
     EXPECT_TRUE(contains(trace, "balsort_prof_frame_leaf")); // leaf-named instants
+
+    // Live samples are named after the code they interrupted, never after
+    // the sampler's own frames.
+    Profiler live(small_profiler());
+    spin_sampled(live, 50);
+    Tracer live_tracer;
+    ASSERT_GT(live.emit_to_tracer(&live_tracer), 0u);
+    const JsonValue doc = JsonValue::parse(trace_json(live_tracer)).value();
+    for (const JsonValue& ev : doc.find("traceEvents")->items()) {
+        const std::string& name = ev.find("name")->as_string();
+        EXPECT_FALSE(ev.find("ph")->as_string() == "i" && contains(name, "Profiler::")) << name;
+    }
+}
+
+TEST(ProfilerTest, AttributesSamplesToTheInterruptedFunction) {
+    Profiler p(small_profiler());
+    spin_sampled(p, 200);
+    ASSERT_GE(p.sample_count(), 20u);
+    const std::string folded = p.folded_string();
+    std::istringstream lines(folded);
+    std::uint64_t total = 0, in_spin = 0;
+    for (std::string line; std::getline(lines, line);) {
+        const auto space = line.find_last_of(' ');
+        ASSERT_NE(space, std::string::npos) << line;
+        const std::string stack = line.substr(0, space);
+        const std::uint64_t count = std::stoull(line.substr(space + 1));
+        EXPECT_FALSE(contains(stack, "Profiler::")) << line;
+        total += count;
+        if (stack.substr(stack.find_last_of(';') + 1) == "balsort_prof_spin") in_spin += count;
+    }
+    EXPECT_GT(2 * in_spin, total) << folded; // the spin is the leaf of most samples
 }
 
 } // namespace
