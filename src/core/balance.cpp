@@ -142,14 +142,7 @@ std::vector<BucketOutput> balance_pass(RecordSource& input, const PivotSet& pivo
                     chunk_bucket[i] = pivots.bucket_of((*chunk)[i].key);
                 }
             });
-            if (meter != nullptr) {
-                meter->add_comparisons(got * std::max<std::uint64_t>(1, ilog2_ceil(s_eff)));
-                meter->add_moves(got);
-            }
-            if (cost != nullptr) {
-                cost->charge_parallel_work(got * std::max<std::uint64_t>(1, ilog2_ceil(s_eff)));
-                cost->charge_collective();
-            }
+            charge_classify(got, s_eff, meter, cost);
             for (std::uint64_t i = 0; i < got; ++i) {
                 const std::uint32_t b = chunk_bucket[i];
                 buckets[b].min_key = std::min(buckets[b].min_key, (*chunk)[i].key);

@@ -2,22 +2,21 @@
 
 #include <algorithm>
 
-#include "pram/parallel_sort.hpp"
 #include "pram/selection.hpp"
 #include "util/math.hpp"
 
 namespace balsort {
 
-std::uint32_t PivotSet::bucket_of(std::uint64_t key) const {
-    // Branchless probe (pivot_lower_bound is a cmov loop): i = #keys < key;
-    // the +1 equal-class offset folds into an unpredicated add, so the
-    // classification hot loops in balance_pass carry no data-dependent
-    // branches at all.
-    const std::span<const std::uint64_t> ks(keys);
-    const std::uint32_t i = pivot_lower_bound(ks, key);
-    const std::uint32_t eq =
-        static_cast<std::uint32_t>(i < ks.size() && ks[i] == key); // equal class
-    return 2 * i + eq;
+void charge_classify(std::uint64_t n, std::uint32_t n_buckets, WorkMeter* meter, PramCost* cost) {
+    const std::uint64_t comparisons = n * std::max<std::uint64_t>(1, ilog2_ceil(n_buckets));
+    if (meter != nullptr) {
+        meter->add_comparisons(comparisons);
+        meter->add_moves(n);
+    }
+    if (cost != nullptr) {
+        cost->charge_parallel_work(comparisons);
+        cost->charge_collective();
+    }
 }
 
 std::uint64_t sampling_stride(std::uint64_t n, std::uint64_t m, std::uint32_t s_target) {

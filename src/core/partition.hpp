@@ -19,10 +19,12 @@
 /// recursion, so heavy duplicates can never stall the recursion.
 
 #include <cstdint>
+#include <span>
 #include <vector>
 
 #include "core/vrun.hpp"
 #include "pram/executor.hpp"
+#include "pram/parallel_sort.hpp"
 #include "pram/pram_cost.hpp"
 #include "util/work_meter.hpp"
 
@@ -40,9 +42,30 @@ struct PivotSet {
     bool is_equal_class(std::uint32_t bucket) const { return bucket % 2 == 1; }
 
     /// Bucket of `key`: 2i for the open range (keys[i-1], keys[i]),
-    /// 2i+1 for key == keys[i]. O(log |keys|).
-    std::uint32_t bucket_of(std::uint64_t key) const;
+    /// 2i+1 for key == keys[i], i.e. 2·#(keys < key) + #(keys == key).
+    /// Branch-free: up to kCountClassifyMax keys, every key is compared and
+    /// counted; above that, a branchless binary search plus one equality
+    /// probe. Charged by `charge_classify`.
+    std::uint32_t bucket_of(std::uint64_t key) const {
+        const std::span<const std::uint64_t> ks(keys);
+        if (ks.size() <= kCountClassifyMax) {
+            std::uint32_t lt = 0, le = 0; // 2·lt + eq == lt + le
+            for (const std::uint64_t p : ks) {
+                lt += static_cast<std::uint32_t>(p < key);
+                le += static_cast<std::uint32_t>(p <= key);
+            }
+            return lt + le;
+        }
+        const std::uint32_t i = pivot_lower_bound(ks, key);
+        return 2 * i + static_cast<std::uint32_t>(i < ks.size() && ks[i] == key);
+    }
 };
+
+/// The classification model of one memoryload of n records split into
+/// `n_buckets` buckets, as Balance charges it: n·max(1, ⌈log₂ s⌉)
+/// comparisons and n moves; `cost` gets that many comparisons of parallel
+/// work plus one collective.
+void charge_classify(std::uint64_t n, std::uint32_t n_buckets, WorkMeter* meter, PramCost* cost);
 
 /// Compute pivots for a level of PDM Balance Sort by memoryload sampling.
 /// Consumes `input` entirely (the caller re-opens the level's input for the

@@ -58,12 +58,13 @@ enum class PivotMethod {
     kStreamingSketch,
 };
 
-/// Which engine sorts a base-case memoryload with the P processors (§5's
-/// internal-processing toolbox: Cole's merge sort [Col] vs the
-/// Rajasekaran-Reif radix path [RaR]).
+/// Which model charges a base-case memoryload's sort with the P processors
+/// (§5's internal-processing toolbox: Cole's merge sort [Col] vs the
+/// Rajasekaran-Reif radix path [RaR]). Both run the same stable kernel, so
+/// the choice moves the charged work, never the output bytes.
 enum class InternalSort {
-    kParallelMerge, ///< comparison-based, stable (default)
-    kParallelRadix, ///< LSD radix on the 64-bit keys, stable
+    kParallelMerge, ///< charged as a comparison-based merge sort (default)
+    kParallelRadix, ///< charged as an LSD radix sort on the 64-bit keys
 };
 
 /// How the bucket count S is chosen at each recursion level.

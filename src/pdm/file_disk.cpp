@@ -50,7 +50,8 @@ FileDisk::FileDisk(std::string path, std::size_t block_size, bool unlink_on_clos
                           std::generic_category().message(err));
         }
         const std::uint64_t bytes = block_size_ * sizeof(Record);
-        size_blocks_ = static_cast<std::uint64_t>(st.st_size) / bytes;
+        size_blocks_.store(static_cast<std::uint64_t>(st.st_size) / bytes,
+                           std::memory_order_relaxed);
     }
 }
 
@@ -83,7 +84,8 @@ off_t FileDisk::block_offset(std::uint64_t index) const {
 
 void FileDisk::read_block(std::uint64_t index, std::span<Record> out) const {
     BS_REQUIRE(out.size() == block_size_, "read_block: buffer size != block size");
-    BS_MODEL_CHECK(index < size_blocks_, "read_block: reading unallocated block");
+    BS_MODEL_CHECK(index < size_blocks_.load(std::memory_order_acquire),
+                   "read_block: reading unallocated block");
     const std::size_t bytes = block_size_ * sizeof(Record);
     const off_t offset = block_offset(index);
     std::size_t done = 0;
@@ -133,7 +135,13 @@ void FileDisk::write_block(std::uint64_t index, std::span<const Record> in) {
         }
         done += static_cast<std::size_t>(n);
     }
-    if (index + 1 > size_blocks_) size_blocks_ = index + 1;
+    // Monotonic max: a failed exchange reloads `seen`, and the loop stops
+    // once the size covers this block.
+    std::uint64_t seen = size_blocks_.load(std::memory_order_relaxed);
+    while (index + 1 > seen &&
+           !size_blocks_.compare_exchange_weak(seen, index + 1, std::memory_order_release,
+                                               std::memory_order_relaxed)) {
+    }
 }
 
 } // namespace balsort

@@ -14,6 +14,7 @@
 
 #include <sys/types.h>
 
+#include <atomic>
 #include <string>
 
 #include "pdm/disk.hpp"
@@ -38,7 +39,9 @@ public:
     FileDisk& operator=(const FileDisk&) = delete;
 
     std::size_t block_size() const override { return block_size_; }
-    std::uint64_t size_blocks() const override { return size_blocks_; }
+    std::uint64_t size_blocks() const override {
+        return size_blocks_.load(std::memory_order_acquire);
+    }
     void read_block(std::uint64_t index, std::span<Record> out) const override;
     void write_block(std::uint64_t index, std::span<const Record> in) override;
 
@@ -56,7 +59,10 @@ private:
 
     std::string path_;
     std::size_t block_size_;
-    std::uint64_t size_blocks_ = 0;
+    /// Blocks written so far (the highest index + 1). Atomic: one thread's
+    /// `write_block` grows it while another's `read_block` checks against
+    /// it; a slow writer of a lower index never shrinks it.
+    std::atomic<std::uint64_t> size_blocks_{0};
     int fd_ = -1;
     bool unlink_on_close_;
     bool fsync_on_close_;

@@ -1,7 +1,7 @@
 #include "pram/parallel_sort.hpp"
 
 #include <algorithm>
-#include <cstring>
+#include <memory>
 
 #include "util/common.hpp"
 #include "util/math.hpp"
@@ -10,7 +10,7 @@ namespace balsort {
 
 namespace {
 
-/// Estimated comparison count of std::stable_sort on n elements.
+/// n·⌈log₂ n⌉: the comparisons charged for a merge sort of n elements.
 std::uint64_t nlogn(std::uint64_t n) {
     return n == 0 ? 0 : n * std::max<std::uint64_t>(1, ilog2_ceil(n | 1));
 }
@@ -36,65 +36,19 @@ void binary_merge(std::span<const Record> a, std::span<const Record> b, std::spa
     }
 }
 
-void parallel_merge_sort(std::span<Record> records, const Parallel& pool, WorkMeter* meter,
-                         PramCost* cost) {
-    const std::size_t n = records.size();
+void charge_merge_sort(std::uint64_t n, std::size_t width, WorkMeter* meter, PramCost* cost) {
     if (n <= 1) return;
-    const std::size_t p = std::min<std::size_t>(pool.size(), (n + 1) / 2);
-
-    // Phase 1: each processor stable-sorts its contiguous slice.
-    std::vector<std::pair<std::size_t, std::size_t>> run(p);
-    {
-        const std::size_t per = n / p, rem = n % p;
-        std::size_t off = 0;
-        for (std::size_t w = 0; w < p; ++w) {
-            std::size_t len = per + (w < rem ? 1 : 0);
-            run[w] = {off, off + len};
-            off += len;
-        }
-    }
-    pool.parallel_for(0, p, [&](std::size_t lo, std::size_t hi, std::size_t) {
-        for (std::size_t w = lo; w < hi; ++w) {
-            std::stable_sort(records.begin() + static_cast<std::ptrdiff_t>(run[w].first),
-                             records.begin() + static_cast<std::ptrdiff_t>(run[w].second),
-                             KeyLess{});
-        }
-    });
-    if (meter != nullptr) meter->add_comparisons(nlogn(n / std::max<std::size_t>(p, 1)) * p);
+    const std::uint64_t p = std::min<std::uint64_t>(std::max<std::size_t>(width, 1), (n + 1) / 2);
+    // Phase 1: each of the p lanes sorts its contiguous slice.
+    if (meter != nullptr) meter->add_comparisons(nlogn(n / p) * p);
     if (cost != nullptr) {
         cost->charge_parallel_work(nlogn(n));
         cost->charge_collective();
     }
-
-    // Phase 2: log p rounds of pairwise merges (the Cole cascade in shape;
-    // each round is a parallel collective).
-    std::vector<Record> scratch(n);
-    std::span<Record> src = records;
-    std::span<Record> dst(scratch);
-    std::size_t n_runs = p;
-    std::vector<std::pair<std::size_t, std::size_t>> next_run;
-    while (n_runs > 1) {
-        next_run.clear();
-        const std::size_t pairs = n_runs / 2;
-        pool.parallel_for(0, pairs, [&](std::size_t lo, std::size_t hi, std::size_t) {
-            for (std::size_t q = lo; q < hi; ++q) {
-                auto [a_lo, a_hi] = run[2 * q];
-                auto [b_lo, b_hi] = run[2 * q + 1];
-                BS_MODEL_CHECK(a_hi == b_lo, "merge runs not adjacent");
-                binary_merge(src.subspan(a_lo, a_hi - a_lo), src.subspan(b_lo, b_hi - b_lo),
-                             dst.subspan(a_lo, b_hi - a_lo), nullptr);
-            }
-        });
-        for (std::size_t q = 0; q < pairs; ++q) {
-            next_run.emplace_back(run[2 * q].first, run[2 * q + 1].second);
-        }
-        if (n_runs % 2 == 1) {
-            auto [c_lo, c_hi] = run[n_runs - 1];
-            std::copy(src.begin() + static_cast<std::ptrdiff_t>(c_lo),
-                      src.begin() + static_cast<std::ptrdiff_t>(c_hi),
-                      dst.begin() + static_cast<std::ptrdiff_t>(c_lo));
-            next_run.emplace_back(c_lo, c_hi);
-        }
+    // Phase 2: ⌈log₂ p⌉ rounds of pairwise merges (the Cole cascade in
+    // shape; each round is a parallel collective). An odd run out passes
+    // through, so a round leaves ⌈runs/2⌉ runs.
+    for (std::uint64_t runs = p; runs > 1; runs = ceil_div(runs, 2)) {
         if (meter != nullptr) {
             meter->add_comparisons(n);
             meter->add_moves(n);
@@ -103,69 +57,120 @@ void parallel_merge_sort(std::span<Record> records, const Parallel& pool, WorkMe
             cost->charge_parallel_work(2 * n);
             cost->charge_collective();
         }
-        run = next_run;
-        n_runs = run.size();
-        std::swap(src, dst);
-    }
-    if (src.data() != records.data()) {
-        std::copy(src.begin(), src.end(), records.begin());
     }
 }
 
-void parallel_radix_sort(std::span<Record> records, const Parallel& pool, WorkMeter* meter,
-                         PramCost* cost) {
-    const std::size_t n = records.size();
+void charge_radix_sort(std::uint64_t n, WorkMeter* meter, PramCost* cost) {
     if (n <= 1) return;
+    constexpr unsigned kPasses = (64 + 11 - 1) / 11; // radix 2^11
+    for (unsigned pass = 0; pass < kPasses; ++pass) {
+        if (meter != nullptr) meter->add_moves(2 * n);
+        if (cost != nullptr) {
+            cost->charge_parallel_work(2 * n);
+            cost->charge_collective();
+        }
+    }
+}
+
+void charge_bucket_of(std::uint64_t n, std::size_t n_pivots, WorkMeter* meter) {
+    if (meter != nullptr) {
+        meter->add_comparisons(n * std::max<std::uint64_t>(1, ilog2_ceil(n_pivots | 1)));
+    }
+}
+
+void stable_key_sort(std::span<Record> records, const Parallel& pool) {
+    const std::size_t n = records.size();
+    if (n <= kStableSortCutoff) {
+        std::stable_sort(records.begin(), records.end(), KeyLess{});
+        return;
+    }
     constexpr unsigned kRadixBits = 11;
     constexpr std::size_t kBuckets = std::size_t{1} << kRadixBits;
-    constexpr unsigned kPasses = (64 + kRadixBits - 1) / kRadixBits;
+    constexpr std::uint64_t kMask = kBuckets - 1;
+    constexpr unsigned kDigits = (64 + kRadixBits - 1) / kRadixBits;
 
-    const std::size_t p = pool.size();
-    std::vector<Record> scratch(n);
-    std::span<Record> src = records;
-    std::span<Record> dst(scratch);
-    // Per-worker histograms: hist[w][digit].
-    std::vector<std::vector<std::uint64_t>> hist(p, std::vector<std::uint64_t>(kBuckets));
-    std::vector<std::pair<std::size_t, std::size_t>> ranges(p, {0, 0});
-
-    for (unsigned pass = 0; pass < kPasses; ++pass) {
-        const unsigned shift = pass * kRadixBits;
-        for (auto& h : hist) std::fill(h.begin(), h.end(), 0);
-        pool.parallel_for(0, n, [&](std::size_t lo, std::size_t hi, std::size_t w) {
-            ranges[w] = {lo, hi};
-            auto& h = hist[w];
-            for (std::size_t i = lo; i < hi; ++i) {
-                h[(src[i].key >> shift) & (kBuckets - 1)]++;
+    // Per-lane histograms of every digit: hist(lane, digit)[bucket]. The
+    // chunk geometry of parallel_for depends only on (n, width), so a
+    // lane's chunk is the same in every pass.
+    const std::size_t lanes = std::min(pool.size(), n);
+    std::vector<std::size_t> counts(lanes * kDigits * kBuckets, 0);
+    auto hist = [&](std::size_t lane, unsigned digit) {
+        return counts.data() + (lane * kDigits + digit) * kBuckets;
+    };
+    std::vector<std::pair<std::size_t, std::size_t>> ranges(lanes, {0, 0});
+    pool.parallel_for(0, n, [&](std::size_t lo, std::size_t hi, std::size_t w) {
+        ranges[w] = {lo, hi};
+        std::size_t* h = hist(w, 0);
+        for (std::size_t i = lo; i < hi; ++i) {
+            const std::uint64_t key = records[i].key;
+            for (unsigned d = 0; d < kDigits; ++d) {
+                h[d * kBuckets + ((key >> (d * kRadixBits)) & kMask)]++;
             }
-        });
-        // Exclusive scan over (digit-major, worker-minor) layout so the
-        // scatter below is stable.
-        std::uint64_t acc = 0;
-        for (std::size_t d = 0; d < kBuckets; ++d) {
-            for (std::size_t w = 0; w < p; ++w) {
-                std::uint64_t c = hist[w][d];
-                hist[w][d] = acc;
+        }
+    });
+    // A digit whose value is the same for every record would be a stable
+    // no-op pass: skip it (a base-case bucket shares its high bits).
+    std::vector<unsigned> active;
+    for (unsigned d = 0; d < kDigits; ++d) {
+        const std::uint64_t first = (records[0].key >> (d * kRadixBits)) & kMask;
+        std::size_t same = 0;
+        for (std::size_t w = 0; w < lanes; ++w) same += hist(w, d)[first];
+        if (same != n) active.push_back(d);
+    }
+    if (active.empty()) return;
+
+    // Uninitialized scratch: the first scatter writes every slot.
+    const auto release = [n](Record* p) { std::allocator<Record>().deallocate(p, n); };
+    const std::unique_ptr<Record, decltype(release)> scratch(std::allocator<Record>().allocate(n),
+                                                             release);
+    Record* src = records.data();
+    Record* dst = scratch.get();
+    for (std::size_t j = 0; j < active.size(); ++j) {
+        const unsigned d = active[j];
+        const unsigned shift = d * kRadixBits;
+        if (j > 0 && lanes > 1) {
+            // The records moved between lanes' chunks: recount this digit.
+            pool.parallel_for(0, n, [&](std::size_t lo, std::size_t hi, std::size_t w) {
+                BS_MODEL_CHECK(ranges[w] == std::make_pair(lo, hi),
+                               "radix chunking changed between passes");
+                std::size_t* h = hist(w, d);
+                std::fill(h, h + kBuckets, 0);
+                for (std::size_t i = lo; i < hi; ++i) h[(src[i].key >> shift) & kMask]++;
+            });
+        }
+        // Exclusive scan over (bucket-major, lane-minor) so the scatter
+        // below is stable.
+        std::size_t acc = 0;
+        for (std::size_t b = 0; b < kBuckets; ++b) {
+            for (std::size_t w = 0; w < lanes; ++w) {
+                const std::size_t c = hist(w, d)[b];
+                hist(w, d)[b] = acc;
                 acc += c;
             }
         }
         pool.parallel_for(0, n, [&](std::size_t lo, std::size_t hi, std::size_t w) {
             BS_MODEL_CHECK(ranges[w] == std::make_pair(lo, hi),
                            "radix chunking changed between passes");
-            auto& h = hist[w];
-            for (std::size_t i = lo; i < hi; ++i) {
-                dst[h[(src[i].key >> shift) & (kBuckets - 1)]++] = src[i];
-            }
+            std::size_t* h = hist(w, d);
+            const Record* in = src;
+            Record* out = dst;
+            for (std::size_t i = lo; i < hi; ++i) out[h[(in[i].key >> shift) & kMask]++] = in[i];
         });
-        if (meter != nullptr) meter->add_moves(2 * n);
-        if (cost != nullptr) {
-            cost->charge_parallel_work(2 * n);
-            cost->charge_collective();
-        }
         std::swap(src, dst);
     }
-    if (src.data() != records.data()) {
-        std::copy(src.begin(), src.end(), records.begin());
-    }
+    if (src != records.data()) std::copy(src, src + n, records.data());
+}
+
+void parallel_merge_sort(std::span<Record> records, const Parallel& pool, WorkMeter* meter,
+                         PramCost* cost) {
+    stable_key_sort(records, pool);
+    charge_merge_sort(records.size(), pool.size(), meter, cost);
+}
+
+void parallel_radix_sort(std::span<Record> records, const Parallel& pool, WorkMeter* meter,
+                         PramCost* cost) {
+    stable_key_sort(records, pool);
+    charge_radix_sort(records.size(), meter, cost);
 }
 
 void multiway_merge(std::span<const std::span<const Record>> runs, std::span<Record> out,
@@ -327,32 +332,23 @@ void multiway_merge(std::span<const std::span<const Record>> runs, std::span<Rec
 
 std::vector<std::uint32_t> bucket_of(std::span<const Record> records,
                                      std::span<const std::uint64_t> pivots, WorkMeter* meter) {
-    std::vector<std::uint32_t> idx(records.size());
-    for (std::size_t i = 0; i < records.size(); ++i) {
-        // bucket = number of pivots <= key (keys equal to a pivot go right,
-        // so bucket i covers [pivots[i-1], pivots[i]) exclusive of pivot).
-        idx[i] = pivot_upper_bound(pivots, records[i].key);
-    }
-    if (meter != nullptr) {
-        meter->add_comparisons(records.size() *
-                               std::max<std::uint64_t>(1, ilog2_ceil(pivots.size() | 1)));
-    }
-    return idx;
+    return bucket_of(records, pivots, Parallel{}, meter);
 }
 
 std::vector<std::uint32_t> bucket_of(std::span<const Record> records,
                                      std::span<const std::uint64_t> pivots, const Parallel& pool,
                                      WorkMeter* meter) {
+    // bucket = number of pivots <= key (keys equal to a pivot go right, so
+    // bucket i covers [pivots[i-1], pivots[i]) exclusive of pivot).
     std::vector<std::uint32_t> idx(records.size());
     pool.parallel_for(0, records.size(), [&](std::size_t lo, std::size_t hi, std::size_t) {
-        for (std::size_t i = lo; i < hi; ++i) {
-            idx[i] = pivot_upper_bound(pivots, records[i].key);
+        if (pivots.size() <= kCountClassifyMax) {
+            for (std::size_t i = lo; i < hi; ++i) idx[i] = pivot_count_le(pivots, records[i].key);
+        } else {
+            for (std::size_t i = lo; i < hi; ++i) idx[i] = pivot_upper_bound(pivots, records[i].key);
         }
     });
-    if (meter != nullptr) {
-        meter->add_comparisons(records.size() *
-                               std::max<std::uint64_t>(1, ilog2_ceil(pivots.size() | 1)));
-    }
+    charge_bucket_of(records.size(), pivots.size(), meter);
     return idx;
 }
 

@@ -1,8 +1,26 @@
 #pragma once
 /// \file selection.hpp
-/// Deterministic linear-time selection (Blum–Floyd–Pratt–Rivest–Tarjan
-/// [BFP], cited by the paper). Used by ComputeAux to find the median of a
-/// histogram row, and by partition-element selection.
+/// Selection primitives.
+///
+///  * `select_kth` / `paper_median` — deterministic linear-time selection
+///    (Blum–Floyd–Pratt–Rivest–Tarjan [BFP], cited by the paper), used by
+///    ComputeAux to find the median of a histogram row.
+///  * `multi_select_keys` — the record keys at a set of ranks, used by the
+///    pivot pass to sample every memoryload at 8S centered ranks.
+///
+/// `multi_select_keys` separates its charged model from its kernel. The
+/// **model** is recursive rank splitting: select the middle rank (2n
+/// comparisons and ⌊n/2⌋ moves on a subproblem of n records), then recurse
+/// on the two sides with the remaining ranks — O(n log k) work, which keeps
+/// the pivot pass within Theorem 1's O((N/P) log N) budget: a memoryload is
+/// *selected at 8S ranks*, not fully sorted. The split points depend only on
+/// (n, ranks), so `charge_multi_select` replays the charge from the shape
+/// alone. The **kernel** is an exact, in-memory histogram multi-select (the
+/// histogramming of Histogram Sort with Sampling, Harsh/Kale/Solomonik): one
+/// pass finds the key range, one pass builds an 11-bit histogram of
+/// (key − min) >> shift, and one pass gathers only the keys of buckets that
+/// hold a target rank; each such bucket is then finished on its own. The
+/// key at a rank is unique, so the kernel cannot change a selected key.
 ///
 /// Note the paper's median convention (§4, footnote 3): "the median is
 /// always the ⌈D/2⌉-th smallest element", *not* the statistics convention.
@@ -26,25 +44,24 @@ std::uint64_t select_kth(std::span<const std::uint64_t> values, std::size_t k,
 /// The paper's median: the ⌈n/2⌉-th smallest element of the row.
 std::uint64_t paper_median(std::span<const std::uint64_t> values, WorkMeter* meter = nullptr);
 
-/// Deterministic multi-selection: the record keys at the given 1-based
-/// ranks (sorted ascending, in [1, records.size()]) in key order.
-/// Permutes `records`. O(n log k) comparisons — this is what keeps the
-/// pivot pass within Theorem 1's O((N/P) log N) total work budget: each
-/// memoryload is *selected at 8S ranks*, not fully sorted, so a level
-/// costs O(N log S) instead of O(N log M).
-std::vector<std::uint64_t> multi_select_keys(std::span<Record> records,
+/// Multi-selection: the record keys at the given 1-based ranks (strictly
+/// increasing, in [1, records.size()]) in key order. Does not modify
+/// `records`. Charged by `charge_multi_select`.
+std::vector<std::uint64_t> multi_select_keys(std::span<const Record> records,
                                              std::span<const std::uint64_t> ranks,
                                              WorkMeter* meter = nullptr);
 
-/// Task-parallel multi-selection: the rank-splitting recursion forks its
-/// left subproblem onto `pool`'s executor (TaskGroup fan-out) while the
-/// right side continues inline. The recursion tree — and therefore every
-/// metered charge — is identical to the serial form regardless of
-/// schedule; results land at their rank's index, so the output is
-/// byte-identical too. Falls back to inline execution when `pool` has no
-/// executor or a width of 1.
-std::vector<std::uint64_t> multi_select_keys(std::span<Record> records,
+/// The same selection with its range and histogram passes, and its gather,
+/// split over the lanes of `pool` (per-lane counts). The output and the
+/// charge are those of the serial form.
+std::vector<std::uint64_t> multi_select_keys(std::span<const Record> records,
                                              std::span<const std::uint64_t> ranks,
                                              const Parallel& pool, WorkMeter* meter = nullptr);
+
+/// The rank-splitting model of selecting `ranks` among n records: 2m
+/// comparisons and ⌊m/2⌋ moves at every node of the split recursion, where
+/// m is the node's subproblem size.
+void charge_multi_select(std::uint64_t n, std::span<const std::uint64_t> ranks,
+                         WorkMeter* meter);
 
 } // namespace balsort

@@ -3,6 +3,7 @@
 #include <gtest/gtest.h>
 
 #include <map>
+#include <set>
 
 #include "core/hier_sort.hpp"
 #include "core/partition.hpp"
@@ -36,6 +37,87 @@ TEST(PivotSet, BucketOrderMatchesKeyOrder) {
         if (a < b) {
             EXPECT_LE(p.bucket_of(a), p.bucket_of(b));
         }
+    }
+}
+
+TEST(PivotSet, BucketOfMatchesBinarySearchReference) {
+    // Compare-and-count (<= 16 keys) and the binary-search path (> 16) both
+    // equal 2·lower_bound + (key is a pivot), at every pivot count 0..64,
+    // on keys equal to, one below and one above each pivot.
+    Xoshiro256 rng(808);
+    constexpr std::uint64_t kMax = ~std::uint64_t{0};
+    for (std::size_t k = 0; k <= 64; ++k) {
+        std::set<std::uint64_t> keys;
+        if (k >= 2) keys = {0, kMax}; // the extreme keys wrap on ±1
+        while (keys.size() < k) keys.insert(rng());
+        PivotSet p;
+        p.keys.assign(keys.begin(), keys.end());
+        std::vector<std::uint64_t> probes = {0, kMax, 1, kMax - 1};
+        for (const std::uint64_t x : p.keys) {
+            probes.insert(probes.end(), {x - 1, x, x + 1});
+        }
+        for (const std::uint64_t key : probes) {
+            const std::uint32_t lb = pivot_lower_bound(p.keys, key);
+            const std::uint32_t eq =
+                static_cast<std::uint32_t>(lb < p.keys.size() && p.keys[lb] == key);
+            ASSERT_EQ(p.bucket_of(key), 2 * lb + eq) << "k=" << k << " key=" << key;
+            ASSERT_EQ(2 * lb + eq, pivot_lower_bound(p.keys, key) + pivot_upper_bound(p.keys, key));
+        }
+    }
+}
+
+// Balance's per-memoryload classification charge, recorded from the
+// binary-search classifier over n × S_eff × p; `charge_classify` must
+// reproduce it exactly.
+struct ClassifyCharge {
+    std::uint64_t n;
+    std::uint32_t s_eff;
+    std::uint64_t p, comparisons, moves, steps;
+};
+
+const ClassifyCharge kClassifyCharges[] = {
+    {0, 1, 1, 0, 0, 1}, {0, 1, 2, 0, 0, 1}, {0, 1, 4, 0, 0, 2},
+    {0, 1, 8, 0, 0, 3}, {0, 3, 1, 0, 0, 1}, {0, 3, 2, 0, 0, 1},
+    {0, 3, 4, 0, 0, 2}, {0, 3, 8, 0, 0, 3}, {0, 7, 1, 0, 0, 1},
+    {0, 7, 2, 0, 0, 1}, {0, 7, 4, 0, 0, 2}, {0, 7, 8, 0, 0, 3},
+    {0, 33, 1, 0, 0, 1}, {0, 33, 2, 0, 0, 1}, {0, 33, 4, 0, 0, 2},
+    {0, 33, 8, 0, 0, 3}, {1, 1, 1, 1, 1, 2}, {1, 1, 2, 1, 1, 2},
+    {1, 1, 4, 1, 1, 3}, {1, 1, 8, 1, 1, 4}, {1, 3, 1, 2, 1, 3},
+    {1, 3, 2, 2, 1, 2}, {1, 3, 4, 2, 1, 3}, {1, 3, 8, 2, 1, 4},
+    {1, 7, 1, 3, 1, 4}, {1, 7, 2, 3, 1, 3}, {1, 7, 4, 3, 1, 3},
+    {1, 7, 8, 3, 1, 4}, {1, 33, 1, 6, 1, 7}, {1, 33, 2, 6, 1, 4},
+    {1, 33, 4, 6, 1, 4}, {1, 33, 8, 6, 1, 4}, {2, 1, 1, 2, 2, 3},
+    {2, 1, 2, 2, 2, 2}, {2, 1, 4, 2, 2, 3}, {2, 1, 8, 2, 2, 4},
+    {2, 3, 1, 4, 2, 5}, {2, 3, 2, 4, 2, 3}, {2, 3, 4, 4, 2, 3},
+    {2, 3, 8, 4, 2, 4}, {2, 7, 1, 6, 2, 7}, {2, 7, 2, 6, 2, 4},
+    {2, 7, 4, 6, 2, 4}, {2, 7, 8, 6, 2, 4}, {2, 33, 1, 12, 2, 13},
+    {2, 33, 2, 12, 2, 7}, {2, 33, 4, 12, 2, 5}, {2, 33, 8, 12, 2, 5},
+    {17, 1, 1, 17, 17, 18}, {17, 1, 2, 17, 17, 10}, {17, 1, 4, 17, 17, 7},
+    {17, 1, 8, 17, 17, 6}, {17, 3, 1, 34, 17, 35}, {17, 3, 2, 34, 17, 18},
+    {17, 3, 4, 34, 17, 11}, {17, 3, 8, 34, 17, 8}, {17, 7, 1, 51, 17, 52},
+    {17, 7, 2, 51, 17, 27}, {17, 7, 4, 51, 17, 15}, {17, 7, 8, 51, 17, 10},
+    {17, 33, 1, 102, 17, 103}, {17, 33, 2, 102, 17, 52}, {17, 33, 4, 102, 17, 28},
+    {17, 33, 8, 102, 17, 16}, {1000, 1, 1, 1000, 1000, 1001}, {1000, 1, 2, 1000, 1000, 501},
+    {1000, 1, 4, 1000, 1000, 252}, {1000, 1, 8, 1000, 1000, 128}, {1000, 3, 1, 2000, 1000, 2001},
+    {1000, 3, 2, 2000, 1000, 1001}, {1000, 3, 4, 2000, 1000, 502}, {1000, 3, 8, 2000, 1000, 253},
+    {1000, 7, 1, 3000, 1000, 3001}, {1000, 7, 2, 3000, 1000, 1501}, {1000, 7, 4, 3000, 1000, 752},
+    {1000, 7, 8, 3000, 1000, 378}, {1000, 33, 1, 6000, 1000, 6001}, {1000, 33, 2, 6000, 1000, 3001},
+    {1000, 33, 4, 6000, 1000, 1502}, {1000, 33, 8, 6000, 1000, 753}, {65536, 1, 1, 65536, 65536, 65537},
+    {65536, 1, 2, 65536, 65536, 32769}, {65536, 1, 4, 65536, 65536, 16386}, {65536, 1, 8, 65536, 65536, 8195},
+    {65536, 3, 1, 131072, 65536, 131073}, {65536, 3, 2, 131072, 65536, 65537}, {65536, 3, 4, 131072, 65536, 32770},
+    {65536, 3, 8, 131072, 65536, 16387}, {65536, 7, 1, 196608, 65536, 196609}, {65536, 7, 2, 196608, 65536, 98305},
+    {65536, 7, 4, 196608, 65536, 49154}, {65536, 7, 8, 196608, 65536, 24579}, {65536, 33, 1, 393216, 65536, 393217},
+    {65536, 33, 2, 393216, 65536, 196609}, {65536, 33, 4, 393216, 65536, 98306}, {65536, 33, 8, 393216, 65536, 49155},
+};
+
+TEST(ChargeEquivalence, ClassifyMatchesRecordedTotals) {
+    for (const ClassifyCharge& row : kClassifyCharges) {
+        WorkMeter meter;
+        PramCost cost(row.p);
+        charge_classify(row.n, row.s_eff, &meter, &cost);
+        EXPECT_EQ(meter.comparisons(), row.comparisons) << row.n << " " << row.s_eff;
+        EXPECT_EQ(meter.moves(), row.moves) << row.n << " " << row.s_eff;
+        EXPECT_EQ(cost.steps(), row.steps) << row.n << " " << row.s_eff << " " << row.p;
     }
 }
 

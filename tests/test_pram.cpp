@@ -14,6 +14,7 @@
 #include "pram/pram_cost.hpp"
 #include "pram/prefix.hpp"
 #include "pram/selection.hpp"
+#include "util/math.hpp"
 #include "util/random.hpp"
 #include "util/workload.hpp"
 
@@ -376,6 +377,308 @@ TEST(ParallelSort, BucketOf) {
     auto idx = bucket_of(recs, pivots);
     // upper_bound semantics: key < 5 -> 0, 5 <= key < 15 -> 1, >= 15 -> 2.
     EXPECT_EQ(idx, (std::vector<std::uint32_t>{0, 1, 1, 2, 2}));
+}
+
+// ---- Charge equivalence ----
+//
+// The tables below are the meter totals and PRAM steps of the instrumented
+// kernels the charge functions replaced (recursive nth_element selection;
+// stable_sort plus a binary-merge cascade; binary-search classification),
+// recorded over n ∈ {0, 1, 2, 17, 1000, 65536} × p ∈ {1, 2, 4, 8}. Every
+// charge function and every public entry point must reproduce them exactly:
+// the model is pinned, whatever kernel computes the bytes.
+
+std::vector<Record> charge_input(std::size_t n, std::uint64_t seed) {
+    Xoshiro256 rng(seed);
+    std::vector<Record> v(n);
+    for (std::size_t i = 0; i < n; ++i) v[i] = {rng(), i};
+    return v;
+}
+
+// The pivot pass's centered ranks for a load of n records at S buckets.
+std::vector<std::uint64_t> centered_ranks(std::uint64_t n, std::uint32_t s) {
+    const std::uint64_t t = std::max<std::uint64_t>(ceil_div(n, 8ull * s), 1);
+    std::vector<std::uint64_t> r;
+    for (std::uint64_t x = (t + 1) / 2; x <= n; x += t) r.push_back(x);
+    if (n > 0 && r.empty()) r.push_back((n + 1) / 2);
+    return r;
+}
+
+std::vector<std::uint64_t> random_ranks(std::uint64_t n, std::uint64_t seed) {
+    if (n == 0) return {};
+    Xoshiro256 rng(seed);
+    const std::size_t k = std::min<std::size_t>(n, 1 + rng.below(32));
+    std::set<std::uint64_t> s;
+    while (s.size() < k) s.insert(1 + rng.below(n));
+    return {s.begin(), s.end()};
+}
+
+struct SortCharge {
+    std::size_t n, p;
+    std::uint64_t merge_comparisons, merge_moves, merge_steps, radix_moves, radix_steps;
+};
+
+const SortCharge kSortCharges[] = {
+    {0, 1, 0, 0, 0, 0, 0}, {0, 2, 0, 0, 0, 0, 0},
+    {0, 4, 0, 0, 0, 0, 0}, {0, 8, 0, 0, 0, 0, 0},
+    {1, 1, 0, 0, 0, 0, 0}, {1, 2, 0, 0, 0, 0, 0},
+    {1, 4, 0, 0, 0, 0, 0}, {1, 8, 0, 0, 0, 0, 0},
+    {2, 1, 4, 0, 5, 24, 30}, {2, 2, 4, 0, 3, 24, 18},
+    {2, 4, 4, 0, 3, 24, 18}, {2, 8, 4, 0, 4, 24, 24},
+    {17, 1, 85, 0, 86, 204, 210}, {17, 2, 81, 17, 62, 204, 108},
+    {17, 4, 82, 34, 46, 204, 66}, {17, 8, 83, 51, 38, 204, 48},
+    {1000, 1, 10000, 0, 10001, 12000, 12006}, {1000, 2, 10000, 1000, 6002, 12000, 6006},
+    {1000, 4, 10000, 2000, 3506, 12000, 3012}, {1000, 8, 10000, 3000, 2012, 12000, 1518},
+    {65536, 1, 1114112, 0, 1114113, 786432, 786438}, {65536, 2, 1114112, 65536, 622594, 786432, 393222},
+    {65536, 4, 1114112, 131072, 344070, 786432, 196620}, {65536, 8, 1114112, 196608, 188428, 786432, 98322},
+};
+
+TEST(ChargeEquivalence, SortsMatchRecordedTotals) {
+    Executor exec(3);
+    for (const SortCharge& row : kSortCharges) {
+        SCOPED_TRACE("n=" + std::to_string(row.n) + " p=" + std::to_string(row.p));
+        WorkMeter meter;
+        PramCost cost(row.p);
+        charge_merge_sort(row.n, row.p, &meter, &cost);
+        EXPECT_EQ(meter.comparisons(), row.merge_comparisons);
+        EXPECT_EQ(meter.moves(), row.merge_moves);
+        EXPECT_EQ(cost.steps(), row.merge_steps);
+        WorkMeter radix_meter;
+        PramCost radix_cost(row.p);
+        charge_radix_sort(row.n, &radix_meter, &radix_cost);
+        EXPECT_EQ(radix_meter.comparisons(), 0u);
+        EXPECT_EQ(radix_meter.moves(), row.radix_moves);
+        EXPECT_EQ(radix_cost.steps(), row.radix_steps);
+
+        // The entry points charge the same and sort stably.
+        const Parallel pool(row.p, &exec);
+        const auto input = charge_input(row.n, 11 + row.n);
+        auto expected = input;
+        std::stable_sort(expected.begin(), expected.end(), KeyLess{});
+        auto merged = input;
+        WorkMeter entry_meter;
+        PramCost entry_cost(row.p);
+        parallel_merge_sort(merged, pool, &entry_meter, &entry_cost);
+        EXPECT_EQ(merged, expected);
+        EXPECT_EQ(entry_meter.comparisons(), row.merge_comparisons);
+        EXPECT_EQ(entry_meter.moves(), row.merge_moves);
+        EXPECT_EQ(entry_cost.steps(), row.merge_steps);
+        auto radixed = input;
+        WorkMeter radix_entry_meter;
+        PramCost radix_entry_cost(row.p);
+        parallel_radix_sort(radixed, pool, &radix_entry_meter, &radix_entry_cost);
+        EXPECT_EQ(radixed, expected);
+        EXPECT_EQ(radix_entry_meter.comparisons(), 0u);
+        EXPECT_EQ(radix_entry_meter.moves(), row.radix_moves);
+        EXPECT_EQ(radix_entry_cost.steps(), row.radix_steps);
+    }
+}
+
+struct SelectCharge {
+    std::size_t n;
+    std::uint32_t s; // centered ranks for S buckets; 0 = random_ranks(n, 5 + n)
+    std::uint64_t comparisons, moves;
+};
+
+const SelectCharge kSelectCharges[] = {
+    {0, 2, 0, 0}, {0, 4, 0, 0}, {0, 16, 0, 0}, {0, 0, 0, 0},
+    {1, 2, 2, 0}, {1, 4, 2, 0}, {1, 16, 2, 0}, {1, 0, 2, 0},
+    {2, 2, 6, 1}, {2, 4, 6, 1}, {2, 16, 6, 1}, {2, 0, 6, 1},
+    {17, 2, 104, 24}, {17, 4, 118, 24}, {17, 16, 118, 24}, {17, 0, 118, 24},
+    {1000, 2, 8166, 2036}, {1000, 4, 9948, 2474}, {1000, 16, 13738, 3375}, {1000, 0, 9740, 2430},
+    {65536, 2, 536552, 134132}, {65536, 4, 661450, 165349}, {65536, 16, 918798, 229639}, {65536, 0, 518448, 129609},
+};
+
+TEST(ChargeEquivalence, MultiSelectMatchesRecordedTotals) {
+    Executor exec(3);
+    for (const SelectCharge& row : kSelectCharges) {
+        SCOPED_TRACE("n=" + std::to_string(row.n) + " S=" + std::to_string(row.s));
+        const auto ranks = row.s == 0 ? random_ranks(row.n, 5 + row.n) : centered_ranks(row.n, row.s);
+        WorkMeter meter;
+        charge_multi_select(row.n, ranks, &meter);
+        EXPECT_EQ(meter.comparisons(), row.comparisons);
+        EXPECT_EQ(meter.moves(), row.moves);
+
+        const auto input = charge_input(row.n, 23 + row.n);
+        auto sorted = input;
+        std::sort(sorted.begin(), sorted.end(), KeyLess{});
+        std::vector<std::uint64_t> expected;
+        for (const std::uint64_t r : ranks) expected.push_back(sorted[r - 1].key);
+        for (const std::size_t p : {1, 2, 4, 8}) {
+            WorkMeter entry_meter;
+            const auto keys = multi_select_keys(input, ranks, Parallel(p, &exec), &entry_meter);
+            EXPECT_EQ(keys, expected) << "p=" << p;
+            EXPECT_EQ(entry_meter.comparisons(), row.comparisons) << "p=" << p;
+            EXPECT_EQ(entry_meter.moves(), row.moves) << "p=" << p;
+        }
+        WorkMeter serial_meter;
+        EXPECT_EQ(multi_select_keys(input, ranks, &serial_meter), expected);
+        EXPECT_EQ(serial_meter.comparisons(), row.comparisons);
+        EXPECT_EQ(serial_meter.moves(), row.moves);
+    }
+}
+
+struct BucketCharge {
+    std::size_t n, pivots;
+    std::uint64_t comparisons;
+};
+
+const BucketCharge kBucketCharges[] = {
+    {0, 0, 0}, {0, 1, 0}, {0, 3, 0}, {0, 15, 0}, {0, 16, 0},
+    {0, 17, 0}, {0, 64, 0}, {1, 0, 1}, {1, 1, 1}, {1, 3, 2},
+    {1, 15, 4}, {1, 16, 5}, {1, 17, 5}, {1, 64, 7}, {2, 0, 2},
+    {2, 1, 2}, {2, 3, 4}, {2, 15, 8}, {2, 16, 10}, {2, 17, 10},
+    {2, 64, 14}, {17, 0, 17}, {17, 1, 17}, {17, 3, 34}, {17, 15, 68},
+    {17, 16, 85}, {17, 17, 85}, {17, 64, 119}, {1000, 0, 1000}, {1000, 1, 1000},
+    {1000, 3, 2000}, {1000, 15, 4000}, {1000, 16, 5000}, {1000, 17, 5000}, {1000, 64, 7000},
+    {65536, 0, 65536}, {65536, 1, 65536}, {65536, 3, 131072}, {65536, 15, 262144}, {65536, 16, 327680},
+    {65536, 17, 327680}, {65536, 64, 458752},
+};
+
+TEST(ChargeEquivalence, BucketOfMatchesRecordedTotals) {
+    Executor exec(3);
+    const Parallel pool(4, &exec);
+    for (const BucketCharge& row : kBucketCharges) {
+        SCOPED_TRACE("n=" + std::to_string(row.n) + " pivots=" + std::to_string(row.pivots));
+        WorkMeter meter;
+        charge_bucket_of(row.n, row.pivots, &meter);
+        EXPECT_EQ(meter.comparisons(), row.comparisons);
+        EXPECT_EQ(meter.moves(), 0u);
+        std::vector<std::uint64_t> pivots(row.pivots);
+        for (std::size_t i = 0; i < row.pivots; ++i) {
+            pivots[i] = (i + 1) * (~std::uint64_t{0} / (row.pivots + 1));
+        }
+        const auto input = charge_input(row.n, 3);
+        WorkMeter serial_meter, pool_meter;
+        const auto serial = bucket_of(input, pivots, &serial_meter);
+        EXPECT_EQ(bucket_of(input, pivots, pool, &pool_meter), serial);
+        EXPECT_EQ(serial_meter.comparisons(), row.comparisons);
+        EXPECT_EQ(pool_meter.comparisons(), row.comparisons);
+    }
+}
+
+// ---- Kernel equivalence ----
+
+// Selection inputs that stress the histogram kernel: one bucket holding
+// every key, the full 64-bit range, ranges under 2^11, heavy duplicates.
+std::vector<std::vector<Record>> selection_inputs(std::size_t n, std::uint64_t seed) {
+    Xoshiro256 rng(seed);
+    std::vector<std::vector<Record>> out;
+    auto make = [&](auto key) {
+        std::vector<Record> v(n);
+        for (std::size_t i = 0; i < n; ++i) v[i] = {key(i), i};
+        out.push_back(std::move(v));
+    };
+    constexpr std::uint64_t kMax = ~std::uint64_t{0};
+    make([](std::size_t) { return std::uint64_t{42}; });                    // all equal
+    make([&](std::size_t) { return rng.below(2) == 0 ? 7 : kMax - 7; });     // two-valued
+    out.push_back(generate(Workload::kZipf, n, seed));                       // zipf
+    out.push_back(generate(Workload::kSorted, n, seed));                     // sorted
+    out.push_back(generate(Workload::kReverse, n, seed));                    // reverse
+    make([&](std::size_t i) { return i == 0 ? 0 : i == 1 ? kMax : rng(); }); // 0 .. 2^64-1
+    make([&](std::size_t) { return 1'000'000 + rng.below(1500); });         // range < 2^11
+    make([&](std::size_t i) {                                                // outlier + cluster
+        return i == n / 2 ? kMax : (std::uint64_t{1} << 40) + rng.below(5000);
+    });
+    return out;
+}
+
+TEST(KernelEquivalence, MultiSelectMatchesSortReference) {
+    Executor exec(3);
+    const Parallel pool(4, &exec);
+    for (const std::size_t n : {1, 2, 65, 1000, 70000}) {
+        for (const auto& input : selection_inputs(n, 77 + n)) {
+            auto sorted = input;
+            std::sort(sorted.begin(), sorted.end(), KeyLess{});
+            std::vector<std::vector<std::uint64_t>> rank_sets = {
+                centered_ranks(n, 2), centered_ranks(n, 4), centered_ranks(n, 16),
+                random_ranks(n, n), {1}, {n}};
+            if (n <= 1000) {
+                rank_sets.emplace_back(n);
+                std::iota(rank_sets.back().begin(), rank_sets.back().end(), 1);
+            }
+            for (const auto& ranks : rank_sets) {
+                std::vector<std::uint64_t> expected;
+                for (const std::uint64_t r : ranks) expected.push_back(sorted[r - 1].key);
+                const auto before = input;
+                ASSERT_EQ(multi_select_keys(input, ranks), expected) << "n=" << n;
+                ASSERT_EQ(multi_select_keys(input, ranks, pool), expected) << "n=" << n;
+                ASSERT_EQ(input, before); // the kernel does not permute its input
+            }
+        }
+    }
+}
+
+TEST(KernelEquivalence, BatchClassificationMatchesUpperBound) {
+    Executor exec(3);
+    const Parallel pool(4, &exec);
+    Xoshiro256 rng(404);
+    for (std::size_t k = 0; k <= 64; ++k) {
+        std::set<std::uint64_t> piv_set = {0, ~std::uint64_t{0}};
+        while (piv_set.size() < k + 2) piv_set.insert(rng.below(1u << 20));
+        std::vector<std::uint64_t> pivots(piv_set.begin(), piv_set.end());
+        pivots.resize(k); // keeps 0 once k >= 1, never the top sentinel
+        std::vector<Record> probes;
+        for (const std::uint64_t p : pivots) {
+            probes.push_back({p, 0});
+            probes.push_back({p - 1, 0}); // wraps to 2^64-1 below pivot 0
+            probes.push_back({p + 1, 0});
+        }
+        probes.push_back({0, 0});
+        probes.push_back({~std::uint64_t{0}, 0});
+        const auto serial = bucket_of(probes, pivots);
+        EXPECT_EQ(bucket_of(probes, pivots, pool), serial);
+        for (std::size_t i = 0; i < probes.size(); ++i) {
+            ASSERT_EQ(serial[i], pivot_upper_bound(pivots, probes[i].key)) << "k=" << k;
+            ASSERT_EQ(pivot_count_le(pivots, probes[i].key),
+                      pivot_upper_bound(pivots, probes[i].key))
+                << "k=" << k;
+        }
+    }
+}
+
+// Stable-sort inputs: duplicate-heavy keys and keys that differ only in
+// the lowest or only in the highest bit. Payload = index, so any
+// instability changes the bytes.
+std::vector<std::vector<Record>> stable_inputs(std::size_t n, std::uint64_t seed) {
+    Xoshiro256 rng(seed);
+    std::vector<std::vector<Record>> out;
+    auto make = [&](auto key) {
+        std::vector<Record> v(n);
+        for (std::size_t i = 0; i < n; ++i) v[i] = {key(), i};
+        out.push_back(std::move(v));
+    };
+    constexpr std::uint64_t kBase = 0x5a5a'0000'1234'0000ull;
+    make([&] { return rng.below(8); });                                   // duplicate-heavy
+    make([&] { return kBase | rng.below(2); });                           // lowest bit only
+    make([&] { return (rng.below(2) << 63) | kBase; });                   // highest bit only
+    make([&] { return (std::uint64_t{0xabc} << 52) | rng.below(1u << 30); }); // shared top bits
+    make([&] { return rng(); });                                          // uniform
+    return out;
+}
+
+TEST(KernelEquivalence, StableKernelMatchesStdStableSort) {
+    Executor exec(3);
+    for (const std::size_t p : {1, 4}) {
+        const Parallel pool(p, &exec);
+        for (const std::size_t n : {std::size_t{0}, std::size_t{1}, kStableSortCutoff - 1,
+                                    kStableSortCutoff, kStableSortCutoff + 1, std::size_t{5000},
+                                    std::size_t{60000}}) {
+            for (const auto& input : stable_inputs(n, 9 + n)) {
+                auto expected = input;
+                std::stable_sort(expected.begin(), expected.end(), KeyLess{});
+                auto kernel = input;
+                stable_key_sort(kernel, pool);
+                ASSERT_EQ(kernel, expected) << "p=" << p << " n=" << n;
+                auto merged = input;
+                parallel_merge_sort(merged, pool);
+                ASSERT_EQ(merged, expected) << "p=" << p << " n=" << n;
+                auto radixed = input;
+                parallel_radix_sort(radixed, pool);
+                ASSERT_EQ(radixed, expected) << "p=" << p << " n=" << n;
+            }
+        }
+    }
 }
 
 TEST(PramCost, ChargesMatchModel) {
