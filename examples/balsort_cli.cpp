@@ -2,7 +2,11 @@
 // sorts a binary file of 16-byte records (u64 key, u64 payload) through a
 // bounded amount of memory, using file-backed simulated parallel disks as
 // scratch. The "downstream user" artifact: everything flows through the
-// public API.
+// public API. Input and output stream through one M-record buffer, so peak
+// memory depends on M, D and B, not on the input size. Every run checks its
+// own output on the way (StreamCheck: keys in order, and the same multiset
+// fingerprint as the input); the output file appears only if the check
+// passes, and any failure exits 1 with "balsort_cli: <reason>".
 //
 //   balsort_cli <input.bin> <output.bin> [--mem RECORDS] [--disks D]
 //               [--block RECORDS] [--scratch DIR] [--algo balance|greed|merge]
@@ -25,20 +29,30 @@
 // quantity. --selftest composes with the artifact flags: the generated
 // run writes the same trace/manifest/profile outputs, which is how CI
 // produces its reference artifacts.
+#include <sys/resource.h>
+#include <unistd.h>
+
+#include <algorithm>
 #include <cctype>
+#include <cerrno>
 #include <cstdio>
 #include <cstring>
 #include <filesystem>
 #include <iostream>
 #include <memory>
 #include <optional>
+#include <span>
+#include <stdexcept>
 #include <string>
+#include <vector>
 
 #include "balsort.hpp"
 // Baselines are internals, not part of the facade: include them directly.
 #include "baselines/greed_sort.hpp"
 #include "baselines/striped_merge.hpp"
 #include "cli_number.hpp"
+#include "util/function_ref.hpp"
+#include "util/stream_check.hpp"
 #include "util/table.hpp"
 #include "util/timer.hpp"
 
@@ -154,34 +168,86 @@ CliOptions parse(int argc, char** argv) {
     return o;
 }
 
-std::vector<Record> read_file(const std::string& path) {
-    std::FILE* f = std::fopen(path.c_str(), "rb");
+using FilePtr = std::unique_ptr<std::FILE, int (*)(std::FILE*)>;
+
+FilePtr open_file(const std::string& path, const char* mode) {
+    FilePtr f(std::fopen(path.c_str(), mode), &std::fclose);
     if (f == nullptr) {
-        std::cerr << "cannot open " << path << '\n';
-        std::exit(1);
+        throw std::runtime_error("cannot open " + path + ": " + std::strerror(errno));
     }
-    std::fseek(f, 0, SEEK_END);
-    const long bytes = std::ftell(f);
-    std::fseek(f, 0, SEEK_SET);
-    if (bytes % static_cast<long>(sizeof(Record)) != 0) {
-        std::cerr << path << ": size is not a multiple of 16 bytes\n";
-        std::exit(1);
-    }
-    std::vector<Record> recs(static_cast<std::size_t>(bytes) / sizeof(Record));
-    const std::size_t got = std::fread(recs.data(), sizeof(Record), recs.size(), f);
-    std::fclose(f);
-    recs.resize(got);
-    return recs;
+    return f;
 }
 
-void write_file(const std::string& path, const std::vector<Record>& recs) {
-    std::FILE* f = std::fopen(path.c_str(), "wb");
-    if (f == nullptr) {
-        std::cerr << "cannot open " << path << " for writing\n";
-        std::exit(1);
+/// Records in the file at `path`, from its size.
+std::uint64_t record_count(const std::string& path) {
+    std::error_code ec;
+    const std::uintmax_t bytes = std::filesystem::file_size(path, ec);
+    if (ec) throw std::runtime_error("cannot read " + path + ": " + ec.message());
+    if (bytes % sizeof(Record) != 0) {
+        throw std::runtime_error(path + ": size " + std::to_string(bytes) +
+                                 " is not a multiple of 16 bytes");
     }
-    std::fwrite(recs.data(), sizeof(Record), recs.size(), f);
-    std::fclose(f);
+    return bytes / sizeof(Record);
+}
+
+void read_exact(std::FILE* f, std::span<Record> out, const std::string& path) {
+    if (std::fread(out.data(), sizeof(Record), out.size(), f) != out.size()) {
+        throw std::runtime_error(path + ": short read");
+    }
+}
+
+void write_all(std::FILE* f, std::span<const Record> recs, const std::string& path) {
+    if (std::fwrite(recs.data(), sizeof(Record), recs.size(), f) != recs.size()) {
+        throw std::runtime_error("cannot write " + path + ": " + std::strerror(errno));
+    }
+}
+
+/// Close `f`, reporting what the last flush of buffered data hit.
+void close_file(FilePtr f, const std::string& path) {
+    if (std::fclose(f.release()) != 0) {
+        throw std::runtime_error("cannot write " + path + ": " + std::strerror(errno));
+    }
+}
+
+/// The output commit: `next` fills the buffer with the next chunk of the
+/// sorted stream and returns its length (0 at the end). Every chunk is
+/// folded into `check` and written to `<path>.tmp`, which is renamed onto
+/// `path` only when the whole stream passed the check. On any failure the
+/// temporary file is removed and `path` is left as it was. Returns the
+/// seconds spent in the check.
+double commit_output(const std::string& path, std::span<Record> buf,
+                     FunctionRef<std::size_t(std::span<Record>)> next, StreamCheck& check) {
+    const std::string tmp = path + ".tmp";
+    struct RemoveUnlessCommitted {
+        const std::string& tmp;
+        bool committed = false;
+        ~RemoveUnlessCommitted() {
+            std::error_code ec;
+            if (!committed) std::filesystem::remove(tmp, ec);
+        }
+    } guard{tmp};
+    FilePtr f = open_file(tmp, "wb");
+    double verify_s = 0;
+    while (const std::size_t len = next(buf)) {
+        const std::span<const Record> chunk = buf.first(len);
+        const Timer t;
+        check.output(chunk);
+        verify_s += t.seconds();
+        write_all(f.get(), chunk, tmp);
+    }
+    close_file(std::move(f), tmp);
+    if (const std::string why = check.failure(); !why.empty()) throw std::runtime_error(why);
+    std::error_code ec;
+    std::filesystem::rename(tmp, path, ec);
+    if (ec) throw std::runtime_error("cannot rename " + tmp + " to " + path + ": " + ec.message());
+    guard.committed = true;
+    return verify_s;
+}
+
+double peak_rss_mb() {
+    rusage ru{};
+    getrusage(RUSAGE_SELF, &ru);
+    return static_cast<double>(ru.ru_maxrss) / 1024.0; // ru_maxrss is in KiB
 }
 
 int run(const CliOptions& o) {
@@ -193,10 +259,15 @@ int run(const CliOptions& o) {
         std::cerr << "balsort_cli: " << e.what() << '\n';
         usage(o.argv0);
     }
-    auto records = read_file(o.input);
-    const std::uint64_t n = records.size();
+    // One M-record buffer carries the input in and the output out: memory
+    // depends on M, D and B, never on n. StreamCheck folds both streams, and
+    // the output is renamed into place only once it passed the check.
+    FilePtr input = open_file(o.input, "rb");
+    const std::uint64_t n = record_count(o.input);
+    StreamCheck check;
+    std::vector<Record> buf(std::min<std::uint64_t>(o.mem, n));
     if (n == 0) {
-        write_file(o.output, {});
+        commit_output(o.output, buf, [](std::span<Record>) { return std::size_t{0}; }, check);
         return 0;
     }
     const PdmConfig cfg{.n = n, .m = o.mem, .d = o.disks, .b = o.block, .p = 1};
@@ -244,18 +315,23 @@ int run(const CliOptions& o) {
     }
 
     Timer timer;
+    double verify_s = 0;
     BlockRun run_in;
     {
         RunWriter w(disks);
-        for (std::size_t off = 0; off < records.size(); off += cfg.m) {
-            const std::size_t len = std::min<std::size_t>(cfg.m, records.size() - off);
-            w.append(std::span<const Record>(records.data() + off, len));
+        for (std::uint64_t off = 0; off < n; off += buf.size()) {
+            const std::span<Record> chunk(buf.data(), std::min<std::uint64_t>(buf.size(), n - off));
+            read_exact(input.get(), chunk, o.input);
+            const Timer t;
+            check.input(chunk);
+            verify_s += t.seconds();
+            w.append(chunk);
         }
         run_in = w.finish();
     }
+    input.reset();
 
     IoStats io;
-    std::uint64_t sorted_count = 0;
     BlockRun run_out;
     PhaseProfile phases;
     double sort_elapsed = 0;
@@ -301,19 +377,11 @@ int run(const CliOptions& o) {
         std::cerr << "unknown --algo " << o.algo << '\n';
         return 2;
     }
-    sorted_count = run_out.n_records;
 
     {
-        std::vector<Record> out;
-        out.reserve(sorted_count);
         RunReader r(disks, run_out);
-        std::vector<Record> chunk;
-        while (r.remaining() > 0) {
-            chunk.resize(std::min<std::uint64_t>(cfg.m, r.remaining()));
-            r.read(chunk);
-            out.insert(out.end(), chunk.begin(), chunk.end());
-        }
-        write_file(o.output, out);
+        verify_s += commit_output(
+            o.output, buf, [&](std::span<Record> b) { return std::size_t(r.read(b)); }, check);
     }
 
     if (checkpointing) {
@@ -370,6 +438,8 @@ int run(const CliOptions& o) {
         t.add_row({"checkpoints written", Table::num(report.checkpoints_written)});
         t.add_row({"resumes", Table::num(report.resumes)});
         t.add_row({"wall time (s)", Table::fixed(timer.seconds(), 2)});
+        t.add_row({"verify (s)", Table::fixed(verify_s, 3)});
+        t.add_row({"peak RSS (MB)", Table::fixed(peak_rss_mb(), 1)});
         if (have_phases) {
             t.add_row({"sort elapsed (s)", Table::fixed(sort_elapsed, 2)});
             t.add_row({"  pivot phase (s)", Table::fixed(phases.pivot_seconds, 2)});
@@ -395,11 +465,29 @@ int run(const CliOptions& o) {
     return 0;
 }
 
+/// Run `body`; a failure is reported as "balsort_cli: <reason>", exit 1.
+int guarded(FunctionRef<int()> body) {
+    try {
+        return body();
+    } catch (const std::exception& e) {
+        std::cerr << "balsort_cli: " << e.what() << '\n';
+        return 1;
+    }
+}
+
 int selftest(const CliOptions& parsed) {
-    const std::string in = "/tmp/balsort_cli_selftest_in.bin";
-    const std::string out = "/tmp/balsort_cli_selftest_out.bin";
-    auto data = generate(Workload::kZipf, 200000, 1);
-    write_file(in, data);
+    // Per-process names: concurrent selftests (ctest -j) must not see each
+    // other's files.
+    const std::string stem = "/tmp/balsort_cli_selftest_" + std::to_string(getpid());
+    const std::string in = stem + "_in.bin";
+    const std::string out = stem + "_out.bin";
+    const std::string bad = stem + "_bad.bin";
+    const auto data = generate(Workload::kZipf, 200000, 1);
+    {
+        FilePtr f = open_file(in, "wb");
+        write_all(f.get(), data, in);
+        close_file(std::move(f), in);
+    }
     // Artifact and shape flags ride along (CI generates its reference
     // trace/manifest/profile via `--selftest --disks 8 --trace ...`);
     // only memory shrinks to selftest scale unless explicitly set.
@@ -411,18 +499,44 @@ int selftest(const CliOptions& parsed) {
     if (!o.disks_set) o.disks = 4;
     if (!o.block_set) o.block = 64;
     o.stats = true;
-    if (int rc = run(o); rc != 0) return rc;
-    auto sorted = read_file(out);
-    const bool ok = is_sorted_permutation_of(data, sorted);
+    const int rc = run(o);
     std::filesystem::remove(in);
+    if (rc != 0) return rc;
+    std::vector<Record> sorted(record_count(out));
+    read_exact(open_file(out, "rb").get(), sorted, out);
     std::filesystem::remove(out);
-    std::cout << (ok ? "selftest OK\n" : "selftest FAILED\n");
-    return ok ? 0 : 1;
+    const bool ok = is_sorted_permutation_of(data, sorted);
+
+    // The fused check must refuse a corrupted stream: the sorted output
+    // with one payload bit flipped goes through the same commit path, which
+    // must fail and leave no file behind.
+    sorted[sorted.size() / 2].payload ^= 1;
+    std::cout << "selftest: feeding a corrupted stream to the output check (expect a refusal)\n";
+    StreamCheck check;
+    check.input(data);
+    std::vector<Record> buf(std::min<std::uint64_t>(o.mem, sorted.size()));
+    std::span<const Record> rest(sorted);
+    const int bad_rc = guarded([&] {
+        commit_output(bad, buf,
+                      [&](std::span<Record> b) {
+                          const std::size_t len = std::min(b.size(), rest.size());
+                          std::copy_n(rest.begin(), len, b.begin());
+                          rest = rest.subspan(len);
+                          return len;
+                      },
+                      check);
+        return 0;
+    });
+    const bool refused = bad_rc != 0 && !std::filesystem::exists(bad) &&
+                         !std::filesystem::exists(bad + ".tmp");
+    if (!refused) std::cout << "selftest: a corrupted output stream was not refused\n";
+    std::cout << (ok && refused ? "selftest OK\n" : "selftest FAILED\n");
+    return ok && refused ? 0 : 1;
 }
 
 } // namespace
 
 int main(int argc, char** argv) {
     const CliOptions o = parse(argc, argv);
-    return o.selftest ? selftest(o) : run(o);
+    return guarded([&] { return o.selftest ? selftest(o) : run(o); });
 }

@@ -5,6 +5,7 @@
 
 #include "util/common.hpp"
 #include "util/math.hpp"
+#include "util/workload.hpp"
 
 namespace balsort {
 
@@ -159,6 +160,29 @@ void stable_key_sort(std::span<Record> records, const Parallel& pool) {
         std::swap(src, dst);
     }
     if (src != records.data()) std::copy(src, src + n, records.data());
+}
+
+bool is_sorted_permutation_of(std::vector<Record> in, std::vector<Record> out) {
+    if (in.size() != out.size() || !is_sorted_by_key(out)) return false;
+    stable_key_sort(in, Parallel(1));
+    // Both sides are now sorted by key, so equal multisets have equal key
+    // sequences; within each equal-key run the payloads may differ only in
+    // order.
+    const auto by_payload = [](const Record& a, const Record& b) { return a.payload < b.payload; };
+    for (std::size_t i = 0, j = 0; i < in.size(); i = j) {
+        if (in[i].key != out[i].key) return false;
+        for (j = i + 1; j < in.size() && in[j].key == in[i].key; ++j) {
+            if (out[j].key != in[i].key) return false;
+        }
+        const auto a = in.begin() + static_cast<std::ptrdiff_t>(i);
+        const auto b = out.begin() + static_cast<std::ptrdiff_t>(i);
+        const auto len = static_cast<std::ptrdiff_t>(j - i);
+        if (std::equal(a, a + len, b)) continue;
+        std::sort(a, a + len, by_payload);
+        std::sort(b, b + len, by_payload);
+        if (!std::equal(a, a + len, b)) return false;
+    }
+    return true;
 }
 
 void parallel_merge_sort(std::span<Record> records, const Parallel& pool, WorkMeter* meter,

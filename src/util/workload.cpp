@@ -142,16 +142,4 @@ std::vector<Record> generate_distinct(Workload w, std::size_t n, std::uint64_t s
     return recs;
 }
 
-bool is_sorted_permutation_of(std::vector<Record> in, std::vector<Record> out) {
-    if (in.size() != out.size()) return false;
-    if (!is_sorted_by_key(out)) return false;
-    auto total = [](const Record& a, const Record& b) {
-        return a.key != b.key ? a.key < b.key : a.payload < b.payload;
-    };
-    std::sort(in.begin(), in.end(), total);
-    std::vector<Record> out_copy = std::move(out);
-    std::sort(out_copy.begin(), out_copy.end(), total);
-    return in == out_copy;
-}
-
 } // namespace balsort

@@ -41,6 +41,9 @@ std::vector<Record> generate(Workload w, std::size_t n, std::uint64_t seed);
 std::vector<Record> generate_distinct(Workload w, std::size_t n, std::uint64_t seed);
 
 /// True iff `out` is a sorted permutation of `in` (multiset equality + order).
+/// Exact: `in` is radix-sorted by key, then each equal-key run's payloads
+/// are compared as multisets. Defined in balsort_pram, beside the radix
+/// kernel it runs (pram/parallel_sort.cpp); callers link balsort_pram.
 bool is_sorted_permutation_of(std::vector<Record> in, std::vector<Record> out);
 
 } // namespace balsort

@@ -4,6 +4,7 @@
 // are covered by tests/test_executor.cpp.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <atomic>
 #include <numeric>
 #include <set>
@@ -327,6 +328,70 @@ TEST(ParallelSort, MergeSortIsStableOnKeys) {
             EXPECT_LT(data[i - 1].payload, data[i].payload);
         }
     }
+}
+
+/// The previous definition of is_sorted_permutation_of: both sides fully
+/// sorted by (key, payload) and compared.
+bool reference_sorted_permutation_of(std::vector<Record> in, std::vector<Record> out) {
+    if (in.size() != out.size() || !is_sorted_by_key(out)) return false;
+    std::sort(in.begin(), in.end());
+    std::sort(out.begin(), out.end());
+    return in == out;
+}
+
+TEST(ParallelSort, SortedPermutationCheckAgreesWithFullSortDefinition) {
+    Xoshiro256 rng(17);
+    int accepted = 0, rejected = 0;
+    for (const Workload w : {Workload::kUniform, Workload::kZipf, Workload::kAllEqual}) {
+        for (const std::size_t n : {std::size_t{0}, std::size_t{1}, std::size_t{2},
+                                    std::size_t{1000}, std::size_t{5000}}) {
+            const auto in = generate(w, n, 40 + n);
+            auto sorted = in;
+            std::stable_sort(sorted.begin(), sorted.end(), KeyLess{});
+            // Candidate outputs: the stable sort, equal-key runs shuffled,
+            // and one corruption of each kind.
+            std::vector<std::vector<Record>> outs{sorted};
+            auto shuffled = sorted;
+            for (auto it = shuffled.begin(); it != shuffled.end();) {
+                const auto end = std::find_if(
+                    it, shuffled.end(), [&](const Record& r) { return r.key != it->key; });
+                std::shuffle(it, end, rng);
+                it = end;
+            }
+            outs.push_back(shuffled);
+            if (n > 0) {
+                const std::size_t i = rng() % n;
+                auto bumped = sorted;
+                bumped[i].key += 1;
+                outs.push_back(bumped);
+                auto flipped = shuffled;
+                flipped[i].payload ^= 1;
+                outs.push_back(flipped);
+                auto dropped = sorted;
+                dropped.erase(dropped.begin() + static_cast<std::ptrdiff_t>(i));
+                outs.push_back(dropped);
+                auto duplicated = sorted;
+                duplicated[i] = duplicated[n - 1 - i];
+                std::stable_sort(duplicated.begin(), duplicated.end(), KeyLess{});
+                outs.push_back(duplicated);
+                outs.push_back(in); // the unsorted input itself
+            }
+            if (n > 1) {
+                auto swapped = sorted;
+                std::swap(swapped[0], swapped[n - 1]);
+                outs.push_back(swapped);
+            }
+            for (const auto& out : outs) {
+                const bool want = reference_sorted_permutation_of(in, out);
+                EXPECT_EQ(is_sorted_permutation_of(in, out), want)
+                    << to_string(w) << " n=" << n;
+                ++(want ? accepted : rejected);
+            }
+        }
+    }
+    // Both verdicts were exercised.
+    EXPECT_GT(accepted, 20);
+    EXPECT_GT(rejected, 20);
 }
 
 TEST(ParallelSort, BinaryMerge) {

@@ -1,6 +1,8 @@
-// Tests for src/util: math helpers, records, RNG, stats, tables, workloads.
+// Tests for src/util: math helpers, records, RNG, stats, tables, workloads,
+// the streaming output check.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <set>
 
 #include "pdm/io_stats.hpp"
@@ -8,6 +10,7 @@
 #include "util/random.hpp"
 #include "util/record.hpp"
 #include "util/stats.hpp"
+#include "util/stream_check.hpp"
 #include "util/table.hpp"
 #include "util/workload.hpp"
 
@@ -305,6 +308,85 @@ TEST(Workload, DuplicateHeavyHasFewKeys) {
     std::set<std::uint64_t> keys;
     for (const auto& rec : r) keys.insert(rec.key);
     EXPECT_LE(keys.size(), 16u);
+}
+
+// ---- StreamCheck: the fused one-pass output check -------------------------
+
+/// The reason StreamCheck gives for `out` as the output of `in`, with the
+/// output fed in `chunk`-record pieces.
+std::string check_stream(const std::vector<Record>& in, const std::vector<Record>& out,
+                         std::size_t chunk) {
+    StreamCheck check;
+    for (std::size_t off = 0; off < in.size(); off += 7) {
+        check.input(std::span(in).subspan(off, std::min<std::size_t>(7, in.size() - off)));
+    }
+    for (std::size_t off = 0; off < out.size(); off += chunk) {
+        check.output(std::span(out).subspan(off, std::min(chunk, out.size() - off)));
+    }
+    return check.failure();
+}
+
+std::vector<Record> sorted_copy(std::vector<Record> v) {
+    std::stable_sort(v.begin(), v.end(), KeyLess{});
+    return v;
+}
+
+TEST(StreamCheck, AcceptsASortedPermutation) {
+    const auto in = generate(Workload::kZipf, 1000, 4);
+    const auto out = sorted_copy(in);
+    for (const std::size_t chunk : {std::size_t{1}, std::size_t{64}, std::size_t{1000}}) {
+        EXPECT_EQ(check_stream(in, out, chunk), "") << "chunk " << chunk;
+    }
+    EXPECT_EQ(check_stream({}, {}, 8), "");
+}
+
+TEST(StreamCheck, AcceptsAnyOrderOfEqualKeyRecords) {
+    const auto in = generate(Workload::kDuplicateHeavy, 1000, 9);
+    auto out = sorted_copy(in);
+    // Reverse every equal-key run: still a valid sort of the input.
+    for (auto it = out.begin(); it != out.end();) {
+        const auto end = std::find_if(it, out.end(), [&](const Record& r) { return r.key != it->key; });
+        ASSERT_GT(end - it, 1);
+        std::reverse(it, end);
+        it = end;
+    }
+    ASSERT_NE(out, sorted_copy(in));
+    EXPECT_EQ(check_stream(in, out, 64), "");
+}
+
+TEST(StreamCheck, CatchesADroppedRecord) {
+    const auto in = generate(Workload::kUniform, 1000, 5);
+    auto out = sorted_copy(in);
+    out.erase(out.begin() + 500);
+    EXPECT_NE(check_stream(in, out, 64).find("999 records, input had 1000"), std::string::npos);
+}
+
+TEST(StreamCheck, CatchesADuplicatedRecord) {
+    const auto in = generate(Workload::kUniform, 1000, 6);
+    auto out = sorted_copy(in);
+    // An extra copy, and a copy that overwrites its neighbour (count kept).
+    auto extra = out;
+    extra.insert(extra.begin() + 300, extra[300]);
+    EXPECT_NE(check_stream(in, extra, 64), "");
+    out[301] = out[300];
+    EXPECT_NE(check_stream(in, out, 64).find("fingerprint mismatch"), std::string::npos);
+}
+
+TEST(StreamCheck, CatchesAFlippedPayloadBit) {
+    const auto in = generate(Workload::kUniform, 1000, 7);
+    auto out = sorted_copy(in);
+    out[123].payload ^= std::uint64_t{1} << 40;
+    EXPECT_NE(check_stream(in, out, 64).find("fingerprint mismatch"), std::string::npos);
+}
+
+TEST(StreamCheck, CatchesAnInversionAcrossAChunkBoundary) {
+    const auto in = generate(Workload::kUniform, 1000, 8);
+    auto out = sorted_copy(in);
+    // Records 63 and 64 straddle the boundary between the first two chunks.
+    ASSERT_LT(out[63].key, out[64].key);
+    std::swap(out[63], out[64]);
+    EXPECT_EQ(check_stream(in, out, 64),
+              "output is not sorted: record 64 has a smaller key than record 63");
 }
 
 } // namespace
