@@ -3,18 +3,11 @@
 //
 // A bench binary run with `--json out.json` emits a balsort-bench-v1
 // BenchSuite; benchgate diffs such a file against the committed baseline
-// for the same suite id (bench/baselines/<id>.json) and reports:
-//
-//   FAIL  — a model quantity (io_steps, read_steps, write_steps, blocks,
-//           pram_time, work_ratio) or an invariant flag differs, or the
-//           instance config changed under a variant. Model quantities are
-//           deterministic by design (pinned by the pipeline goldens), so
-//           they are compared *byte-exactly* on the raw JSON number tokens
-//           — no epsilon, no float round-trip.
-//   WARN  — wall_seconds drifted outside the tolerance band (default
-//           ±25%; machine-dependent, so advisory unless --strict-wall),
-//           or a variant appeared/disappeared.
-//   ok    — everything matches.
+// for the same suite id (bench/baselines/<id>.json) with the comparator in
+// obs/analyze.hpp, the one `balsort_analyze --diff` uses. Its policy
+// (DESIGN.md §12): a model quantity, config or invariant token that
+// differs byte-wise, or a different suite id, FAILs; wall_seconds outside
+// ±25%, a different smoke flag, or a row present in only one suite WARNs.
 //
 // Beyond the point-in-time gate, benchgate also keeps the *trend* layer
 // (DESIGN.md §17): `--append-history DIR` folds a suite's run into
@@ -28,35 +21,34 @@
 // Exit codes: 0 pass (warnings allowed), 1 fail, 2 usage/IO error.
 //
 // Usage:
-//   benchgate [options] --baseline-dir DIR RESULT.json...
-//   benchgate [options] --baseline BASE.json RESULT.json
+//   benchgate --baseline-dir DIR RESULT.json...
+//   benchgate --baseline BASE.json RESULT.json
 //   benchgate --validate FILE.json...     # schema validity only
 //   benchgate --append-history DIR RESULT.json...
 //   benchgate --trend DIR|FILE.jsonl      # render history trajectories
 //   benchgate --self-check                # gate-the-gate unit test
-// Options:
-//   --wall-tolerance F   relative wall-clock band (default 0.25)
-//   --strict-wall        wall drift fails instead of warns
 
 #include <algorithm>
-#include <cmath>
-#include <cstdlib>
 #include <cstring>
 #include <filesystem>
 #include <fstream>
 #include <iostream>
 #include <optional>
+#include <span>
 #include <sstream>
 #include <string>
 #include <vector>
 
+#include "obs/analyze.hpp"
 #include "obs/bench_result.hpp"
 #include "obs/json.hpp"
 
 namespace {
 
 using balsort::BenchResult;
+using balsort::BenchRowView;
 using balsort::BenchSuite;
+using balsort::DiffResult;
 using balsort::JsonValue;
 
 struct Options {
@@ -65,16 +57,13 @@ struct Options {
     std::string history_dir; ///< --append-history: fold inputs into DIR/<bench>.jsonl
     std::string trend_path;  ///< --trend: render trajectories from a file or dir
     std::vector<std::string> inputs;
-    double wall_tolerance = 0.25;
-    bool strict_wall = false;
     bool validate_only = false;
     bool self_check = false;
 };
 
 int usage(const char* argv0) {
-    std::cerr << "usage: " << argv0 << " [--wall-tolerance F] [--strict-wall]\n"
-              << "         --baseline-dir DIR RESULT.json...\n"
-              << "       " << argv0 << " [options] --baseline BASE.json RESULT.json\n"
+    std::cerr << "usage: " << argv0 << " --baseline-dir DIR RESULT.json...\n"
+              << "       " << argv0 << " --baseline BASE.json RESULT.json\n"
               << "       " << argv0 << " --validate FILE.json...\n"
               << "       " << argv0 << " --append-history DIR RESULT.json...\n"
               << "       " << argv0 << " --trend DIR|FILE.jsonl\n"
@@ -90,122 +79,30 @@ std::optional<std::string> slurp(const std::string& path) {
     return os.str();
 }
 
-// -------------------------------------------------------------------------
-// Schema navigation. Every helper reports a human-readable path on failure.
-
-/// One row of a suite, kept as raw JSON nodes so model quantities can be
-/// compared on their source tokens.
-struct Row {
-    std::string variant;
-    const JsonValue* config = nullptr;
-    const JsonValue* model = nullptr;
-    const JsonValue* invariants = nullptr;
-    double wall_seconds = 0;
-    std::string wall_raw; ///< verbatim source token, so history re-emits it untouched
-    bool has_wall = false;
-};
-
+/// A schema-checked suite and the JSON tree its view points into. Moving
+/// a JsonValue keeps its children in place, so the view stays valid.
 struct Suite {
-    std::string bench;
-    std::string git_describe; ///< provenance, empty when the harness had none
-    std::string timestamp;
-    bool smoke = false;
-    std::vector<Row> rows;
-    JsonValue doc; // owns the tree the Row pointers reference
+    JsonValue doc;
+    balsort::BenchSuiteView view;
 };
 
-/// Parse + schema-check one balsort-bench-v1 document. Returns nullopt and
-/// prints the reason on stderr when the text is not a valid suite; `path`
-/// only labels the messages.
-std::optional<Suite> parse_suite(const std::string& text, const std::string& path) {
+/// Parses and schema-checks one balsort-bench-v1 document. Returns nullopt
+/// and prints the reason on stderr when the text is not a valid suite;
+/// `label` only names the source in the message.
+std::optional<Suite> read_suite(const std::string& text, const std::string& label) {
     auto doc = JsonValue::parse(text);
     if (!doc) {
-        std::cerr << "benchgate: " << path << ": not valid JSON\n";
+        std::cerr << "benchgate: " << label << ": not valid JSON\n";
         return std::nullopt;
     }
-    Suite suite;
-    suite.doc = std::move(*doc);
-    const JsonValue& root = suite.doc;
-    const JsonValue* schema = root.find("schema");
-    if (schema == nullptr || !schema->is_string() || schema->as_string() != "balsort-bench-v1") {
-        std::cerr << "benchgate: " << path << ": missing or unknown \"schema\" "
-                  << "(want \"balsort-bench-v1\")\n";
+    Suite suite{std::move(*doc), {}};
+    std::string err;
+    auto view = balsort::read_bench_suite(suite.doc, &err);
+    if (!view) {
+        std::cerr << "benchgate: " << label << ": " << err << "\n";
         return std::nullopt;
     }
-    const JsonValue* bench = root.find("bench");
-    if (bench == nullptr || !bench->is_string() || bench->as_string().empty()) {
-        std::cerr << "benchgate: " << path << ": missing \"bench\" id\n";
-        return std::nullopt;
-    }
-    suite.bench = bench->as_string();
-    if (const JsonValue* g = root.find("git_describe"); g != nullptr && g->is_string()) {
-        suite.git_describe = g->as_string();
-    }
-    if (const JsonValue* t = root.find("timestamp"); t != nullptr && t->is_string()) {
-        suite.timestamp = t->as_string();
-    }
-    if (const JsonValue* smoke = root.find("smoke"); smoke != nullptr && smoke->is_bool()) {
-        suite.smoke = smoke->as_bool();
-    }
-    const JsonValue* results = root.find("results");
-    if (results == nullptr || !results->is_array()) {
-        std::cerr << "benchgate: " << path << ": missing \"results\" array\n";
-        return std::nullopt;
-    }
-    static const char* kModelKeys[] = {"io_steps",    "read_steps", "write_steps",
-                                       "blocks",      "pram_time",  "work_ratio"};
-    static const char* kConfigKeys[] = {"n", "m", "d", "b", "p"};
-    std::size_t idx = 0;
-    for (const JsonValue& r : results->items()) {
-        Row row;
-        const JsonValue* variant = r.find("variant");
-        if (variant == nullptr || !variant->is_string() || variant->as_string().empty()) {
-            std::cerr << "benchgate: " << path << ": results[" << idx
-                      << "] has no \"variant\" id\n";
-            return std::nullopt;
-        }
-        row.variant = variant->as_string();
-        row.config = r.find("config");
-        row.model = r.find("model");
-        row.invariants = r.find("invariants");
-        if (row.config == nullptr || !row.config->is_object() || row.model == nullptr ||
-            !row.model->is_object() || row.invariants == nullptr || !row.invariants->is_object()) {
-            std::cerr << "benchgate: " << path << ": results[" << idx << "] (\"" << row.variant
-                      << "\") lacks config/model/invariants objects\n";
-            return std::nullopt;
-        }
-        for (const char* k : kConfigKeys) {
-            const JsonValue* v = row.config->find(k);
-            if (v == nullptr || !v->is_number()) {
-                std::cerr << "benchgate: " << path << ": \"" << row.variant << "\" config." << k
-                          << " missing or not a number\n";
-                return std::nullopt;
-            }
-        }
-        for (const char* k : kModelKeys) {
-            const JsonValue* v = row.model->find(k);
-            if (v == nullptr || !v->is_number()) {
-                std::cerr << "benchgate: " << path << ": \"" << row.variant << "\" model." << k
-                          << " missing or not a number\n";
-                return std::nullopt;
-            }
-        }
-        for (const char* k : {"invariant1", "invariant2"}) {
-            const JsonValue* v = row.invariants->find(k);
-            if (v == nullptr || !v->is_bool()) {
-                std::cerr << "benchgate: " << path << ": \"" << row.variant << "\" invariants."
-                          << k << " missing or not a bool\n";
-                return std::nullopt;
-            }
-        }
-        if (const JsonValue* w = r.find("wall_seconds"); w != nullptr && w->is_number()) {
-            row.wall_seconds = w->as_double();
-            row.wall_raw = w->raw_number();
-            row.has_wall = true;
-        }
-        suite.rows.push_back(std::move(row));
-        ++idx;
-    }
+    suite.view = std::move(*view);
     return suite;
 }
 
@@ -215,119 +112,19 @@ std::optional<Suite> load_suite(const std::string& path) {
         std::cerr << "benchgate: cannot read " << path << "\n";
         return std::nullopt;
     }
-    return parse_suite(*text, path);
+    return read_suite(*text, path);
 }
 
-const Row* find_row(const Suite& s, const std::string& variant) {
-    for (const Row& r : s.rows) {
-        if (r.variant == variant) return &r;
+/// Diffs two valid suites and prints the findings under a "gate" header.
+DiffResult gate(const Suite& base, const Suite& got, const std::string& heading) {
+    // Both documents passed read_suite, so the pair is always diffable.
+    DiffResult diff = *balsort::diff_documents(base.doc, got.doc, nullptr);
+    std::cout << "gate " << heading << ":\n";
+    for (const std::string& line : diff.lines) std::cout << "  " << line << "\n";
+    if (diff.fails == 0 && diff.warns == 0) {
+        std::cout << "  ok (" << got.view.rows.size() << " variants match byte-exactly)\n";
     }
-    return nullptr;
-}
-
-// -------------------------------------------------------------------------
-// Comparison.
-
-struct Tally {
-    int fails = 0;
-    int warns = 0;
-};
-
-/// Byte-exact comparison of one numeric field via its raw source token.
-void compare_token(const char* group, const char* key, const JsonValue& base,
-                   const JsonValue& got, const std::string& variant, Tally& tally) {
-    const JsonValue* bv = base.find(key);
-    const JsonValue* gv = got.find(key);
-    // load_suite guaranteed presence; belt-and-braces for direct callers.
-    if (bv == nullptr || gv == nullptr) return;
-    if (bv->raw_number() != gv->raw_number()) {
-        std::cout << "  FAIL [" << variant << "] " << group << "." << key << ": baseline "
-                  << bv->raw_number() << " != result " << gv->raw_number() << "\n";
-        ++tally.fails;
-    }
-}
-
-void compare_rows(const Row& base, const Row& got, const Options& opt, Tally& tally) {
-    for (const char* k : {"n", "m", "d", "b", "p"}) {
-        compare_token("config", k, *base.config, *got.config, base.variant, tally);
-    }
-    for (const char* k :
-         {"io_steps", "read_steps", "write_steps", "blocks", "pram_time", "work_ratio"}) {
-        compare_token("model", k, *base.model, *got.model, base.variant, tally);
-    }
-    for (const char* k : {"invariant1", "invariant2"}) {
-        const JsonValue* bv = base.invariants->find(k);
-        const JsonValue* gv = got.invariants->find(k);
-        if (bv != nullptr && gv != nullptr && bv->as_bool() != gv->as_bool()) {
-            std::cout << "  FAIL [" << base.variant << "] invariants." << k << ": baseline "
-                      << (bv->as_bool() ? "true" : "false") << " != result "
-                      << (gv->as_bool() ? "true" : "false") << "\n";
-            ++tally.fails;
-        }
-    }
-    if (base.has_wall && got.has_wall && base.wall_seconds > 0) {
-        double rel = (got.wall_seconds - base.wall_seconds) / base.wall_seconds;
-        if (std::fabs(rel) > opt.wall_tolerance) {
-            const char* tag = opt.strict_wall ? "FAIL" : "WARN";
-            std::cout << "  " << tag << " [" << base.variant << "] wall_seconds: baseline "
-                      << base.wall_seconds << "s, result " << got.wall_seconds << "s ("
-                      << (rel >= 0 ? "+" : "") << static_cast<int>(rel * 100)
-                      << "%, tolerance +/-" << static_cast<int>(opt.wall_tolerance * 100)
-                      << "%)\n";
-            if (opt.strict_wall) {
-                ++tally.fails;
-            } else {
-                ++tally.warns;
-            }
-        }
-    }
-}
-
-void compare_suites(const Suite& base, const Suite& got, const Options& opt, Tally& tally) {
-    if (base.bench != got.bench) {
-        std::cout << "  FAIL suite id mismatch: baseline \"" << base.bench << "\" vs result \""
-                  << got.bench << "\"\n";
-        ++tally.fails;
-        return;
-    }
-    if (base.smoke != got.smoke) {
-        std::cout << "  WARN smoke flag differs (baseline "
-                  << (base.smoke ? "smoke" : "full") << ", result "
-                  << (got.smoke ? "smoke" : "full") << ") — comparing anyway\n";
-        ++tally.warns;
-    }
-    for (const Row& b : base.rows) {
-        const Row* g = find_row(got, b.variant);
-        if (g == nullptr) {
-            std::cout << "  WARN baseline variant \"" << b.variant
-                      << "\" missing from result\n";
-            ++tally.warns;
-            continue;
-        }
-        compare_rows(b, *g, opt, tally);
-    }
-    for (const Row& g : got.rows) {
-        if (find_row(base, g.variant) == nullptr) {
-            std::cout << "  WARN new variant \"" << g.variant
-                      << "\" has no baseline (refresh bench/baselines/)\n";
-            ++tally.warns;
-        }
-    }
-}
-
-int gate_one(const std::string& baseline_path, const std::string& result_path,
-             const Options& opt, Tally& total) {
-    auto base = load_suite(baseline_path);
-    auto got = load_suite(result_path);
-    if (!base || !got) return 2;
-    std::cout << "gate " << result_path << " vs " << baseline_path << ":\n";
-    Tally tally;
-    compare_suites(*base, *got, opt, tally);
-    if (tally.fails == 0 && tally.warns == 0) std::cout << "  ok (" << got->rows.size()
-                                                        << " variants match byte-exactly)\n";
-    total.fails += tally.fails;
-    total.warns += tally.warns;
-    return 0;
+    return diff;
 }
 
 // -------------------------------------------------------------------------
@@ -343,20 +140,15 @@ int gate_one(const std::string& baseline_path, const std::string& result_path,
 // history preserves the byte-exact model channel: `--trend` can flag the
 // precise run where a model quantity moved, commits later.
 
-const char* const kHistConfigKeys[] = {"n", "m", "d", "b", "p"};
-const char* const kHistModelKeys[] = {"io_steps",    "read_steps", "write_steps",
-                                      "blocks",      "pram_time",  "work_ratio"};
-
-void write_tokens(std::ostream& os, const JsonValue& obj, const char* const* keys,
-                  std::size_t count) {
-    for (std::size_t i = 0; i < count; ++i) {
+void write_tokens(std::ostream& os, const JsonValue& obj, std::span<const char* const> keys) {
+    for (std::size_t i = 0; i < keys.size(); ++i) {
         const JsonValue* v = obj.find(keys[i]);
         os << (i != 0 ? "," : "") << '"' << keys[i]
            << "\":" << (v != nullptr ? v->raw_number() : "0");
     }
 }
 
-void write_history_line(const Suite& s, std::ostream& os) {
+void write_history_line(const balsort::BenchSuiteView& s, std::ostream& os) {
     os << "{\"schema\":\"balsort-history-v1\",\"bench\":\"";
     balsort::write_json_escaped(os, s.bench);
     os << "\",\"git_describe\":\"";
@@ -365,19 +157,19 @@ void write_history_line(const Suite& s, std::ostream& os) {
     balsort::write_json_escaped(os, s.timestamp);
     os << "\",\"smoke\":" << balsort::json_bool(s.smoke) << ",\"variants\":[";
     bool first = true;
-    for (const Row& r : s.rows) {
+    for (const BenchRowView& r : s.rows) {
         os << (first ? "" : ",") << "{\"variant\":\"";
         first = false;
         balsort::write_json_escaped(os, r.variant);
         os << "\",\"config\":{";
-        write_tokens(os, *r.config, kHistConfigKeys, 5);
+        write_tokens(os, *r.config, balsort::kBenchConfigKeys);
         os << "},\"model\":{";
-        write_tokens(os, *r.model, kHistModelKeys, 6);
+        write_tokens(os, *r.model, balsort::kBenchModelKeys);
         os << "},\"invariants\":{\"invariant1\":"
            << balsort::json_bool(r.invariants->find("invariant1")->as_bool())
            << ",\"invariant2\":"
            << balsort::json_bool(r.invariants->find("invariant2")->as_bool()) << "}";
-        if (r.has_wall) os << ",\"wall_seconds\":" << r.wall_raw;
+        if (r.wall_seconds != nullptr) os << ",\"wall_seconds\":" << r.wall_seconds->raw_number();
         os << "}";
     }
     os << "]}\n";
@@ -394,17 +186,17 @@ int append_history(const std::string& dir, const std::vector<std::string>& input
     for (const std::string& path : inputs) {
         auto s = load_suite(path);
         if (!s) return 2;
-        const std::string out = dir + "/" + s->bench + ".jsonl";
+        const std::string out = dir + "/" + s->view.bench + ".jsonl";
         std::ofstream os(out, std::ios::app | std::ios::binary);
-        if (os) write_history_line(*s, os);
+        if (os) write_history_line(s->view, os);
         os.flush();
         if (!os) {
             std::cerr << "benchgate: cannot append to " << out << "\n";
             return 2;
         }
-        std::cout << "history: appended \"" << s->bench << "\" (" << s->rows.size()
+        std::cout << "history: appended \"" << s->view.bench << "\" (" << s->view.rows.size()
                   << " variants";
-        if (!s->git_describe.empty()) std::cout << ", " << s->git_describe;
+        if (!s->view.git_describe.empty()) std::cout << ", " << s->view.git_describe;
         std::cout << ") -> " << out << "\n";
     }
     return 0;
@@ -480,9 +272,9 @@ TrendStats trend_stream(const std::string& label, std::istream& is, std::ostream
             }
             TrendSnap snap;
             std::ostringstream key;
-            write_tokens(key, *config, kHistConfigKeys, 5);
+            write_tokens(key, *config, balsort::kBenchConfigKeys);
             key << ";";
-            write_tokens(key, *model, kHistModelKeys, 6);
+            write_tokens(key, *model, balsort::kBenchModelKeys);
             snap.tokens = key.str();
             if (const JsonValue* io = model->find("io_steps"); io != nullptr && io->is_number()) {
                 snap.io_steps = io->raw_number();
@@ -637,65 +429,50 @@ int self_check() {
             ++failures;
         }
     };
-    Options opt;
-
     BenchSuite suite = synthetic_suite();
     std::string text = suite.to_json();
     auto parsed = JsonValue::parse(text);
-    expect(parsed.has_value(), "emitted suite must parse as JSON");
+    expect(parsed.has_value() && parsed->find("schema") != nullptr,
+           "emitted suite must parse as JSON with a schema marker");
 
-    // Identity: a suite compared against its own serialization passes.
-    {
-        std::ostringstream os;
-        suite.write_json(os);
-        auto a = JsonValue::parse(os.str());
-        expect(a.has_value() && a->find("schema") != nullptr, "schema marker present");
-    }
-
-    auto run_gate = [&](const BenchSuite& base, const BenchSuite& got, const Options& o) {
-        // Route through the same loader/comparator the CLI uses, via
-        // temp-free in-memory parsing.
-        Tally tally;
-        auto a = parse_suite(base.to_json(), "<mem:base>");
-        auto b = parse_suite(got.to_json(), "<mem:got>");
-        if (!a || !b) return Tally{1, 0};
-        compare_suites(*a, *b, o, tally);
-        return tally;
+    // Route through the same reader and comparator the CLI uses, parsing
+    // in memory instead of through temp files.
+    auto run_gate = [&](const BenchSuite& base, const BenchSuite& got) {
+        auto a = read_suite(base.to_json(), "<mem:base>");
+        auto b = read_suite(got.to_json(), "<mem:got>");
+        if (!a || !b) return DiffResult{1, 0, {}};
+        return *balsort::diff_documents(a->doc, b->doc, nullptr);
     };
 
     {
-        Tally t = run_gate(suite, suite, opt);
+        DiffResult t = run_gate(suite, suite);
         expect(t.fails == 0 && t.warns == 0, "identical suites must pass clean");
     }
     {
         // The acceptance criterion: io_steps off by one must FAIL.
         BenchSuite perturbed = suite;
         perturbed.results[0].io_steps += 1;
-        Tally t = run_gate(suite, perturbed, opt);
+        DiffResult t = run_gate(suite, perturbed);
         expect(t.fails > 0, "io_steps +1 must fail the gate");
     }
     {
         // Wall drift inside the band: pass (no warn).
         BenchSuite warmer = suite;
         warmer.results[0].wall_seconds *= 1.10;
-        Tally t = run_gate(suite, warmer, opt);
+        DiffResult t = run_gate(suite, warmer);
         expect(t.fails == 0 && t.warns == 0, "10% wall drift within 25% tolerance passes");
     }
     {
-        // Wall drift outside the band: warn by default, fail with --strict-wall.
+        // Wall drift outside the band only warns.
         BenchSuite slow = suite;
         slow.results[0].wall_seconds *= 2.0;
-        Tally t = run_gate(suite, slow, opt);
-        expect(t.fails == 0 && t.warns > 0, "2x wall drift warns by default");
-        Options strict = opt;
-        strict.strict_wall = true;
-        Tally ts = run_gate(suite, slow, strict);
-        expect(ts.fails > 0, "2x wall drift fails under --strict-wall");
+        DiffResult t = run_gate(suite, slow);
+        expect(t.fails == 0 && t.warns > 0, "2x wall drift warns");
     }
     {
         BenchSuite flipped = suite;
         flipped.results[0].invariant2 = false;
-        Tally t = run_gate(suite, flipped, opt);
+        DiffResult t = run_gate(suite, flipped);
         expect(t.fails > 0, "invariant flip must fail the gate");
     }
     {
@@ -703,7 +480,7 @@ int self_check() {
         BenchResult nr = suite.results[0];
         nr.variant = "new-variant";
         extra.results.push_back(nr);
-        Tally t = run_gate(suite, extra, opt);
+        DiffResult t = run_gate(suite, extra);
         expect(t.fails == 0 && t.warns > 0, "new variant warns, does not fail");
     }
     {
@@ -711,21 +488,21 @@ int self_check() {
         // The trend view must count three runs, flag exactly one change,
         // and the appended lines must round-trip the raw model tokens.
         std::ostringstream hist;
-        auto s1 = parse_suite(suite.to_json(), "<mem:run1>");
+        auto s1 = read_suite(suite.to_json(), "<mem:run1>");
         expect(s1.has_value(), "synthetic suite loads for history append");
-        if (s1) write_history_line(*s1, hist);
+        if (s1) write_history_line(s1->view, hist);
 
         BenchSuite warmer = suite;
         warmer.timestamp = "2026-01-02T00:00:00Z";
         warmer.results[0].wall_seconds = 0.6;
-        auto s2 = parse_suite(warmer.to_json(), "<mem:run2>");
-        if (s2) write_history_line(*s2, hist);
+        auto s2 = read_suite(warmer.to_json(), "<mem:run2>");
+        if (s2) write_history_line(s2->view, hist);
 
         BenchSuite drift = warmer;
         drift.timestamp = "2026-01-03T00:00:00Z";
         drift.results[0].io_steps += 1;
-        auto s3 = parse_suite(drift.to_json(), "<mem:run3>");
-        if (s3) write_history_line(*s3, hist);
+        auto s3 = read_suite(drift.to_json(), "<mem:run3>");
+        if (s3) write_history_line(s3->view, hist);
 
         {
             std::istringstream first_line(hist.str().substr(0, hist.str().find('\n')));
@@ -773,11 +550,6 @@ int main(int argc, char** argv) {
             opt.baseline_dir = argv[++i];
         } else if (std::strcmp(a, "--baseline") == 0 && i + 1 < argc) {
             opt.baseline_file = argv[++i];
-        } else if (std::strcmp(a, "--wall-tolerance") == 0 && i + 1 < argc) {
-            opt.wall_tolerance = std::atof(argv[++i]);
-            if (!(opt.wall_tolerance > 0)) return usage(argv[0]);
-        } else if (std::strcmp(a, "--strict-wall") == 0) {
-            opt.strict_wall = true;
         } else if (std::strcmp(a, "--validate") == 0) {
             opt.validate_only = true;
         } else if (std::strcmp(a, "--append-history") == 0 && i + 1 < argc) {
@@ -815,8 +587,8 @@ int main(int argc, char** argv) {
         for (const std::string& path : opt.inputs) {
             auto s = load_suite(path);
             if (s) {
-                std::cout << "valid " << path << " (suite \"" << s->bench << "\", "
-                          << s->rows.size() << " results)\n";
+                std::cout << "valid " << path << " (suite \"" << s->view.bench << "\", "
+                          << s->view.rows.size() << " results)\n";
             } else {
                 ++bad;
             }
@@ -832,17 +604,19 @@ int main(int argc, char** argv) {
         return usage(argv[0]);
     }
 
-    Tally total;
+    DiffResult total;
     for (const std::string& path : opt.inputs) {
-        std::string baseline = opt.baseline_file;
-        if (baseline.empty()) {
-            // Baseline lives under the dir named by the *result's* suite id.
-            auto got = load_suite(path);
-            if (!got) return 2;
-            baseline = opt.baseline_dir + "/" + got->bench + ".json";
-        }
-        int rc = gate_one(baseline, path, opt, total);
-        if (rc != 0) return rc;
+        auto got = load_suite(path);
+        if (!got) return 2;
+        // The baseline lives under the dir named by the *result's* suite id.
+        const std::string baseline = !opt.baseline_file.empty()
+                                         ? opt.baseline_file
+                                         : opt.baseline_dir + "/" + got->view.bench + ".json";
+        auto base = load_suite(baseline);
+        if (!base) return 2;
+        const DiffResult diff = gate(*base, *got, path + " vs " + baseline);
+        total.fails += diff.fails;
+        total.warns += diff.warns;
     }
     if (total.fails > 0) {
         std::cout << "benchgate: FAIL (" << total.fails << " failing field(s), " << total.warns

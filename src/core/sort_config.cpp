@@ -6,10 +6,6 @@
 namespace balsort {
 
 void IoPolicy::validate() const {
-    BS_REQUIRE(pool_buffers || shared_pool == nullptr,
-               "IoPolicy: shared_pool with pool_buffers off would silently never be used");
-    BS_REQUIRE(pool_buffers || pool_retain_records == kPoolRetainAuto,
-               "IoPolicy: pool_retain_records with pool_buffers off would silently never apply");
     BS_REQUIRE(shared_pool == nullptr || pool_retain_records == kPoolRetainAuto,
                "IoPolicy: pool_retain_records sizes the per-sort pool; a shared pool's "
                "retention is fixed by its owner at construction");

@@ -7,8 +7,8 @@
 /// the other algorithmic choices are top-level fields; the environmental
 /// concerns are grouped into four policy structs —
 ///
-///   IoPolicy          — how the sort drives the array (buffer pooling,
-///                       prefetch, synchronized writes),
+///   IoPolicy          — how the sort drives the array (synchronized
+///                       writes, buffer-pool retention, a shared pool),
 ///   ComputePolicy     — compute lanes and the executor they run on,
 ///   DurabilityPolicy  — crash consistency (checkpoint/resume paths, the
 ///                       chaos hook),
@@ -82,19 +82,10 @@ enum class BucketPolicy {
 /// How the sort drives the disk array (DESIGN.md §9-§10). Everything here
 /// changes wall-clock and memory behaviour only — model quantities
 /// (io_steps(), counters, output bytes) are identical for every setting.
+/// Staging buffers always recycle through a BufferPool, and on the async
+/// engine the next bucket is always staged behind the current base case
+/// (DESIGN.md §10).
 struct IoPolicy {
-    /// Recycle record staging buffers (base-case loads, Balance staging,
-    /// stream-copy chunks, prefetch windows) through a per-sort BufferPool
-    /// sized to a few memoryloads (DESIGN.md §10). Off falls back to
-    /// hoisted per-pass buffers; results are identical either way.
-    bool pool_buffers = true;
-    /// Cross-bucket I/O–compute overlap (DESIGN.md §10): while one
-    /// bucket's base case sorts on the executor, the next bucket's
-    /// memoryload is physically prefetched through the async engine.
-    /// Model costs are charged at consumption, so io_steps(), the observer
-    /// sequence, and the output are bit-identical to the serial driver.
-    /// Only effective when the async engine is on.
-    bool cross_bucket_prefetch = true;
     /// §6: perform only fully striped (synchronized) write operations —
     /// every bucket write step lands at one common block index across the
     /// array (error-checking/parity friendly), trading disk space for the
@@ -111,15 +102,12 @@ struct IoPolicy {
     /// counters aggregate every job).
     BufferPool* shared_pool = nullptr;
 
-    IoPolicy& pooled(bool v) { pool_buffers = v; return *this; }
-    IoPolicy& prefetch(bool v) { cross_bucket_prefetch = v; return *this; }
     IoPolicy& synchronized(bool v) { synchronized_writes = v; return *this; }
     IoPolicy& pool_retain(std::uint64_t records) { pool_retain_records = records; return *this; }
     IoPolicy& pool(BufferPool* p) { shared_pool = p; return *this; }
 
-    /// Rejects incoherent combinations (std::invalid_argument): a shared
-    /// pool or retention cap with pooling off is a silent no-op the caller
-    /// almost certainly did not intend.
+    /// Rejects incoherent combinations (std::invalid_argument): a retention
+    /// cap next to a shared pool would silently never apply.
     void validate() const;
 };
 

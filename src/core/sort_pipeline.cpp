@@ -380,21 +380,18 @@ void SortPipeline::walk_buckets(std::vector<BucketOutput>& buckets, std::uint64_
         // delay nearer reads), and never one that will be repositioned
         // (repositioning rewrites and releases the staged storage).
         std::function<void()> hook;
-        if (st_.job.io_policy.cross_bucket_prefetch) {
-            std::size_t j = i + 1;
-            while (j < buckets.size() && buckets[j].run.n_records == 0) ++j;
-            if (j < buckets.size() && !will_reposition(buckets[j])) {
-                BucketOutput& next = buckets[j];
-                hook = [this, &next, j, &staged]() {
-                    auto src =
-                        std::make_unique<VRunSource>(st_.vdisks, next.run, st_.buffer_pool());
-                    if (src->start_prefetch(st_.cfg.m, &st_.profile.overlap_hidden_seconds)) {
-                        st_.profile.staged_prefetches += 1;
-                        staged.src = std::move(src);
-                        staged.index = j;
-                    }
-                };
-            }
+        std::size_t j = i + 1;
+        while (j < buckets.size() && buckets[j].run.n_records == 0) ++j;
+        if (j < buckets.size() && !will_reposition(buckets[j])) {
+            BucketOutput& next = buckets[j];
+            hook = [this, &next, j, &staged]() {
+                auto src = std::make_unique<VRunSource>(st_.vdisks, next.run, st_.buffer_pool());
+                if (src->start_prefetch(st_.cfg.m, &st_.profile.overlap_hidden_seconds)) {
+                    st_.profile.staged_prefetches += 1;
+                    staged.src = std::move(src);
+                    staged.index = j;
+                }
+            };
         }
 
         if (sorted_already(bucket)) {

@@ -111,14 +111,12 @@ struct DriverState {
     DriverState(DiskArray& d, const PdmConfig& c, const SortJobConfig& j, std::uint32_t dv,
                 std::uint32_t threads, SortReport* rep);
 
-    /// The staging pool, or null when IoPolicy::pool_buffers is off (call
-    /// sites then fall back to plain per-pass buffers). A caller-provided
-    /// IoPolicy::shared_pool takes precedence over the sort's own pool so
-    /// co-scheduled jobs can recycle buffers across each other.
+    /// The staging pool. A caller-provided IoPolicy::shared_pool takes
+    /// precedence over the sort's own pool so co-scheduled jobs can
+    /// recycle buffers across each other.
     BufferPool* buffer_pool() {
-        const IoPolicy& io = job.io_policy;
-        if (!io.pool_buffers) return nullptr;
-        return io.shared_pool != nullptr ? io.shared_pool : &buffers;
+        BufferPool* shared = job.io_policy.shared_pool;
+        return shared != nullptr ? shared : &buffers;
     }
 
     /// Cooperative cancellation (DESIGN.md §14): throws JobCancelled when

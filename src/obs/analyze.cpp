@@ -6,9 +6,9 @@
 #include <limits>
 #include <map>
 #include <ostream>
-#include <set>
 #include <sstream>
 
+#include "obs/bench_result.hpp"
 #include "obs/json.hpp"
 
 namespace balsort {
@@ -372,161 +372,146 @@ void write_analyze_json(std::ostream& os, const AnalyzeReport& r) {
 }
 
 // ---------------------------------------------------------------------------
-// Diff: the benchgate philosophy applied pairwise. Model quantities are
-// deterministic — compared on raw JSON number tokens, any difference is
-// drift. Wall-clock quantities only have to stay inside a relative band,
-// and even then the drift is advisory (reported, not gating).
+// Diff: the two-channel policy of DESIGN.md §12. Model quantities are
+// deterministic, so they compare on raw JSON number tokens and any
+// difference FAILs. Wall-clock quantities only have to stay inside
+// kWallBand, and leaving it WARNs.
 
 namespace {
 
-bool is_bench_suite(const JsonValue& v) {
-    const JsonValue* s = v.find("schema");
-    return s != nullptr && s->is_string() && s->as_string() == "balsort-bench-v1";
+const JsonValue* member(const JsonValue* section, const char* key) {
+    return section != nullptr ? section->find(key) : nullptr;
+}
+
+std::string token(const JsonValue& v) {
+    if (v.is_number()) return v.raw_number();
+    if (v.is_bool()) return json_bool(v.as_bool());
+    return v.as_string();
+}
+
+void fail(DiffResult* out, const std::string& line) {
+    ++out->fails;
+    out->lines.push_back("FAIL " + line);
+}
+
+void warn(DiffResult* out, const std::string& line) {
+    ++out->warns;
+    out->lines.push_back("WARN " + line);
+}
+
+/// Byte-exact comparison of one model token named `what`.
+void diff_exact(const JsonValue* av, const JsonValue* bv, const std::string& what,
+                DiffResult* out) {
+    if (av == nullptr && bv == nullptr) return;
+    if (av == nullptr || bv == nullptr) {
+        fail(out, what + ": present in only one document");
+    } else if (token(*av) != token(*bv)) {
+        fail(out, what + ": " + token(*av) + " -> " + token(*bv));
+    }
+}
+
+/// Banded comparison of one wall-clock quantity named `what`; a zero or
+/// missing old value has no band.
+void diff_banded(const JsonValue* av, const JsonValue* bv, const std::string& what,
+                 DiffResult* out) {
+    if (av == nullptr || bv == nullptr || !av->is_number() || !bv->is_number()) return;
+    const double a = av->as_double();
+    const double b = bv->as_double();
+    if (!(a > 0)) return;
+    const double rel = (b - a) / a;
+    if (std::abs(rel) <= kWallBand) return;
+    std::ostringstream line;
+    line << what << ": " << a << " -> " << b << " (" << (rel >= 0 ? "+" : "")
+         << static_cast<int>(rel * 100) << "%): wall drift outside +/-"
+         << static_cast<int>(kWallBand * 100) << "% band";
+    warn(out, line.str());
+}
+
+void diff_rows(const BenchRowView& a, const BenchRowView& b, DiffResult* out) {
+    const std::string at = "[" + a.variant + "] ";
+    for (const char* k : kBenchConfigKeys) {
+        diff_exact(a.config->find(k), b.config->find(k), at + "config." + k, out);
+    }
+    for (const char* k : kBenchModelKeys) {
+        diff_exact(a.model->find(k), b.model->find(k), at + "model." + k, out);
+    }
+    for (const char* k : kBenchInvariantKeys) {
+        diff_exact(a.invariants->find(k), b.invariants->find(k), at + "invariants." + k, out);
+    }
+    diff_banded(a.wall_seconds, b.wall_seconds, at + "wall_seconds", out);
 }
 
 bool is_manifest(const JsonValue& v) {
     return v.find("tool") != nullptr && v.find("report") != nullptr;
 }
 
-/// Byte-exact comparison of one model token at `section.key`.
-void diff_exact(const JsonValue* a_sec, const JsonValue* b_sec, const std::string& where,
-                const char* key, DiffResult* out) {
-    const JsonValue* av = a_sec != nullptr ? a_sec->find(key) : nullptr;
-    const JsonValue* bv = b_sec != nullptr ? b_sec->find(key) : nullptr;
-    if (av == nullptr && bv == nullptr) return;
-    if (av == nullptr || bv == nullptr) {
-        out->model_drift = true;
-        out->lines.push_back("MODEL " + where + "." + key + ": present in only one document");
-        return;
-    }
-    std::string at;
-    std::string bt;
-    if (av->is_number()) {
-        at = av->raw_number();
-    } else if (av->is_bool()) {
-        at = json_bool(av->as_bool());
-    } else if (av->is_string()) {
-        at = av->as_string();
-    }
-    if (bv->is_number()) {
-        bt = bv->raw_number();
-    } else if (bv->is_bool()) {
-        bt = json_bool(bv->as_bool());
-    } else if (bv->is_string()) {
-        bt = bv->as_string();
-    }
-    if (at != bt) {
-        out->model_drift = true;
-        out->lines.push_back("MODEL " + where + "." + key + ": " + at + " -> " + bt);
-    }
-}
-
-/// Banded comparison of a wall-clock quantity.
-void diff_banded(const JsonValue* a_sec, const JsonValue* b_sec, const std::string& where,
-                 const char* key, double band, DiffResult* out) {
-    const JsonValue* av = a_sec != nullptr ? a_sec->find(key) : nullptr;
-    const JsonValue* bv = b_sec != nullptr ? b_sec->find(key) : nullptr;
-    if (av == nullptr || bv == nullptr || !av->is_number() || !bv->is_number()) return;
-    const double a = av->as_double();
-    const double b = bv->as_double();
-    const double ref = std::max(std::abs(a), 1e-9);
-    const double rel = std::abs(b - a) / ref;
-    std::ostringstream line;
-    line << "wall  " << where << "." << key << ": " << a << " -> " << b << "  ("
-         << (b >= a ? "+" : "") << 100.0 * (b - a) / ref << "%)";
-    if (rel > band) {
-        out->wall_drift = true;
-        line << "  OUTSIDE +/-" << 100.0 * band << "% band";
-    }
-    out->lines.push_back(line.str());
-}
-
-void diff_bench_suites(const JsonValue& a, const JsonValue& b, double band, DiffResult* out) {
-    auto index_rows = [](const JsonValue& doc) {
-        std::map<std::string, const JsonValue*> rows;
-        const JsonValue* results = doc.find("results");
-        if (results != nullptr && results->is_array()) {
-            for (const JsonValue& row : results->items()) {
-                const JsonValue* bench = row.find("bench");
-                const JsonValue* variant = row.find("variant");
-                if (bench != nullptr && variant != nullptr) {
-                    rows[bench->as_string() + "/" + variant->as_string()] = &row;
-                }
-            }
-        }
-        return rows;
-    };
-    const auto a_rows = index_rows(a);
-    const auto b_rows = index_rows(b);
-    std::set<std::string> keys;
-    for (const auto& [k, v] : a_rows) keys.insert(k);
-    for (const auto& [k, v] : b_rows) keys.insert(k);
-    for (const std::string& k : keys) {
-        const auto ai = a_rows.find(k);
-        const auto bi = b_rows.find(k);
-        if (ai == a_rows.end() || bi == b_rows.end()) {
-            out->model_drift = true;
-            out->lines.push_back("MODEL row " + k + ": present in only one suite");
-            continue;
-        }
-        const JsonValue* ar = ai->second;
-        const JsonValue* br = bi->second;
-        for (const char* key : {"n", "m", "d", "b", "p"}) {
-            diff_exact(ar->find("config"), br->find("config"), k + ".config", key, out);
-        }
-        for (const char* key :
-             {"io_steps", "read_steps", "write_steps", "blocks", "pram_time", "work_ratio"}) {
-            diff_exact(ar->find("model"), br->find("model"), k + ".model", key, out);
-        }
-        for (const char* key : {"invariant1", "invariant2"}) {
-            diff_exact(ar->find("invariants"), br->find("invariants"), k + ".invariants", key,
-                       out);
-        }
-        diff_banded(ar, br, k, "wall_seconds", band, out);
-    }
-}
-
-void diff_manifests(const JsonValue& a, const JsonValue& b, double band, DiffResult* out) {
+void diff_manifests(const JsonValue& a, const JsonValue& b, DiffResult* out) {
     // Deterministic model quantities: byte-exact. Runtime-dependent
     // counters (pool hits, steal counts, retry totals) are deliberately
     // absent — they vary run to run without any model drift.
-    for (const char* key : {"n", "m", "d", "b", "p"}) {
-        diff_exact(a.find("config"), b.find("config"), "config", key, out);
-    }
-    for (const char* key : {"read_steps", "write_steps", "io_steps", "blocks_read",
-                            "blocks_written", "parity_blocks_written", "recovery_blocks"}) {
-        diff_exact(a.find("io"), b.find("io"), "io", key, out);
-    }
-    for (const char* key :
-         {"optimal_ios", "io_ratio", "comparisons", "moves", "pram_time", "optimal_work",
-          "work_ratio", "s_used", "d_virtual", "levels", "base_cases", "max_bucket_records",
-          "bucket_bound"}) {
-        diff_exact(a.find("report"), b.find("report"), "report", key, out);
-    }
-    for (const char* key : {"tracks", "direct_blocks", "matched_blocks", "deferred_blocks",
-                            "rearrange_rounds", "max_rounds_per_track", "match_draws",
-                            "invariant1_held", "invariant2_held"}) {
-        diff_exact(a.find("balance"), b.find("balance"), "balance", key, out);
-    }
-    diff_banded(a.find("report"), b.find("report"), "report", "elapsed_seconds", band, out);
-    for (const char* key : {"pivot_seconds", "balance_seconds", "base_case_seconds",
-                            "emit_seconds", "io_wait_seconds", "gate_wait_seconds",
-                            "pool_wait_seconds", "overlap_hidden_seconds"}) {
-        diff_banded(a.find("phases"), b.find("phases"), "phases", key, band, out);
+    auto exact = [&](const char* section, const auto& keys) {
+        for (const char* k : keys) {
+            diff_exact(member(a.find(section), k), member(b.find(section), k),
+                       std::string(section) + "." + k, out);
+        }
+    };
+    exact("config", kBenchConfigKeys);
+    exact("io", std::array{"read_steps", "write_steps", "io_steps", "blocks_read",
+                           "blocks_written", "parity_blocks_written", "recovery_blocks"});
+    exact("report", std::array{"optimal_ios", "io_ratio", "comparisons", "moves", "pram_time",
+                               "optimal_work", "work_ratio", "s_used", "d_virtual", "levels",
+                               "base_cases", "max_bucket_records", "bucket_bound"});
+    exact("balance", std::array{"tracks", "direct_blocks", "matched_blocks", "deferred_blocks",
+                                "rearrange_rounds", "max_rounds_per_track", "match_draws",
+                                "invariant1_held", "invariant2_held"});
+    diff_banded(member(a.find("report"), "elapsed_seconds"),
+                member(b.find("report"), "elapsed_seconds"), "report.elapsed_seconds", out);
+    for (const char* k : {"pivot_seconds", "balance_seconds", "base_case_seconds", "emit_seconds",
+                          "io_wait_seconds", "gate_wait_seconds", "pool_wait_seconds",
+                          "overlap_hidden_seconds"}) {
+        diff_banded(member(a.find("phases"), k), member(b.find("phases"), k),
+                    std::string("phases.") + k, out);
     }
 }
 
 } // namespace
 
-std::optional<DiffResult> diff_documents(const JsonValue& a, const JsonValue& b, double wall_band,
+std::optional<DiffResult> diff_documents(const JsonValue& a, const JsonValue& b,
                                          std::string* err) {
     DiffResult out;
     if (is_bench_suite(a) && is_bench_suite(b)) {
-        diff_bench_suites(a, b, wall_band, &out);
+        std::string why;
+        const auto as = read_bench_suite(a, &why);
+        const auto bs = as ? read_bench_suite(b, &why) : std::nullopt;
+        if (!as || !bs) {
+            if (err != nullptr) *err = (as ? "new suite: " : "old suite: ") + why;
+            return std::nullopt;
+        }
+        if (as->bench != bs->bench) {
+            fail(&out, "suite id: \"" + as->bench + "\" -> \"" + bs->bench + "\"");
+            return out;
+        }
+        if (as->smoke != bs->smoke) {
+            warn(&out, std::string("smoke flag: ") + (as->smoke ? "smoke" : "full") + " -> " +
+                           (bs->smoke ? "smoke" : "full") + " (comparing anyway)");
+        }
+        for (const BenchRowView& row : as->rows) {
+            if (const BenchRowView* other = bs->find(row.variant); other != nullptr) {
+                diff_rows(row, *other, &out);
+            } else {
+                warn(&out, "[" + row.variant + "] row only in the old suite");
+            }
+        }
+        for (const BenchRowView& row : bs->rows) {
+            if (as->find(row.variant) == nullptr) {
+                warn(&out,
+                     "[" + row.variant + "] row only in the new suite (refresh the baseline)");
+            }
+        }
         return out;
     }
     if (is_manifest(a) && is_manifest(b)) {
-        diff_manifests(a, b, wall_band, &out);
+        diff_manifests(a, b, &out);
         return out;
     }
     if (err != nullptr) {

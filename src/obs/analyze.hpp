@@ -23,10 +23,11 @@
 //    disk within one block of even, so skew ~1.0; a hot disk shows here
 //    before it shows in the step counts.
 //
-// The --diff half compares two manifests or two bench suites the way
-// benchgate does: model quantities on raw JSON number tokens (byte-exact,
-// any drift is a fail), wall-clock numbers inside a relative band
-// (advisory). See diff_documents().
+// The --diff half is the repo's one two-channel comparator, behind both
+// `balsort_analyze --diff` and benchgate: it compares two manifests or two
+// bench suites, model quantities on raw JSON number tokens (any drift
+// FAILs) and wall-clock numbers inside a relative band (drift WARNs). The
+// policy is stated in DESIGN.md §12. See diff_documents().
 #include <cstdint>
 #include <iosfwd>
 #include <optional>
@@ -100,20 +101,27 @@ void write_analyze_text(std::ostream& os, const AnalyzeReport& r);
 /// Machine-readable report (CI artifact).
 void write_analyze_json(std::ostream& os, const AnalyzeReport& r);
 
-/// Outcome of diffing two run documents.
+/// Relative wall-clock band of the comparator: a wall number that moves
+/// by more than ±25% of the old value WARNs.
+inline constexpr double kWallBand = 0.25;
+
+/// Outcome of diffing two run documents: one line per finding, each
+/// starting with its verdict ("FAIL " or "WARN ").
 struct DiffResult {
-    bool model_drift = false; ///< a byte-exact quantity differed → gate fail
-    bool wall_drift = false;  ///< a wall number left the band → advisory
+    int fails = 0; ///< findings that fail a gate (exit 1)
+    int warns = 0; ///< advisory findings
     std::vector<std::string> lines;
 };
 
-/// Diffs two parsed documents of the same kind — two balsort-bench-v1
-/// suites (rows matched by bench+variant, model.* byte-exact,
-/// wall_seconds banded) or two run manifests (config/io/report counters
-/// byte-exact, *_seconds banded). `wall_band` is the allowed relative
-/// wall drift (0.25 = ±25%). Returns nullopt and sets *err when the
-/// documents are not a diffable pair.
-std::optional<DiffResult> diff_documents(const JsonValue& a, const JsonValue& b, double wall_band,
+/// Diffs `a` (old, the baseline) against `b` (new) when both are
+/// schema-valid balsort-bench-v1 suites or both are run manifests.
+/// Suites: a different suite id FAILs; rows pair by variant id; config,
+/// model and invariant tokens compare byte-exactly (FAIL); wall_seconds,
+/// a different smoke flag and a row present in only one suite WARN.
+/// Manifests: the config/io/report/balance counters compare byte-exactly
+/// (FAIL), the *_seconds fields are banded (WARN). Returns nullopt and
+/// sets *err when the documents are not such a pair.
+std::optional<DiffResult> diff_documents(const JsonValue& a, const JsonValue& b,
                                          std::string* err);
 
 } // namespace balsort

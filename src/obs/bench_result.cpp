@@ -75,4 +75,89 @@ bool BenchSuite::write_json_file(const std::string& path) const {
     return os.good();
 }
 
+const std::array<const char*, 5> kBenchConfigKeys = {"n", "m", "d", "b", "p"};
+const std::array<const char*, 6> kBenchModelKeys = {"io_steps", "read_steps", "write_steps",
+                                                    "blocks",   "pram_time",  "work_ratio"};
+const std::array<const char*, 2> kBenchInvariantKeys = {"invariant1", "invariant2"};
+
+const BenchRowView* BenchSuiteView::find(const std::string& variant) const {
+    for (const BenchRowView& r : rows) {
+        if (r.variant == variant) return &r;
+    }
+    return nullptr;
+}
+
+namespace {
+
+/// Empty when every `keys` member of `group` is a number (a bool when
+/// `want_bool`), else the first violation.
+template <std::size_t N>
+std::string check_group(const JsonValue* group, const std::string& where, const char* name,
+                        const std::array<const char*, N>& keys, bool want_bool) {
+    if (group == nullptr || !group->is_object()) return where + " lacks a " + name + " object";
+    for (const char* k : keys) {
+        const JsonValue* v = group->find(k);
+        if (v == nullptr || (want_bool ? !v->is_bool() : !v->is_number())) {
+            return where + " " + name + "." + k + " missing or not a " +
+                   (want_bool ? "bool" : "number");
+        }
+    }
+    return {};
+}
+
+} // namespace
+
+bool is_bench_suite(const JsonValue& doc) {
+    const JsonValue* s = doc.find("schema");
+    return s != nullptr && s->is_string() && s->as_string() == "balsort-bench-v1";
+}
+
+std::optional<BenchSuiteView> read_bench_suite(const JsonValue& doc, std::string* err) {
+    auto fail = [&](std::string why) {
+        if (err != nullptr) *err = std::move(why);
+        return std::nullopt;
+    };
+    auto text = [&](const char* key) {
+        const JsonValue* v = doc.find(key);
+        return v != nullptr && v->is_string() ? v->as_string() : std::string();
+    };
+    if (!is_bench_suite(doc)) {
+        return fail("missing or unknown \"schema\" (want \"balsort-bench-v1\")");
+    }
+    BenchSuiteView suite;
+    suite.bench = text("bench");
+    if (suite.bench.empty()) return fail("missing \"bench\" id");
+    suite.git_describe = text("git_describe");
+    suite.timestamp = text("timestamp");
+    if (const JsonValue* smoke = doc.find("smoke"); smoke != nullptr && smoke->is_bool()) {
+        suite.smoke = smoke->as_bool();
+    }
+    const JsonValue* results = doc.find("results");
+    if (results == nullptr || !results->is_array()) return fail("missing \"results\" array");
+    for (const JsonValue& r : results->items()) {
+        BenchRowView row;
+        const JsonValue* variant = r.find("variant");
+        if (variant == nullptr || !variant->is_string() || variant->as_string().empty()) {
+            return fail("results[" + std::to_string(suite.rows.size()) +
+                        "] has no \"variant\" id");
+        }
+        row.variant = variant->as_string();
+        row.config = r.find("config");
+        row.model = r.find("model");
+        row.invariants = r.find("invariants");
+        const std::string where = "\"" + row.variant + "\"";
+        std::string why = check_group(row.config, where, "config", kBenchConfigKeys, false);
+        if (why.empty()) why = check_group(row.model, where, "model", kBenchModelKeys, false);
+        if (why.empty()) {
+            why = check_group(row.invariants, where, "invariants", kBenchInvariantKeys, true);
+        }
+        if (!why.empty()) return fail(why);
+        if (const JsonValue* w = r.find("wall_seconds"); w != nullptr && w->is_number()) {
+            row.wall_seconds = w;
+        }
+        suite.rows.push_back(std::move(row));
+    }
+    return suite;
+}
+
 } // namespace balsort

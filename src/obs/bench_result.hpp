@@ -1,7 +1,8 @@
 #pragma once
 // Canonical bench-result schema (DESIGN.md §12): the one JSON shape every
-// bench binary emits under `--json <path>` and the `benchgate` regression
-// gate consumes.
+// bench binary emits under `--json <path>`, its writer, and its
+// schema-checked reader, which the comparator (obs/analyze.hpp) and
+// benchgate's history ledger consume.
 //
 // A BenchSuite is one binary's run: suite id, provenance the harness passes
 // in (git describe + timestamp — the library never shells out), and one
@@ -21,8 +22,10 @@
 //                "pram_time","work_ratio"},
 //       "invariants":{"invariant1","invariant2"},
 //       "wall_seconds":F}]}
+#include <array>
 #include <cstdint>
 #include <iosfwd>
+#include <optional>
 #include <string>
 #include <vector>
 
@@ -30,6 +33,7 @@
 
 namespace balsort {
 
+class JsonValue;
 struct SortReport;
 
 struct BenchResult {
@@ -68,5 +72,42 @@ struct BenchSuite {
     std::string to_json() const;
     bool write_json_file(const std::string& path) const;
 };
+
+/// The gated keys of a row, in emission order: the schema check, the
+/// comparator and the history ledger all read these lists.
+extern const std::array<const char*, 5> kBenchConfigKeys;
+extern const std::array<const char*, 6> kBenchModelKeys;
+extern const std::array<const char*, 2> kBenchInvariantKeys;
+
+/// One row of a read suite. The gated groups stay raw JSON nodes, so model
+/// quantities compare on their source tokens.
+struct BenchRowView {
+    std::string variant;
+    const JsonValue* config = nullptr;
+    const JsonValue* model = nullptr;
+    const JsonValue* invariants = nullptr;
+    const JsonValue* wall_seconds = nullptr; ///< null when the row has none
+};
+
+/// A schema-checked balsort-bench-v1 document. It points into the
+/// JsonValue it was read from, which must outlive it.
+struct BenchSuiteView {
+    std::string bench;
+    std::string git_describe; ///< empty when the harness had none
+    std::string timestamp;
+    bool smoke = false;
+    std::vector<BenchRowView> rows;
+
+    const BenchRowView* find(const std::string& variant) const;
+};
+
+/// True when `doc` declares `"schema":"balsort-bench-v1"`.
+bool is_bench_suite(const JsonValue& doc);
+
+/// Reads a parsed balsort-bench-v1 document: a bench id, a results array,
+/// and per row a variant id, every config and model key as a number and
+/// both invariants as bools. Returns nullopt and sets *err to the first
+/// violation otherwise.
+std::optional<BenchSuiteView> read_bench_suite(const JsonValue& doc, std::string* err);
 
 } // namespace balsort

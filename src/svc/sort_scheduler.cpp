@@ -226,7 +226,7 @@ void SortScheduler::run_job(Job& job) {
 }
 
 SortJobConfig SortScheduler::wire_shared(SortJobConfig cfg) {
-    if (cfg_.share_buffer_pool && cfg.io_policy.pool_buffers) {
+    if (cfg_.share_buffer_pool) {
         // The shared pool's retention is fixed at construction; a per-job
         // cap would only have sized the private pool this replaces.
         cfg.io_policy.shared_pool = &shared_pool_;

@@ -242,10 +242,8 @@ TEST(BalanceSort, ValidateRejectsIncoherentOptions) {
         {"hook without checkpoint path",
          [&](SortJobConfig& c) { c.durability(DurabilityPolicy{}.hook(hook)); },
          [&](HierSortConfig& h) { h.durability.hook(hook); }},
-        {"shared pool with pooling off",
-         [&](SortJobConfig& c) { c.io(IoPolicy{}.pooled(false).pool(&pool)); }, {}},
-        {"retention cap with pooling off",
-         [](SortJobConfig& c) { c.io(IoPolicy{}.pooled(false).pool_retain(1000)); }, {}},
+        {"retention cap with a shared pool",
+         [&](SortJobConfig& c) { c.io(IoPolicy{}.pool(&pool).pool_retain(1000)); }, {}},
         {"resume without checkpoint",
          [](SortJobConfig& c) { c.durability(DurabilityPolicy{}.resume("ck.bin")); },
          [](HierSortConfig& h) { h.durability.resume("ck.bin"); }},
@@ -299,18 +297,14 @@ TEST(BalanceSort, EqualClassStreamCopyResolvesAllEqualWithoutRecursion) {
     // single pivot's equal class, which EmitPhase stream-copies to the
     // output — no base case ever runs below the top level.
     PdmConfig cfg{.n = 20000, .m = 512, .d = 4, .b = 8, .p = 2};
-    for (bool pool : {true, false}) {
-        DiskArray disks(cfg.d, cfg.b);
-        auto input = generate(Workload::kAllEqual, cfg.n, 3);
-        SortJobConfig opt;
-        opt.io_policy.pool_buffers = pool;
-        SortReport rep;
-        auto sorted = balance_sort_records(disks, input, cfg, opt, &rep);
-        EXPECT_TRUE(is_sorted_permutation_of(input, sorted)) << "pool=" << pool;
-        EXPECT_EQ(rep.equal_class_records, cfg.n);
-        EXPECT_EQ(rep.base_cases, 0u);
-        EXPECT_EQ(rep.levels, 1u);
-    }
+    DiskArray disks(cfg.d, cfg.b);
+    auto input = generate(Workload::kAllEqual, cfg.n, 3);
+    SortReport rep;
+    auto sorted = balance_sort_records(disks, input, cfg, {}, &rep);
+    EXPECT_TRUE(is_sorted_permutation_of(input, sorted));
+    EXPECT_EQ(rep.equal_class_records, cfg.n);
+    EXPECT_EQ(rep.base_cases, 0u);
+    EXPECT_EQ(rep.levels, 1u);
 }
 
 TEST(BalanceSort, WorkMetricsPopulated) {

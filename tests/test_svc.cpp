@@ -700,11 +700,9 @@ TEST(SvcObservatoryTest, FlightRecorderOverheadGuard) {
 
 TEST(SvcConfigTest, PolicyValidationRejectsIncoherentCombos) {
     BufferPool pool;
-    EXPECT_THROW(IoPolicy{}.pooled(false).pool(&pool).validate(), std::invalid_argument);
-    EXPECT_THROW(IoPolicy{}.pooled(false).pool_retain(123).validate(), std::invalid_argument);
     EXPECT_THROW(IoPolicy{}.pool(&pool).pool_retain(123).validate(), std::invalid_argument);
     EXPECT_NO_THROW(IoPolicy{}.pool(&pool).validate());
-    EXPECT_NO_THROW(IoPolicy{}.pooled(false).validate());
+    EXPECT_NO_THROW(IoPolicy{}.pool_retain(123).validate());
 
     EXPECT_THROW(DurabilityPolicy{}.resume("ck.bin").validate(), std::invalid_argument);
     EXPECT_THROW(DurabilityPolicy{}.hook([](std::uint64_t) {}).validate(),
@@ -712,7 +710,7 @@ TEST(SvcConfigTest, PolicyValidationRejectsIncoherentCombos) {
     EXPECT_NO_THROW(DurabilityPolicy{}.checkpoint("ck.bin").resume("ck.bin").validate());
 
     EXPECT_NO_THROW(SortJobConfig{}.validate(8));
-    EXPECT_THROW(SortJobConfig{}.io(IoPolicy{}.pooled(false).pool(&pool)).validate(8),
+    EXPECT_THROW(SortJobConfig{}.io(IoPolicy{}.pool(&pool).pool_retain(123)).validate(8),
                  std::invalid_argument);
 }
 

@@ -13,13 +13,12 @@
 //                         <= FRAC * manifest elapsed (the CI self-check)
 //
 //   balsort_analyze --diff <old.json> <new.json>
-//       Diffs two run manifests or two balsort-bench-v1 suites: model
-//       quantities byte-exact (any difference exits 1), wall quantities
-//       inside a +/- band (reported, advisory).
-//       --wall-band FRAC  relative wall band (default 0.25)
+//       Diffs two run manifests or two balsort-bench-v1 suites with the
+//       comparator benchgate also uses (policy: DESIGN.md §12). Prints one
+//       FAIL/WARN line per finding; any FAIL exits 1.
 //
-// Exit codes: 0 clean, 1 model drift / failed assertion, 2 usage or parse
-// error — the benchgate convention.
+// Exit codes: 0 pass (warnings allowed), 1 model drift / failed
+// assertion, 2 usage or parse error — the benchgate convention.
 #include <cstdlib>
 #include <cstring>
 #include <fstream>
@@ -44,10 +43,10 @@ std::optional<std::string> slurp(const std::string& path) {
 void usage(std::ostream& os) {
     os << "usage: balsort_analyze <trace.json> <manifest.json> [--json] [--out FILE]\n"
           "                       [--assert-critical-path-within FRAC]\n"
-          "       balsort_analyze --diff <old.json> <new.json> [--wall-band FRAC]\n";
+          "       balsort_analyze --diff <old.json> <new.json>\n";
 }
 
-int run_diff(const std::string& a_path, const std::string& b_path, double band) {
+int run_diff(const std::string& a_path, const std::string& b_path) {
     const auto a_text = slurp(a_path);
     const auto b_text = slurp(b_path);
     if (!a_text || !b_text) {
@@ -62,18 +61,20 @@ int run_diff(const std::string& a_path, const std::string& b_path, double band) 
         return 2;
     }
     std::string err;
-    const auto diff = balsort::diff_documents(*a, *b, band, &err);
+    const auto diff = balsort::diff_documents(*a, *b, &err);
     if (!diff) {
         std::cerr << "balsort_analyze: " << err << "\n";
         return 2;
     }
     for (const std::string& line : diff->lines) std::cout << line << "\n";
-    if (diff->model_drift) {
-        std::cout << "DIFF: model quantities drifted\n";
+    if (diff->fails > 0) {
+        std::cout << "DIFF: FAIL (" << diff->fails << " failing field(s), " << diff->warns
+                  << " warning(s))\n";
         return 1;
     }
-    std::cout << (diff->wall_drift ? "DIFF: wall drift outside band (model identical)\n"
-                                   : "DIFF: identical model quantities\n");
+    std::cout << "DIFF: identical model quantities";
+    if (diff->warns > 0) std::cout << ", " << diff->warns << " warning(s)";
+    std::cout << "\n";
     return 0;
 }
 
@@ -82,7 +83,6 @@ int run_diff(const std::string& a_path, const std::string& b_path, double band) 
 int main(int argc, char** argv) {
     bool diff_mode = false;
     bool json_out = false;
-    double wall_band = 0.25;
     double assert_within = -1;
     std::string out_path;
     std::string pos[2];
@@ -102,8 +102,6 @@ int main(int argc, char** argv) {
             json_out = true;
         } else if (arg == "--out") {
             out_path = need_value("--out");
-        } else if (arg == "--wall-band") {
-            wall_band = std::atof(need_value("--wall-band"));
         } else if (arg == "--assert-critical-path-within") {
             assert_within = std::atof(need_value("--assert-critical-path-within"));
         } else if (arg == "--help" || arg == "-h") {
@@ -125,7 +123,7 @@ int main(int argc, char** argv) {
         usage(std::cerr);
         return 2;
     }
-    if (diff_mode) return run_diff(pos[0], pos[1], wall_band);
+    if (diff_mode) return run_diff(pos[0], pos[1]);
 
     const auto trace = slurp(pos[0]);
     const auto manifest = slurp(pos[1]);
