@@ -10,7 +10,11 @@
 //
 // Per-job rows gate byte-exactly; the "aggregate" rows carry the summed
 // model quantities (identical across schedules by construction — the gate
-// re-proves isolation on every CI run) and the end-to-end wall clocks.
+// re-proves isolation on every CI run) and the end-to-end wall clocks of
+// the first of the alternating serial/concurrent pairs; the wall gate
+// takes the median speedup over all pairs.
+#include <algorithm>
+
 #include "bench_common.hpp"
 #include "pdm/disk_array.hpp"
 #include "svc/sort_scheduler.hpp"
@@ -134,20 +138,37 @@ int main(int argc, char** argv) {
            "leaks into a neighbor's — while the concurrent schedule's aggregate\n"
            "wall-clock beats the serial one.");
 
+    // One serial/concurrent pair sits near 1.0x on a loaded 4-core host, so
+    // the wall gate takes the median ratio of kReps alternating pairs. Every
+    // pair re-proves per-job model identity; the suite rows come from the
+    // first.
+    constexpr int kReps = 5;
     const auto specs = make_jobs(smoke);
-    ScheduleResult serial = run_schedule(specs, /*max_active=*/1);
-    ScheduleResult conc = run_schedule(specs, /*max_active=*/4);
+    ScheduleResult serial, conc;
+    std::vector<double> ratios;
+    for (int rep = 0; rep < kReps; ++rep) {
+        ScheduleResult s = run_schedule(specs, /*max_active=*/1);
+        ScheduleResult c = run_schedule(specs, /*max_active=*/4);
+        for (std::size_t i = 0; i < specs.size(); ++i) {
+            if (!model_identical(s.jobs[i], c.jobs[i]) ||
+                (rep > 0 && !model_identical(s.jobs[i], serial.jobs[i]))) {
+                std::cerr << "BENCH BUG: job " << s.jobs[i].status.name
+                          << " diverged between schedules (repetition " << rep << ")\n";
+                return 1;
+            }
+        }
+        ratios.push_back(s.wall_s / c.wall_s);
+        if (rep == 0) {
+            serial = std::move(s);
+            conc = std::move(c);
+        }
+    }
 
     Table t({"job", "workload", "N", "io_steps", "blocks", "serial (s)", "conc (s)"});
     BenchSuite suite = make_suite("svc", smoke);
     for (std::size_t i = 0; i < specs.size(); ++i) {
         const JobOutcome& s = serial.jobs[i];
         const JobOutcome& c = conc.jobs[i];
-        if (!model_identical(s, c)) {
-            std::cerr << "BENCH BUG: job " << s.status.name
-                      << " diverged between serial and concurrent schedules\n";
-            return 1;
-        }
         suite.results.push_back(BenchResult::from_report(
             "svc", s.status.name + "/serial", s.cfg, s.status.report, s.status.elapsed_seconds));
         suite.results.push_back(BenchResult::from_report(
@@ -161,18 +182,23 @@ int main(int argc, char** argv) {
     suite.results.push_back(aggregate_row("aggregate/serial", serial));
     suite.results.push_back(aggregate_row("aggregate/conc", conc));
 
-    const double speedup = serial.wall_s / conc.wall_s;
+    std::vector<double> sorted_ratios = ratios;
+    std::sort(sorted_ratios.begin(), sorted_ratios.end());
+    const double speedup = sorted_ratios[kReps / 2];
     t.add_separator();
     t.add_row({"total", "-", "-", "-", "-", Table::fixed(serial.wall_s, 2),
                Table::fixed(conc.wall_s, 2)});
     t.print(std::cout);
-    std::cout << "\naggregate speedup: " << Table::fixed(speedup, 2)
-              << "x (concurrent vs serial back-to-back)\n";
+    std::cout << "\nspeedup per pair (concurrent vs serial back-to-back):";
+    for (const double r : ratios) std::cout << ' ' << Table::fixed(r, 2) << 'x';
+    std::cout << "\nmedian speedup: " << Table::fixed(speedup, 2) << "x over " << kReps
+              << " pairs\n";
 
     if (!write_suite(suite, json_path)) return 1;
-    if (speedup < 1.0) {
-        std::cerr << "BENCH BUG: concurrent schedule (" << conc.wall_s
-                  << " s) did not beat serial back-to-back (" << serial.wall_s << " s)\n";
+    if (speedup <= 1.0) {
+        std::cerr << "BENCH BUG: concurrent schedule did not beat serial back-to-back "
+                     "(median ratio "
+                  << speedup << "x over " << kReps << " pairs)\n";
         return 1;
     }
     return 0;

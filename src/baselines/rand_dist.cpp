@@ -64,11 +64,10 @@ std::vector<BucketOutput> rand_distribute(RandState& st, RecordSource& input,
                           buf.begin() + static_cast<std::ptrdiff_t>(j * v));
                 meta[j] = {bkt, static_cast<std::uint32_t>(data.size())};
             }
-            auto vbs = st.vdisks.write_track(vds, buf);
+            const std::vector<BlockOp> ops = st.vdisks.write_track(vds, buf);
             for (std::uint32_t j = 0; j < k; ++j) {
-                buckets[meta[j].first].run.entries.push_back(
-                    VRun::Entry{vbs[j], meta[j].second});
-                buckets[meta[j].first].run.n_records += meta[j].second;
+                buckets[meta[j].first].run.append(std::span<const BlockOp>(ops).subspan(j, 1),
+                                                  meta[j].second);
             }
         }
     };
@@ -129,7 +128,7 @@ void rand_rec(RandState& st, const SourceFactory& factory, std::uint64_t n,
     }
     for (auto& bucket : buckets) {
         if (bucket.run.n_records == 0) continue;
-        if (st.report != nullptr && bucket.run.entries.size() >= st.disks.num_disks()) {
+        if (st.report != nullptr && bucket.run.counts.size() >= st.disks.num_disks()) {
             const double ratio =
                 static_cast<double>(bucket.run.read_steps(st.disks.num_disks())) /
                 static_cast<double>(bucket.run.optimal_read_steps(st.disks.num_disks()));
@@ -138,7 +137,7 @@ void rand_rec(RandState& st, const SourceFactory& factory, std::uint64_t n,
         }
         const bool sorted_already = bucket.is_equal_class || bucket.min_key == bucket.max_key;
         if (sorted_already) {
-            VRunSource src(st.vdisks, bucket.run);
+            RunSource src(st.disks, bucket.run);
             std::vector<Record> buf;
             while (src.remaining() > 0) {
                 buf.resize(std::min<std::uint64_t>(st.cfg.m, src.remaining()));
@@ -151,7 +150,7 @@ void rand_rec(RandState& st, const SourceFactory& factory, std::uint64_t n,
         BS_MODEL_CHECK(bucket.run.n_records < n, "rand_dist: bucket did not shrink");
         const VRun& run = bucket.run;
         SourceFactory bucket_factory = [&st, &run]() -> std::unique_ptr<RecordSource> {
-            return std::make_unique<VRunSource>(st.vdisks, run);
+            return std::make_unique<RunSource>(st.disks, run);
         };
         rand_rec(st, bucket_factory, run.n_records, depth + 1);
         bucket.run.release(st.disks);
@@ -167,7 +166,7 @@ BlockRun rand_dist_sort(DiskArray& disks, const BlockRun& input, const PdmConfig
     const IoStats before = disks.stats();
     RandState st(disks, cfg, seed, report);
     SourceFactory top = [&disks, &input]() -> std::unique_ptr<RecordSource> {
-        return std::make_unique<StripedSource>(disks, input);
+        return std::make_unique<RunSource>(disks, input);
     };
     rand_rec(st, top, cfg.n, 0);
     BlockRun result = st.out.finish();

@@ -120,13 +120,6 @@ std::vector<BucketOutput> balance_pass(RecordSource& input, const PivotSet& pivo
     auto wbuf = BufferPool::acquire_from(buffers, static_cast<std::size_t>(dv) * v);
     std::vector<std::uint32_t> chunk_bucket;
 
-    auto append_output = [&](std::uint32_t b, std::uint32_t vdisk_unused,
-                             const VirtualDisks::VBlock& vb, std::uint32_t count) {
-        (void)vdisk_unused;
-        buckets[b].run.entries.push_back(VRun::Entry{vb, count});
-        buckets[b].run.n_records += count;
-    };
-
     while (true) {
         // ---- Refill the ready queue from the input (one memoryload). ----
         if (ready.size() < dv && input.remaining() > 0) {
@@ -246,10 +239,12 @@ std::vector<BucketOutput> balance_pass(RecordSource& input, const PivotSet& pivo
                           dst + static_cast<std::ptrdiff_t>(v), kPadRecord);
                 hs[q] = assigned[js[q]];
             }
-            auto vbs = vdisks.write_track(hs, *wbuf); // one parallel I/O step
+            const std::vector<BlockOp> ops = vdisks.write_track(hs, *wbuf); // one I/O step
+            const std::uint32_t g = vdisks.group_size();
             for (std::size_t q = 0; q < js.size(); ++q) {
-                append_output(track[js[q]].bucket, hs[q], vbs[q],
-                              static_cast<std::uint32_t>(track[js[q]].data.size()));
+                buckets[track[js[q]].bucket].run.append(
+                    std::span<const BlockOp>(ops).subspan(q * g, g),
+                    static_cast<std::uint32_t>(track[js[q]].data.size()));
             }
         };
 

@@ -177,7 +177,7 @@ BlockRun sort_validated(DiskArray& disks, const BlockRun& input, const PdmConfig
     }
 
     SourceFactory top = [&disks, &input]() -> std::unique_ptr<RecordSource> {
-        return std::make_unique<StripedSource>(disks, input);
+        return std::make_unique<RunSource>(disks, input);
     };
     SortPipeline pipeline(st);
     pipeline.run(top, cfg.n, resume);

@@ -93,7 +93,7 @@ private:
     const std::uint8_t* end_;
 };
 
-void put_block_ops(Enc& e, const std::vector<BlockOp>& ops) {
+void put_block_ops(Enc& e, std::span<const BlockOp> ops) {
     e.u64(ops.size());
     for (const BlockOp& op : ops) {
         e.u32(op.disk);
@@ -123,12 +123,17 @@ std::vector<Record> get_records(Dec& d) {
     return recs;
 }
 
+// A VRun travels in its pre-flattening wire form: per virtual block its
+// vdisk, its op list and its valid count. The decoder re-derives the flat
+// layout and refuses any run that layout cannot express.
 void put_vrun(Enc& e, const VRun& run) {
-    e.u64(run.entries.size());
-    for (const VRun::Entry& entry : run.entries) {
-        e.u32(entry.vblock.vdisk);
-        put_block_ops(e, entry.vblock.ops);
-        e.u32(entry.count);
+    const std::uint32_t g = run.group();
+    e.u64(run.counts.size());
+    for (std::size_t k = 0; k < run.counts.size(); ++k) {
+        const std::span<const BlockOp> ops = std::span<const BlockOp>(run.blocks).subspan(k * g, g);
+        e.u32(ops[0].disk / g);
+        put_block_ops(e, ops);
+        e.u32(run.counts[k]);
     }
     e.u64(run.n_records);
 }
@@ -136,11 +141,19 @@ void put_vrun(Enc& e, const VRun& run) {
 VRun get_vrun(Dec& d) {
     VRun run;
     const std::uint64_t n = d.count(16);
-    run.entries.resize(static_cast<std::size_t>(n));
-    for (auto& entry : run.entries) {
-        entry.vblock.vdisk = d.u32();
-        entry.vblock.ops = get_block_ops(d);
-        entry.count = d.u32();
+    for (std::uint64_t k = 0; k < n; ++k) {
+        const std::uint32_t vdisk = d.u32();
+        const std::vector<BlockOp> ops = get_block_ops(d);
+        const std::uint32_t count = d.u32();
+        if (ops.empty() || (k > 0 && ops.size() != run.group())) {
+            throw IoError("checkpoint: bucket run has virtual blocks of unequal op count "
+                          "(corrupt record?)");
+        }
+        if (vdisk != ops[0].disk / ops.size()) {
+            throw IoError("checkpoint: virtual block's vdisk disagrees with its first op "
+                          "(corrupt record?)");
+        }
+        run.append(ops, count);
     }
     run.n_records = d.u64();
     return run;

@@ -150,10 +150,10 @@ std::vector<BucketOutput> BalancePhase::run(
             // Theorem 4 observable: reading a bucket vs. its optimum. Only
             // meaningful once a bucket spans at least one full round of the
             // virtual disks.
-            if (bucket.run.entries.size() >= st_.vdisks.count()) {
+            if (bucket.run.counts.size() >= st_.vdisks.count()) {
                 const double ratio =
-                    static_cast<double>(bucket.run.read_steps(st_.vdisks.count())) /
-                    static_cast<double>(bucket.run.optimal_read_steps(st_.vdisks.count()));
+                    static_cast<double>(bucket.run.read_steps(st_.disks.num_disks())) /
+                    static_cast<double>(bucket.run.optimal_read_steps(st_.disks.num_disks()));
                 st_.report->worst_bucket_read_ratio =
                     std::max(st_.report->worst_bucket_read_ratio, ratio);
             }
@@ -213,7 +213,7 @@ VRun EmitPhase::reposition(const VRun& run) {
     PhaseTimer timer(st_.profile.emit_seconds);
     PhaseSpan span(st_, "reposition", st_.lane_emit, run.n_records);
     VRun fresh;
-    VRunSource src(st_.vdisks, run, st_.buffer_pool());
+    RunSource src(st_.disks, run, st_.buffer_pool());
     const std::uint32_t dv = st_.vdisks.count();
     const std::uint32_t v = st_.vdisks.vblock_records();
     auto chunk = BufferPool::acquire_from(st_.buffer_pool(), static_cast<std::size_t>(dv) * v);
@@ -231,12 +231,12 @@ VRun EmitPhase::reposition(const VRun& run) {
         std::vector<std::uint32_t> vds(k);
         for (std::uint32_t j = 0; j < k; ++j) vds[j] = (rr + j) % dv;
         rr = (rr + k) % dv;
-        auto vbs = st_.vdisks.write_track(vds, *chunk);
+        const std::vector<BlockOp> ops = st_.vdisks.write_track(vds, *chunk);
+        const std::uint32_t g = st_.vdisks.group_size();
         for (std::uint32_t j = 0; j < k; ++j) {
-            const std::uint32_t count = static_cast<std::uint32_t>(
-                std::min<std::uint64_t>(v, want - static_cast<std::uint64_t>(j) * v));
-            fresh.entries.push_back(VRun::Entry{vbs[j], count});
-            fresh.n_records += count;
+            fresh.append(std::span<const BlockOp>(ops).subspan(j * g, g),
+                         static_cast<std::uint32_t>(std::min<std::uint64_t>(
+                             v, want - static_cast<std::uint64_t>(j) * v)));
         }
         st_.meter.add_moves(got);
     }
@@ -346,7 +346,7 @@ void SortPipeline::walk_buckets(std::vector<BucketOutput>& buckets, std::uint64_
     // Cross-bucket staging slot (DESIGN.md §10): a source for bucket
     // `index` whose first window is already in flight through the engine.
     struct Staged {
-        std::unique_ptr<VRunSource> src;
+        std::unique_ptr<RunSource> src;
         std::size_t index = 0;
     };
     Staged staged;
@@ -371,7 +371,7 @@ void SortPipeline::walk_buckets(std::vector<BucketOutput>& buckets, std::uint64_
         st_.frames[fi].next_bucket = i;
         st_.cur_bucket = static_cast<std::int64_t>(i);
 
-        std::unique_ptr<VRunSource> first;
+        std::unique_ptr<RunSource> first;
         if (staged.src != nullptr && staged.index == i) first = std::move(staged.src);
         staged = Staged{};
 
@@ -385,7 +385,7 @@ void SortPipeline::walk_buckets(std::vector<BucketOutput>& buckets, std::uint64_
         if (j < buckets.size() && !will_reposition(buckets[j])) {
             BucketOutput& next = buckets[j];
             hook = [this, &next, j, &staged]() {
-                auto src = std::make_unique<VRunSource>(st_.vdisks, next.run, st_.buffer_pool());
+                auto src = std::make_unique<RunSource>(st_.disks, next.run, st_.buffer_pool());
                 if (src->start_prefetch(st_.cfg.m, &st_.profile.overlap_hidden_seconds)) {
                     st_.profile.staged_prefetches += 1;
                     staged.src = std::move(src);
@@ -399,7 +399,7 @@ void SortPipeline::walk_buckets(std::vector<BucketOutput>& buckets, std::uint64_
             if (first != nullptr) {
                 emit_.stream_copy(*first);
             } else {
-                VRunSource src(st_.vdisks, bucket.run, st_.buffer_pool());
+                RunSource src(st_.disks, bucket.run, st_.buffer_pool());
                 emit_.stream_copy(src);
             }
             if (st_.report != nullptr) st_.report->equal_class_records += bucket.run.n_records;
@@ -419,7 +419,7 @@ void SortPipeline::walk_buckets(std::vector<BucketOutput>& buckets, std::uint64_
         }
         const VRun& run = bucket.run; // lives until this iteration ends
         SourceFactory bucket_factory = [this, &run]() -> std::unique_ptr<RecordSource> {
-            return std::make_unique<VRunSource>(st_.vdisks, run, st_.buffer_pool());
+            return std::make_unique<RunSource>(st_.disks, run, st_.buffer_pool());
         };
         process_node(bucket_factory, std::move(first), run.n_records, depth + 1,
                      bucket.has_sketch_pivots ? &bucket.sketch_pivots : nullptr, hook, resume);
@@ -429,7 +429,7 @@ void SortPipeline::walk_buckets(std::vector<BucketOutput>& buckets, std::uint64_
         if (st_.checkpointer != nullptr) st_.checkpointer->boundary();
     }
     // An unconsumed staged source (none in the current scheduling rules)
-    // completes its in-flight read in ~VRunSource before `staged` dies.
+    // completes its in-flight read in ~RunReader before `staged` dies.
 }
 
 } // namespace balsort

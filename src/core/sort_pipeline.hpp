@@ -17,7 +17,7 @@
 ///
 /// Scheduling adds *cross-bucket overlap*: while bucket i's base case
 /// sorts on the thread pool, bucket i+1's first memoryload is physically
-/// prefetched through the async engine (VRunSource::start_prefetch).
+/// prefetched through the async engine (RunReader::start_prefetch).
 /// Because staged prefetches charge nothing and model costs land at
 /// consumption time in the serial order, io_steps(), block counts, the
 /// step-observer sequence, and the sorted output are bit-identical to the

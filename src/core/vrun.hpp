@@ -1,17 +1,17 @@
 #pragma once
 /// \file vrun.hpp
-/// Record sources and virtual-block runs — the plumbing between recursion
-/// levels of Balance Sort.
+/// Record sources — the plumbing between recursion levels of Balance Sort.
 ///
 /// The top-level input is a striped BlockRun; each recursive call's input
-/// is a bucket: a list of virtual blocks spread over the virtual disks by
-/// Balance. Both are exposed to the sorter through the `RecordSource`
-/// streaming interface. Reading a bucket costs max-blocks-per-vdisk steps,
-/// and Theorem 4 (via Invariant 2) bounds that within ~2x of optimal —
-/// `VRun::read_steps`/`optimal_read_steps` expose both numbers so tests
-/// and benches can check the bound directly.
+/// is a bucket: a VRun of virtual blocks spread over the virtual disks by
+/// Balance (both layouts live in pdm/striping.hpp). Both reach the sorter
+/// through the `RecordSource` streaming interface, over the one RunReader.
+/// Reading a bucket costs max-blocks-per-disk steps, and Theorem 4 (via
+/// Invariant 2) bounds that within ~2x of optimal —
+/// `read_steps`/`optimal_read_steps` expose both numbers so tests and
+/// benches can check the bound directly.
 
-#include <chrono>
+#include <algorithm>
 #include <cstdint>
 #include <vector>
 
@@ -30,93 +30,23 @@ public:
     virtual std::uint64_t read(std::span<Record> out) = 0;
 };
 
-/// Adapts a striped BlockRun (the top-level input).
-class StripedSource final : public RecordSource {
+/// Streams a striped BlockRun (the top-level input) or a bucket's VRun
+/// through a RunReader (double-buffered through the async engine when it
+/// is enabled; DESIGN.md §9).
+class RunSource final : public RecordSource {
 public:
-    StripedSource(DiskArray& disks, const BlockRun& run) : reader_(disks, run) {}
+    RunSource(DiskArray& disks, const BlockRun& run) : reader_(disks, run) {}
+    RunSource(DiskArray& disks, const VRun& run, BufferPool* buffers = nullptr)
+        : reader_(disks, run, buffers) {}
     std::uint64_t remaining() const override { return reader_.remaining(); }
     std::uint64_t read(std::span<Record> out) override { return reader_.read(out); }
+    /// See RunReader::start_prefetch (cross-bucket staging, DESIGN.md §10).
+    bool start_prefetch(std::uint64_t max_records, double* hidden_sink = nullptr) {
+        return reader_.start_prefetch(max_records, hidden_sink);
+    }
 
 private:
     RunReader reader_;
-};
-
-/// One bucket's storage: virtual blocks (with per-block valid-record
-/// counts) in the order Balance emitted them.
-struct VRun {
-    struct Entry {
-        VirtualDisks::VBlock vblock;
-        std::uint32_t count = 0; ///< valid records (rest of the block is pad)
-    };
-    std::vector<Entry> entries;
-    std::uint64_t n_records = 0;
-
-    /// Parallel I/O steps to read the whole run: max blocks on one vdisk.
-    std::uint64_t read_steps(std::uint32_t n_vdisks) const;
-    /// ceil(#vblocks / D'): the unavoidable minimum.
-    std::uint64_t optimal_read_steps(std::uint32_t n_vdisks) const;
-    /// Return every physical block of the run to the array's allocator
-    /// (call once the run has been fully consumed; keeps total simulated
-    /// space O(N), which the depth-priced hierarchy models rely on).
-    void release(DiskArray& disks) const;
-};
-
-/// Streams a VRun; fetches pending virtual blocks with maximal parallelism.
-/// Double-buffers through the array's async engine when it is enabled,
-/// charging model costs at consumption time exactly as the synchronous
-/// path would (see RunReader; DESIGN.md §9). With `buffers`, staging
-/// memory is leased from the pool instead of heap-allocated per fetch.
-class VRunSource final : public RecordSource {
-public:
-    VRunSource(VirtualDisks& vdisks, const VRun& run, BufferPool* buffers = nullptr);
-    ~VRunSource() override;
-    VRunSource(const VRunSource&) = delete;
-    VRunSource& operator=(const VRunSource&) = delete;
-    std::uint64_t remaining() const override { return remaining_; }
-    std::uint64_t read(std::span<Record> out) override;
-
-    /// Cross-bucket staging (DESIGN.md §10): physically issue the first
-    /// ~`max_records` of the run through the async engine *now*, so the
-    /// transfers overlap whatever the caller computes before the first
-    /// read(). Charges nothing — model costs land at consumption time
-    /// exactly as without staging, so io_steps() and the observer sequence
-    /// are unchanged. `hidden_sink`, if given, accumulates the seconds
-    /// between issue and the first wait (engine time hidden behind the
-    /// caller's compute). Returns false (no-op) when the engine is off,
-    /// the run is empty, or reading has already begun.
-    bool start_prefetch(std::uint64_t max_records, double* hidden_sink = nullptr);
-
-private:
-    /// Fetch entries [first, first+n) into buf (n * vblock_records()).
-    void fetch_entries(std::size_t first, std::size_t n, std::span<Record> buf);
-    /// Physical block ops of entries [first, first+n), in read order.
-    std::vector<BlockOp> entry_ops(std::size_t first, std::size_t n) const;
-
-    VirtualDisks& vdisks_;
-    const VRun& run_;
-    BufferPool* buffers_;
-    std::size_t next_entry_ = 0;
-    std::uint64_t remaining_;
-    std::vector<Record> carry_;
-    std::size_t carry_pos_ = 0;
-
-    /// The single in-flight prefetch (async engine only).
-    struct Prefetch {
-        DiskArray::ReadTicket ticket;
-        BufferPool::Lease buf;
-        std::size_t first_entry = 0;
-        std::size_t n_entries = 0;
-        std::size_t consumed = 0;
-        bool waited = false;
-    };
-    Prefetch pending_;
-
-    /// Cross-bucket staging bookkeeping (start_prefetch).
-    double* hidden_sink_ = nullptr;
-    std::chrono::steady_clock::time_point staged_at_{};
-    bool staged_ = false;
-    /// Async trace pair spanning staged-issue to first-wait (0 = untraced).
-    std::uint64_t staged_trace_id_ = 0;
 };
 
 /// In-memory source (tests, the hierarchy driver's track feed).
@@ -124,7 +54,12 @@ class VectorSource final : public RecordSource {
 public:
     explicit VectorSource(std::vector<Record> records) : records_(std::move(records)) {}
     std::uint64_t remaining() const override { return records_.size() - pos_; }
-    std::uint64_t read(std::span<Record> out) override;
+    std::uint64_t read(std::span<Record> out) override {
+        const std::size_t want = std::min(out.size(), records_.size() - pos_);
+        std::copy_n(records_.begin() + static_cast<std::ptrdiff_t>(pos_), want, out.begin());
+        pos_ += want;
+        return want;
+    }
 
 private:
     std::vector<Record> records_;

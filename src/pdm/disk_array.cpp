@@ -239,6 +239,12 @@ void DiskArray::gate_steps(std::uint64_t steps) const {
     if (JobIoChannel* c = bound_channel(); c != nullptr && c->gate) c->gate(steps);
 }
 
+template <class T>
+void DiskArray::add_stat(T IoStats::*field, std::type_identity_t<T> n) {
+    stats_.*field += n;
+    if (JobIoChannel* c = bound_channel()) c->io.*field += n;
+}
+
 void DiskArray::bind_job_channel(JobIoChannel* channel) {
     BS_REQUIRE(channel != nullptr, "bind_job_channel: null channel");
     BS_REQUIRE(tl_job_array == nullptr, "bind_job_channel: a channel is already bound");
@@ -282,14 +288,13 @@ DiskArray::ChannelFootprint DiskArray::channel_footprint(const JobIoChannel& cha
 
 void DiskArray::reclaim_job_blocks(JobIoChannel& channel) {
     std::lock_guard<std::recursive_mutex> lk(mu_);
-    for (const BlockOp& op : channel.parked) free_list_[op.disk].push(op.block);
-    channel.parked.clear();
+    free_parked(channel.quarantine);
     for (std::size_t d = 0; d < channel.owned.size() && d < free_list_.size(); ++d) {
         for (std::uint64_t blk : channel.owned[d]) free_list_[d].push(blk);
         channel.owned[d].clear();
     }
     channel.blocks_live = 0;
-    channel.quarantine_on = false;
+    channel.quarantine.on = false;
     channel.deferred_failure = nullptr;
 }
 
@@ -326,8 +331,7 @@ void DiskArray::retrying_read(Disk& disk, std::uint32_t d, std::uint64_t index,
     } catch (const CorruptBlock&) {
         if (d < health_.size()) {
             ++health_[d].corrupt_blocks;
-            ++stats_.corrupt_blocks;
-            if (JobIoChannel* c = bound_channel()) ++c->io.corrupt_blocks;
+            add_stat(&IoStats::corrupt_blocks, 1);
             fault_instant("corrupt_block", d, index);
         }
         if (for_reconstruction) {
@@ -371,8 +375,7 @@ void DiskArray::reconstruct_block(std::uint32_t d, std::uint64_t index, std::spa
         xor_into(out, buf);
     }
     ++health_[d].reconstructions;
-    ++stats_.reconstructions;
-    if (JobIoChannel* c = bound_channel()) ++c->io.reconstructions;
+    add_stat(&IoStats::reconstructions, 1);
     fault_instant("reconstruct", d, index);
 }
 
@@ -392,8 +395,7 @@ void DiskArray::update_parity(std::span<const BlockOp> ops, std::span<const Reco
         const bool have_old_parity = idx < parity_->size_blocks();
         if (have_old_parity) {
             retrying_read(*parity_, kParityDiskId, idx, parity_img, /*for_reconstruction=*/false);
-            ++stats_.rmw_reads;
-            if (JobIoChannel* c = bound_channel()) ++c->io.rmw_reads;
+            add_stat(&IoStats::rmw_reads, 1);
         } else {
             std::fill(parity_img.begin(), parity_img.end(), Record{});
         }
@@ -404,8 +406,7 @@ void DiskArray::update_parity(std::span<const BlockOp> ops, std::span<const Reco
                     // Old stored image; the recovery ladder handles a
                     // corrupt one by reconstructing the intended image.
                     run_inline({.disk = d, .block = idx, .read_buf = old_img.data()});
-                    ++stats_.rmw_reads;
-                    if (JobIoChannel* c = bound_channel()) ++c->io.rmw_reads;
+                    add_stat(&IoStats::rmw_reads, 1);
                     xor_into(parity_img, old_img);
                 }
             } else if (have_old_parity) {
@@ -417,8 +418,7 @@ void DiskArray::update_parity(std::span<const BlockOp> ops, std::span<const Reco
             xor_into(parity_img, buffers.subspan(i * b_, b_));
         }
         parity_->write_block(idx, parity_img);
-        ++stats_.parity_blocks_written;
-        if (JobIoChannel* c = bound_channel()) ++c->io.parity_blocks_written;
+        add_stat(&IoStats::parity_blocks_written, 1);
     }
 }
 
@@ -620,12 +620,8 @@ void DiskArray::refresh_engine_stats() const {
 }
 
 void DiskArray::charge_read_step(std::span<const BlockOp> ops) {
-    stats_.read_steps += 1;
-    stats_.blocks_read += ops.size();
-    if (JobIoChannel* c = bound_channel()) {
-        c->io.read_steps += 1;
-        c->io.blocks_read += ops.size();
-    }
+    add_stat(&IoStats::read_steps, 1);
+    add_stat(&IoStats::blocks_read, ops.size());
     if (observer_) observer_(true, ops);
 }
 
@@ -633,12 +629,8 @@ void DiskArray::charge_write_step(std::span<const BlockOp> ops) {
     for (const auto& op : ops) {
         next_free_[op.disk] = std::max(next_free_[op.disk], op.block + 1);
     }
-    stats_.write_steps += 1;
-    stats_.blocks_written += ops.size();
-    if (JobIoChannel* c = bound_channel()) {
-        c->io.write_steps += 1;
-        c->io.blocks_written += ops.size();
-    }
+    add_stat(&IoStats::write_steps, 1);
+    add_stat(&IoStats::blocks_written, ops.size());
     if (observer_) observer_(false, ops);
 }
 
@@ -702,8 +694,7 @@ void DiskArray::reap(AsyncBatch& batch, IoRequest::Kind kind, Record* read_base,
     lk.lock();
     // Stall is charged to whoever waited; retries and write failures
     // belong to the batch's owner, whichever job's drain reaped it.
-    stats_.engine_stall_seconds += stall;
-    if (JobIoChannel* c = bound_channel()) c->io.engine_stall_seconds += stall;
+    add_stat(&IoStats::engine_stall_seconds, stall);
     const std::vector<IoCompletion>& comps = engine_->wait(batch); // idempotent
     for (const IoCompletion& c : comps) fold_retries(c, owner);
     if (!any_failed) return;
@@ -748,8 +739,7 @@ DiskArray::ReadTicket DiskArray::prefetch_read(std::span<const BlockOp> ops,
     if (ops.empty()) return ReadTicket{};
     BS_REQUIRE(dest.size() == ops.size() * b_, "prefetch_read: buffer size mismatch");
     std::lock_guard<std::recursive_mutex> lk(mu_);
-    stats_.prefetch_block_ops += ops.size();
-    if (JobIoChannel* c = bound_channel()) c->io.prefetch_block_ops += ops.size();
+    add_stat(&IoStats::prefetch_block_ops, ops.size());
     ReadTicket ticket;
     ticket.dest_ = dest;
     ticket.batch_ = submit(IoRequest::Kind::kRead, ops, dest.data(), nullptr);
@@ -788,8 +778,7 @@ void DiskArray::handle_read_failure(const BlockOp& op, const std::exception_ptr&
         h.alive = false;
     } catch (const CorruptBlock&) {
         ++h.corrupt_blocks;
-        ++stats_.corrupt_blocks;
-        if (JobIoChannel* c = bound_channel()) ++c->io.corrupt_blocks;
+        add_stat(&IoStats::corrupt_blocks, 1);
         fault_instant("corrupt_block", op.disk, op.block);
         corrupt = true;
     } catch (const TimedOutIo&) {
@@ -797,8 +786,7 @@ void DiskArray::handle_read_failure(const BlockOp& op, const std::exception_ptr&
         // is never scrubbed (its worker may still be inside the hung read;
         // reconstruction below touches only peers + parity). Recovery-side
         // accounting only — never io_steps().
-        ++stats_.io_timeouts;
-        if (JobIoChannel* c = bound_channel()) ++c->io.io_timeouts;
+        add_stat(&IoStats::io_timeouts, 1);
         fault_instant("io_timeout", op.disk, op.block);
         if (MetricsRegistry* reg = metrics(); reg != nullptr) reg->counter("io.timeouts").add();
     } catch (const IoError&) {
@@ -917,18 +905,10 @@ void DiskArray::handle_write_failure(const BlockOp& op, const std::exception_ptr
 std::uint64_t DiskArray::allocate(std::uint32_t disk) {
     std::lock_guard<std::recursive_mutex> lk(mu_);
     BS_REQUIRE(disk < disks_.size(), "allocate: nonexistent disk");
-    std::uint64_t idx;
-    if (!free_list_[disk].empty()) {
-        idx = free_list_[disk].top();
-        free_list_[disk].pop();
-    } else {
-        idx = next_free_[disk]++;
-    }
-    if (JobIoChannel* c = bound_channel()) {
-        c->owned[disk].insert(idx);
-        ++c->blocks_live;
-        c->blocks_high_water = std::max(c->blocks_high_water, c->blocks_live);
-    }
+    if (free_list_[disk].empty()) return allocate(disk, 1);
+    const std::uint64_t idx = free_list_[disk].top();
+    free_list_[disk].pop();
+    note_owned(disk, idx, 1);
     return idx;
 }
 
@@ -937,72 +917,65 @@ std::uint64_t DiskArray::allocate(std::uint32_t disk, std::uint64_t n_blocks) {
     BS_REQUIRE(disk < disks_.size(), "allocate: nonexistent disk");
     const std::uint64_t first = next_free_[disk];
     next_free_[disk] += n_blocks;
-    if (JobIoChannel* c = bound_channel()) {
-        for (std::uint64_t i = 0; i < n_blocks; ++i) c->owned[disk].insert(first + i);
-        c->blocks_live += n_blocks;
-        c->blocks_high_water = std::max(c->blocks_high_water, c->blocks_live);
-    }
+    note_owned(disk, first, n_blocks);
     return first;
+}
+
+void DiskArray::note_owned(std::uint32_t disk, std::uint64_t first, std::uint64_t n_blocks) {
+    JobIoChannel* c = bound_channel();
+    if (c == nullptr) return;
+    for (std::uint64_t i = 0; i < n_blocks; ++i) c->owned[disk].insert(first + i);
+    c->blocks_live += n_blocks;
+    c->blocks_high_water = std::max(c->blocks_high_water, c->blocks_live);
 }
 
 void DiskArray::release(std::uint32_t disk, std::uint64_t block) {
     std::lock_guard<std::recursive_mutex> lk(mu_);
     BS_REQUIRE(disk < disks_.size(), "release: nonexistent disk");
     BS_REQUIRE(block < next_free_[disk], "release: block was never allocated");
-    JobIoChannel* c = bound_channel();
-    if (c != nullptr) {
-        if (c->owned[disk].erase(block) != 0) --c->blocks_live;
-        // Quarantine scoping: a bound job's releases are governed by ITS
-        // quarantine; the global flag covers only unbound (solo) callers.
-        if (c->quarantine_on) {
-            c->parked.push_back(BlockOp{disk, block});
-            return;
-        }
-    } else if (quarantine_on_) {
-        quarantined_.push_back(BlockOp{disk, block});
+    if (JobIoChannel* c = bound_channel(); c != nullptr && c->owned[disk].erase(block) != 0) {
+        --c->blocks_live;
+    }
+    // Quarantine scoping: a bound job's releases are governed by ITS
+    // quarantine; the array's covers only unbound (solo) callers.
+    if (ReleaseQuarantine& q = quarantine(); q.on) {
+        q.parked.push_back(BlockOp{disk, block});
         return;
     }
     free_list_[disk].push(block);
 }
 
+ReleaseQuarantine& DiskArray::quarantine() const {
+    JobIoChannel* c = bound_channel();
+    return c != nullptr ? c->quarantine : quarantine_;
+}
+
+void DiskArray::free_parked(ReleaseQuarantine& q) {
+    for (const BlockOp& op : q.parked) free_list_[op.disk].push(op.block);
+    q.parked.clear();
+}
+
 void DiskArray::set_release_quarantine(bool on) {
     std::lock_guard<std::recursive_mutex> lk(mu_);
-    if (JobIoChannel* c = bound_channel()) {
-        if (!on) {
-            for (const BlockOp& op : c->parked) free_list_[op.disk].push(op.block);
-            c->parked.clear();
-        }
-        c->quarantine_on = on;
-        return;
-    }
-    if (!on) flush_release_quarantine();
-    quarantine_on_ = on;
+    ReleaseQuarantine& q = quarantine();
+    if (!on) free_parked(q);
+    q.on = on;
 }
 
 bool DiskArray::release_quarantine() const {
-    if (JobIoChannel* c = bound_channel()) return c->quarantine_on;
-    return quarantine_on_;
+    std::lock_guard<std::recursive_mutex> lk(mu_);
+    return quarantine().on;
 }
 
 void DiskArray::flush_release_quarantine() {
     std::lock_guard<std::recursive_mutex> lk(mu_);
-    if (JobIoChannel* c = bound_channel()) {
-        for (const BlockOp& op : c->parked) free_list_[op.disk].push(op.block);
-        c->parked.clear();
-        return;
-    }
-    for (const BlockOp& op : quarantined_) free_list_[op.disk].push(op.block);
-    quarantined_.clear();
+    free_parked(quarantine());
 }
 
 DiskArraySnapshot DiskArray::snapshot() const {
     std::lock_guard<std::recursive_mutex> lk(mu_);
-    BS_MODEL_CHECK(quarantined_.empty(),
+    BS_MODEL_CHECK(quarantine().parked.empty(),
                    "snapshot: quarantined releases must be flushed at the boundary first");
-    if (JobIoChannel* c = bound_channel()) {
-        BS_MODEL_CHECK(c->parked.empty(),
-                       "snapshot: the job's quarantined releases must be flushed first");
-    }
     DiskArraySnapshot snap;
     snap.disks.resize(disks_.size());
     for (std::size_t i = 0; i < disks_.size(); ++i) {
@@ -1044,10 +1017,7 @@ void DiskArray::restore(const DiskArraySnapshot& snap) {
     std::lock_guard<std::recursive_mutex> lk(mu_);
     BS_REQUIRE(snap.disks.size() == disks_.size(),
                "restore: snapshot disk count does not match this array");
-    BS_MODEL_CHECK(quarantined_.empty(), "restore: release quarantine must be empty");
-    if (JobIoChannel* c = bound_channel()) {
-        BS_MODEL_CHECK(c->parked.empty(), "restore: the job's release quarantine must be empty");
-    }
+    BS_MODEL_CHECK(quarantine().parked.empty(), "restore: release quarantine must be empty");
     for (std::size_t i = 0; i < disks_.size(); ++i) {
         const DiskArraySnapshot::PerDisk& pd = snap.disks[i];
         next_free_[i] = pd.next_free;

@@ -19,6 +19,7 @@
 #include <mutex>
 #include <queue>
 #include <string>
+#include <type_traits>
 #include <unordered_set>
 #include <vector>
 
@@ -117,6 +118,14 @@ enum class Constraint {
 struct BlockOp {
     std::uint32_t disk = 0;
     std::uint64_t block = 0;
+};
+
+/// Crash-consistency release quarantine (DESIGN.md §13): while `on`,
+/// released blocks are parked instead of freed. The array keeps one for
+/// unbound (solo) callers and every JobIoChannel carries its own.
+struct ReleaseQuarantine {
+    bool on = false;
+    std::vector<BlockOp> parked;
 };
 
 /// Scratch-file naming and lifecycle for DiskBackend::kFile (DESIGN.md
@@ -313,7 +322,7 @@ public:
 
     /// Submit transfers WITHOUT charging model costs — pair each prefetch
     /// with a later charge_read_batch over the same ops at consumption
-    /// time. This is how RunReader/VRunSource overlap: physical I/O runs
+    /// time. This is how RunReader overlaps: physical I/O runs
     /// ahead while the model is charged exactly when the inline executor
     /// would charge it.
     ReadTicket prefetch_read(std::span<const BlockOp> ops, std::span<Record> dest);
@@ -441,6 +450,19 @@ private:
     /// MUST be called before taking mu_ — a starved job blocks here.
     void gate_steps(std::uint64_t steps) const;
 
+    /// Add `n` to one IoStats counter of the array and of the bound
+    /// channel (the per-job mirror, DESIGN.md §14). Caller holds mu_.
+    template <class T>
+    void add_stat(T IoStats::*field, std::type_identity_t<T> n);
+    /// The release quarantine governing the calling thread: its bound
+    /// channel's, else the array's. Caller holds mu_.
+    ReleaseQuarantine& quarantine() const;
+    /// Move every parked block of `q` to the free lists. Caller holds mu_.
+    void free_parked(ReleaseQuarantine& q);
+    /// Record blocks [first, first+n_blocks) of `disk` as owned by the
+    /// bound channel, if any. Caller holds mu_.
+    void note_owned(std::uint32_t disk, std::uint64_t first, std::uint64_t n_blocks);
+
     /// Model accounting for one parallel step (counters + observer).
     void charge_read_step(std::span<const BlockOp> ops);
     void charge_write_step(std::span<const BlockOp> ops);
@@ -523,9 +545,9 @@ private:
     std::vector<std::priority_queue<std::uint64_t, std::vector<std::uint64_t>,
                                     std::greater<std::uint64_t>>>
         free_list_;
-    /// Crash-consistency quarantine (see set_release_quarantine).
-    bool quarantine_on_ = false;
-    std::vector<BlockOp> quarantined_;
+    /// Solo callers' release quarantine (see set_release_quarantine).
+    /// Mutable: the const snapshot() checks it through quarantine().
+    mutable ReleaseQuarantine quarantine_;
     /// Guards all shared bookkeeping (stats_, allocator, quarantine,
     /// health_, parity/csum state, pending_writes_, spare_write_buffers_)
     /// against concurrent job threads. Recursive: the recovery ladder

@@ -59,8 +59,7 @@ struct JobIoChannel {
 
     /// Channel-scoped release quarantine (DiskArray::set_release_quarantine
     /// routes here while the channel is bound).
-    bool quarantine_on = false;
-    std::vector<BlockOp> parked;
+    ReleaseQuarantine quarantine;
 
     /// Blocks this job allocated and has not yet released, per disk (sized
     /// on bind). Lets the scheduler reclaim a dead job's scratch and gives

@@ -3,7 +3,22 @@
 #include <algorithm>
 #include <cmath>
 
+#include "obs/tracer.hpp"
+
 namespace balsort {
+
+namespace {
+
+/// Close a staged-prefetch trace pair (issue..first-wait) if one is open.
+void end_staged_span(std::uint64_t& id) {
+    if (id == 0) return;
+    if (Tracer* t = tracer(); t != nullptr) {
+        t->async_end("staged_prefetch", "staging", id, t->lane("staging"));
+    }
+    id = 0;
+}
+
+} // namespace
 
 std::uint64_t BlockRun::read_steps(std::uint32_t d) const {
     std::vector<std::uint64_t> per_disk(d, 0);
@@ -16,6 +31,10 @@ std::uint64_t BlockRun::read_steps(std::uint32_t d) const {
 
 std::uint64_t BlockRun::optimal_read_steps(std::uint32_t d) const {
     return ceil_div(blocks.size(), d);
+}
+
+void BlockRun::release(DiskArray& disks) const {
+    for (const BlockOp& op : blocks) disks.release(op);
 }
 
 RunWriter::RunWriter(DiskArray& disks, std::uint32_t start_disk, bool synchronized)
@@ -70,12 +89,29 @@ BlockRun RunWriter::finish() {
     return std::move(run_);
 }
 
+void VRun::append(std::span<const BlockOp> vblock, std::uint32_t count) {
+    BS_MODEL_CHECK(!vblock.empty() && (counts.empty() || vblock.size() == group()),
+                   "VRun::append: virtual blocks of one run must have one group size");
+    blocks.insert(blocks.end(), vblock.begin(), vblock.end());
+    counts.push_back(count);
+    n_records += count;
+}
+
 RunReader::RunReader(DiskArray& disks, const BlockRun& run)
-    : disks_(disks), run_(run), remaining_(run.n_records) {}
+    : disks_(disks), run_(run), counts_(nullptr), buffers_(nullptr), group_(1),
+      unit_records_(disks.block_size()), n_units_(run.blocks.size()),
+      remaining_(run.n_records) {}
+
+RunReader::RunReader(DiskArray& disks, const VRun& run, BufferPool* buffers)
+    : disks_(disks), run_(run), counts_(&run.counts), buffers_(buffers),
+      group_(std::max<std::uint32_t>(1, run.group())),
+      unit_records_(static_cast<std::uint64_t>(group_) * disks.block_size()),
+      n_units_(run.counts.size()), remaining_(run.n_records) {}
 
 RunReader::~RunReader() {
     // A dropped reader must not leave the engine writing into freed
     // prefetch buffers; recovery failures of a run nobody reads die here.
+    end_staged_span(staged_trace_id_);
     if (pending_.ticket.valid()) {
         try {
             disks_.complete_read(pending_.ticket);
@@ -84,28 +120,70 @@ RunReader::~RunReader() {
     }
 }
 
-void RunReader::fetch_blocks(std::uint64_t first, std::uint64_t n, std::span<Record> buf) {
-    const std::uint32_t b = disks_.block_size();
-    const std::span<const BlockOp> ops(run_.blocks.data() + first, n);
+std::uint64_t RunReader::unit_count(std::uint64_t u) const {
+    if (counts_ != nullptr) return (*counts_)[u];
+    const std::uint64_t begin = u * unit_records_;
+    return run_.n_records > begin ? std::min(unit_records_, run_.n_records - begin) : 0;
+}
+
+void RunReader::issue_prefetch(std::uint64_t first, std::uint64_t n) {
+    pending_.buf = BufferPool::acquire_from(buffers_, n * unit_records_);
+    pending_.first_unit = first;
+    pending_.n_units = n;
+    pending_.ticket = disks_.prefetch_read(unit_ops(first, n), *pending_.buf);
+}
+
+bool RunReader::start_prefetch(std::uint64_t max_records, double* hidden_sink) {
+    if (!disks_.async_enabled() || n_units_ == 0) return false;
+    if (next_unit_ != 0 || pending_.n_units != 0) return false; // reading already began
+    issue_prefetch(0, std::min(n_units_, std::max<std::uint64_t>(
+                                             1, ceil_div(max_records, unit_records_))));
+    hidden_sink_ = hidden_sink;
+    staged_at_ = std::chrono::steady_clock::now();
+    staged_ = true;
+    if (Tracer* t = tracer(); t != nullptr) {
+        staged_trace_id_ = t->next_async_id();
+        t->async_begin("staged_prefetch", "staging", staged_trace_id_, t->lane("staging"),
+                       {{"vblocks", static_cast<std::int64_t>(pending_.n_units)}});
+    }
+    return true;
+}
+
+void RunReader::fetch_units(std::uint64_t first, std::uint64_t n, std::span<Record> buf) {
+    const std::span<const BlockOp> ops = unit_ops(first, n);
     if (!disks_.async_enabled()) {
         disks_.read_batch(ops, buf);
         return;
     }
-    // Model cost of this fetch, charged as one batch exactly like the sync
-    // path (splitting it around the prefetch boundary could inflate the
-    // step count — two half-stripes cost two steps, one full stripe one).
+    // Model cost of this fetch, charged as one batch exactly like the
+    // inline executor (splitting it around the prefetch boundary could
+    // inflate the step count — two half-stripes cost two steps, one full
+    // stripe one).
     disks_.charge_read_batch(ops);
     std::uint64_t served = 0;
-    if (pending_.n_blocks > pending_.consumed) {
-        BS_MODEL_CHECK(pending_.first_block + pending_.consumed == first,
+    if (pending_.n_units > pending_.consumed) {
+        BS_MODEL_CHECK(pending_.first_unit + pending_.consumed == first,
                        "RunReader: prefetch out of sequence");
         if (!pending_.waited) {
+            if (staged_) {
+                // The window between issuing the staged prefetch and this
+                // first wait is time the engine worked under the caller's
+                // computation (DESIGN.md §10).
+                if (hidden_sink_ != nullptr) {
+                    *hidden_sink_ += std::chrono::duration<double>(
+                                         std::chrono::steady_clock::now() - staged_at_)
+                                         .count();
+                }
+                staged_ = false;
+                end_staged_span(staged_trace_id_);
+            }
             disks_.complete_read(pending_.ticket);
             pending_.waited = true;
         }
-        const std::uint64_t take = std::min<std::uint64_t>(n, pending_.n_blocks - pending_.consumed);
-        std::copy_n(pending_.buf.begin() + static_cast<std::ptrdiff_t>(pending_.consumed * b),
-                    take * b, buf.begin());
+        const std::uint64_t take = std::min(n, pending_.n_units - pending_.consumed);
+        std::copy_n(pending_.buf->begin() +
+                        static_cast<std::ptrdiff_t>(pending_.consumed * unit_records_),
+                    take * unit_records_, buf.begin());
         pending_.consumed += take;
         served = take;
     }
@@ -113,62 +191,55 @@ void RunReader::fetch_blocks(std::uint64_t first, std::uint64_t n, std::span<Rec
         // The prefetch fell short (first fetch, or a grown request): issue
         // the remainder as an uncharged physical read and wait for it.
         DiskArray::ReadTicket rest =
-            disks_.prefetch_read(ops.subspan(served), buf.subspan(served * b));
+            disks_.prefetch_read(ops.subspan(served * group_), buf.subspan(served * unit_records_));
         disks_.complete_read(rest);
     }
-    if (pending_.consumed >= pending_.n_blocks) {
+    if (pending_.consumed >= pending_.n_units) {
         // Pending exhausted: start the next prefetch, sized like this
         // fetch and clamped to the run end, so a steady consumer always
         // finds its next memoryload already in flight.
         pending_ = Prefetch{};
-        const std::uint64_t next_first = first + n;
-        const std::uint64_t left = run_.blocks.size() - next_first;
-        const std::uint64_t next_n = std::min<std::uint64_t>(n, left);
-        if (next_n > 0) {
-            pending_.buf.resize(next_n * b);
-            pending_.first_block = next_first;
-            pending_.n_blocks = next_n;
-            pending_.ticket = disks_.prefetch_read(
-                std::span<const BlockOp>(run_.blocks.data() + next_first, next_n), pending_.buf);
-        }
+        const std::uint64_t next_n = std::min(n, n_units_ - (first + n));
+        if (next_n > 0) issue_prefetch(first + n, next_n);
     }
 }
 
 std::uint64_t RunReader::read(std::span<Record> out) {
-    const std::uint32_t b = disks_.block_size();
     const std::uint64_t want = std::min<std::uint64_t>(out.size(), remaining_);
-    std::uint64_t got = 0;
-    // Serve from the carry (tail of the last fetched block) first.
-    while (got < want && carry_pos_ < carry_.size()) {
-        out[got++] = carry_[carry_pos_++];
-    }
-    if (carry_pos_ >= carry_.size()) {
-        carry_.clear();
-        carry_pos_ = 0;
-    }
+    // Serve from the carry (the valid tail of the last fetch) first.
+    std::uint64_t got = std::min(want, carry_end_ - carry_pos_);
+    std::copy_n(carry_->begin() + static_cast<std::ptrdiff_t>(carry_pos_), got, out.begin());
+    carry_pos_ += got;
     if (got < want) {
-        // Carry is drained, so run position of block `next_block_` is
-        // exactly next_block_ * b.
+        carry_ = {}; // drained: hand its buffer back before leasing the next
+        // Whole units covering the deficit.
         const std::uint64_t need = want - got;
-        const std::uint64_t n_fetch = ceil_div(need, b);
-        BS_MODEL_CHECK(next_block_ + n_fetch <= run_.blocks.size(),
-                       "RunReader: run exhausted prematurely");
-        std::vector<Record> buf(n_fetch * b);
-        fetch_blocks(next_block_, n_fetch, buf);
-        // Records in the fetched range that are real data (not pad).
-        const std::uint64_t range_begin = next_block_ * b;
-        const std::uint64_t range_end =
-            std::min<std::uint64_t>(range_begin + n_fetch * b, run_.n_records);
-        const std::uint64_t valid = range_end - range_begin;
-        BS_MODEL_CHECK(valid >= need, "RunReader: fetched range shorter than requested");
-        next_block_ += n_fetch;
-        std::copy_n(buf.begin(), need, out.begin() + static_cast<std::ptrdiff_t>(got));
-        got += need;
-        if (valid > need) {
-            carry_.assign(buf.begin() + static_cast<std::ptrdiff_t>(need),
-                          buf.begin() + static_cast<std::ptrdiff_t>(valid));
+        std::uint64_t covered = 0;
+        std::uint64_t last = next_unit_;
+        while (covered < need) {
+            BS_MODEL_CHECK(last < n_units_, "RunReader: run exhausted prematurely");
+            covered += unit_count(last++);
         }
+        const std::uint64_t n_fetch = last - next_unit_;
+        carry_ = BufferPool::acquire_from(buffers_, n_fetch * unit_records_);
+        fetch_units(next_unit_, n_fetch, *carry_);
+        // Compact the valid prefix of every unit in place (a no-op for
+        // full units).
+        std::uint64_t end = 0;
+        for (std::uint64_t k = 0; k < n_fetch; ++k) {
+            const std::uint64_t count = unit_count(next_unit_ + k);
+            const auto src = carry_->begin() + static_cast<std::ptrdiff_t>(k * unit_records_);
+            if (end != k * unit_records_) {
+                std::copy_n(src, count, carry_->begin() + static_cast<std::ptrdiff_t>(end));
+            }
+            end += count;
+        }
+        next_unit_ = last;
+        std::copy_n(carry_->begin(), need, out.begin() + static_cast<std::ptrdiff_t>(got));
+        carry_pos_ = need;
+        carry_end_ = covered;
     }
+    if (carry_pos_ == carry_end_) carry_ = {};
     remaining_ -= want;
     return want;
 }
@@ -196,13 +267,11 @@ VirtualDisks::VirtualDisks(DiskArray& disks, std::uint32_t n_virtual, bool synch
     group_ = disks.num_disks() / n_virtual;
 }
 
-std::vector<VirtualDisks::VBlock> VirtualDisks::write_track(
-    std::span<const std::uint32_t> vdisks, std::span<const Record> data) {
+std::vector<BlockOp> VirtualDisks::write_track(std::span<const std::uint32_t> vdisks,
+                                               std::span<const Record> data) {
     BS_REQUIRE(data.size() == vdisks.size() * static_cast<std::size_t>(vblock_records()),
                "write_track: data size mismatch");
     std::vector<bool> used(n_virtual_, false);
-    std::vector<VBlock> out;
-    out.reserve(vdisks.size());
     std::vector<BlockOp> ops;
     ops.reserve(vdisks.size() * group_);
     // Synchronized (fully striped) writes: one common index, free across
@@ -213,36 +282,17 @@ std::vector<VirtualDisks::VBlock> VirtualDisks::write_track(
             synced_index = std::max(synced_index, disks_.high_water(d));
         }
     }
-    for (std::size_t k = 0; k < vdisks.size(); ++k) {
-        const std::uint32_t h = vdisks[k];
+    for (const std::uint32_t h : vdisks) {
         BS_REQUIRE(h < n_virtual_, "write_track: vdisk out of range");
         BS_MODEL_CHECK(!used[h], "write_track: two virtual blocks on one virtual disk");
         used[h] = true;
-        VBlock vb;
-        vb.vdisk = h;
         for (std::uint32_t g = 0; g < group_; ++g) {
             const std::uint32_t disk = h * group_ + g;
-            const std::uint64_t index =
-                synchronized_writes_ ? synced_index : disks_.allocate(disk);
-            vb.ops.push_back(BlockOp{disk, index});
-            ops.push_back(vb.ops.back());
+            ops.push_back(BlockOp{disk, synchronized_writes_ ? synced_index : disks_.allocate(disk)});
         }
-        out.push_back(std::move(vb));
     }
     disks_.write_step(ops, data);
-    return out;
-}
-
-void VirtualDisks::read_vblocks(std::span<const VBlock> vblocks, std::span<Record> out) {
-    BS_REQUIRE(out.size() == vblocks.size() * static_cast<std::size_t>(vblock_records()),
-               "read_vblocks: buffer size mismatch");
-    std::vector<BlockOp> ops;
-    ops.reserve(vblocks.size() * group_);
-    for (const auto& vb : vblocks) {
-        BS_REQUIRE(vb.ops.size() == group_, "read_vblocks: malformed virtual block");
-        ops.insert(ops.end(), vb.ops.begin(), vb.ops.end());
-    }
-    disks_.read_batch(ops, out);
+    return ops;
 }
 
 std::uint32_t VirtualDisks::default_virtual_count(std::uint32_t d, double exponent) {

@@ -1,14 +1,19 @@
 #pragma once
 /// \file striping.hpp
 /// Data layout on a DiskArray: striped runs (round-robin over the D disks),
-/// streaming readers/writers, and the *partial striping* of §4.1 — grouping
-/// the D disks into D' virtual disks whose virtual blocks span one physical
-/// block on every member disk.
+/// the *partial striping* of §4.1 — grouping the D disks into D' virtual
+/// disks whose virtual blocks span one physical block on every member
+/// disk — and bucket runs of such virtual blocks. Both run kinds are flat
+/// block lists (BlockRun; VRun adds one valid count per virtual block),
+/// written by RunWriter / VirtualDisks::write_track and streamed back by
+/// the one RunReader.
 
+#include <chrono>
 #include <cstdint>
 #include <vector>
 
 #include "pdm/disk_array.hpp"
+#include "util/buffer_pool.hpp"
 #include "util/math.hpp"
 
 namespace balsort {
@@ -31,6 +36,11 @@ struct BlockRun {
 
     /// ceil(n_blocks / D): the unavoidable lower bound for reading the run.
     std::uint64_t optimal_read_steps(std::uint32_t d) const;
+
+    /// Return every block of the run to the array's allocator (call once
+    /// the run has been fully consumed; keeps total simulated space O(N),
+    /// which the depth-priced hierarchy models rely on).
+    void release(DiskArray& disks) const;
 };
 
 /// Append-only writer producing a striped BlockRun. Buffers one stripe
@@ -77,17 +87,45 @@ private:
     bool finished_ = false;
 };
 
-/// Streaming reader over a BlockRun; fetches blocks with maximal
-/// parallelism (read_batch), hands back records in run order.
+/// One bucket's storage (§4.1): a flat block list in which every g = D/D'
+/// consecutive ops form one virtual block (one block on each member disk
+/// of vdisk `blocks[k*g].disk / g`), plus the valid-record count of each
+/// virtual block (the rest of it is pad), in the order Balance wrote them.
+/// Because every virtual block puts exactly one block on each of its g
+/// disks, the inherited read_steps(D)/optimal_read_steps(D) equal the
+/// per-vdisk maximum and ceil(#vblocks / D'): the two numbers Theorem 4
+/// relates.
+struct VRun : BlockRun {
+    std::vector<std::uint32_t> counts;
+
+    /// Ops per virtual block (0 for an empty run).
+    std::uint32_t group() const {
+        return counts.empty() ? 0 : static_cast<std::uint32_t>(blocks.size() / counts.size());
+    }
+
+    /// Append one virtual block: its g ops (as write_track returned them)
+    /// and its valid-record count.
+    void append(std::span<const BlockOp> vblock, std::uint32_t count);
+};
+
+/// The one streaming reader over a run laid out in *units* of g blocks,
+/// each holding a valid-record prefix: a striped BlockRun is g = 1 with
+/// every block full but the tail, a VRun is g = D/D' with its counts.
+/// Fetches whole units with maximal parallelism (read_batch) and hands
+/// back the valid records in run order.
 ///
 /// With the array's worker executor enabled, the reader double-buffers:
 /// while the caller consumes one fetch, the next fetch-sized range of the
 /// run is already in flight (DESIGN.md §9). Model costs are charged at
 /// consumption time over exactly the ranges the inline executor would
-/// read, so io_steps() is identical either way.
+/// read, so io_steps() and the step-observer sequence are identical either
+/// way.
 class RunReader {
 public:
     RunReader(DiskArray& disks, const BlockRun& run);
+    /// With `buffers`, fetch and prefetch memory is leased from the pool
+    /// instead of heap-allocated per fetch.
+    RunReader(DiskArray& disks, const VRun& run, BufferPool* buffers = nullptr);
     ~RunReader();
     RunReader(const RunReader&) = delete;
     RunReader& operator=(const RunReader&) = delete;
@@ -97,28 +135,62 @@ public:
     /// Read min(out.size(), remaining()) records; returns the count.
     std::uint64_t read(std::span<Record> out);
 
+    /// Cross-bucket staging (DESIGN.md §10): physically issue the first
+    /// ~`max_records` of the run through the async engine *now*, so the
+    /// transfers overlap whatever the caller computes before the first
+    /// read(). Charges nothing — model costs land at consumption time
+    /// exactly as without staging, so io_steps() and the observer sequence
+    /// are unchanged. `hidden_sink`, if given, accumulates the seconds
+    /// between issue and the first wait (engine time hidden behind the
+    /// caller's compute). Returns false (no-op) when the engine is off,
+    /// the run is empty, or reading has already begun.
+    bool start_prefetch(std::uint64_t max_records, double* hidden_sink = nullptr);
+
 private:
-    /// Fetch blocks [first, first+n) of the run into buf, serving what the
-    /// in-flight prefetch already covers and starting the next prefetch.
-    void fetch_blocks(std::uint64_t first, std::uint64_t n, std::span<Record> buf);
+    /// Valid records of unit `u`.
+    std::uint64_t unit_count(std::uint64_t u) const;
+    /// Physical ops of units [first, first+n), in read order.
+    std::span<const BlockOp> unit_ops(std::uint64_t first, std::uint64_t n) const {
+        return std::span<const BlockOp>(run_.blocks).subspan(first * group_, n * group_);
+    }
+    /// Fetch units [first, first+n) into buf, serving what the in-flight
+    /// prefetch already covers and starting the next prefetch.
+    void fetch_units(std::uint64_t first, std::uint64_t n, std::span<Record> buf);
+    /// Issue units [first, first+n) as the uncharged in-flight prefetch.
+    void issue_prefetch(std::uint64_t first, std::uint64_t n);
 
     DiskArray& disks_;
     const BlockRun& run_;
-    std::uint64_t next_block_ = 0;
+    const std::vector<std::uint32_t>* counts_; ///< null: striped run
+    BufferPool* buffers_;
+    std::uint32_t group_;        ///< blocks per unit
+    std::uint64_t unit_records_; ///< group_ * B
+    std::uint64_t n_units_;
+    std::uint64_t next_unit_ = 0;
     std::uint64_t remaining_;
-    std::vector<Record> carry_; // records fetched but not yet returned
-    std::size_t carry_pos_ = 0;
+    /// The last fetch, compacted to its valid records; [carry_pos_,
+    /// carry_end_) is not yet returned.
+    BufferPool::Lease carry_;
+    std::uint64_t carry_pos_ = 0;
+    std::uint64_t carry_end_ = 0;
 
     /// The single in-flight prefetch (async engine only).
     struct Prefetch {
         DiskArray::ReadTicket ticket;
-        std::vector<Record> buf;
-        std::uint64_t first_block = 0;
-        std::uint64_t n_blocks = 0;
-        std::uint64_t consumed = 0; ///< blocks already served to the caller
+        BufferPool::Lease buf;
+        std::uint64_t first_unit = 0;
+        std::uint64_t n_units = 0;
+        std::uint64_t consumed = 0; ///< units already served to the caller
         bool waited = false;
     };
     Prefetch pending_;
+
+    /// Cross-bucket staging bookkeeping (start_prefetch).
+    double* hidden_sink_ = nullptr;
+    std::chrono::steady_clock::time_point staged_at_{};
+    bool staged_ = false;
+    /// Async trace pair spanning staged-issue to first-wait (0 = untraced).
+    std::uint64_t staged_trace_id_ = 0;
 };
 
 /// Convenience: write all of `records` as a striped run / read a whole run.
@@ -143,23 +215,13 @@ public:
     std::uint32_t count() const { return n_virtual_; }
     std::uint32_t group_size() const { return group_; }
     std::uint32_t vblock_records() const { return group_ * disks_.block_size(); }
-    DiskArray& array() { return disks_; }
-
-    /// A virtual block: `group_size()` physical blocks, one per member disk.
-    struct VBlock {
-        std::uint32_t vdisk = 0;
-        std::vector<BlockOp> ops;
-    };
 
     /// One parallel write step: for each k, write data chunk k (of
     /// vblock_records() records) as a fresh virtual block on vdisks[k].
-    /// The vdisks must be distinct. Returns the new virtual blocks.
-    std::vector<VBlock> write_track(std::span<const std::uint32_t> vdisks,
-                                    std::span<const Record> data);
-
-    /// Read the given virtual blocks with maximal parallelism; `out` gets
-    /// them consecutively in argument order. Cost: max-per-vdisk steps.
-    void read_vblocks(std::span<const VBlock> vblocks, std::span<Record> out);
+    /// The vdisks must be distinct. Returns the step's ops, group_size()
+    /// per virtual block in argument order (VRun::append takes them).
+    std::vector<BlockOp> write_track(std::span<const std::uint32_t> vdisks,
+                                     std::span<const Record> data);
 
     /// The paper's default H' = H^(1/3) rounded to a divisor of d (§4.1):
     /// the divisor of d closest to d^exponent (ties towards larger).

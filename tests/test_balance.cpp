@@ -73,9 +73,9 @@ TEST(Balance, Theorem4BucketReadBound) {
         auto r = run_balance(recs, 8, 4, 8, 1024, 4, BalanceOptions{});
         for (std::size_t b = 0; b < r.buckets.size(); ++b) {
             const auto& run = r.buckets[b].run;
-            if (run.entries.size() < 8) continue; // rounding regime
-            const double ratio = static_cast<double>(run.read_steps(4)) /
-                                 static_cast<double>(run.optimal_read_steps(4));
+            if (run.counts.size() < 8) continue; // rounding regime
+            const double ratio = static_cast<double>(run.read_steps(8)) /
+                                 static_cast<double>(run.optimal_read_steps(8));
             EXPECT_LE(ratio, 2.25) << to_string(w) << " bucket " << b;
         }
     }
@@ -143,9 +143,9 @@ TEST(Balance, ArgAuxRuleWorksToo) {
     EXPECT_EQ(total_records(r.buckets), recs.size());
     // Theorem-4-style bound under the [Arg] rule: factor ~2 of average.
     for (const auto& b : r.buckets) {
-        if (b.run.entries.size() < 8) continue;
-        const double ratio = static_cast<double>(b.run.read_steps(4)) /
-                             static_cast<double>(b.run.optimal_read_steps(4));
+        if (b.run.counts.size() < 8) continue;
+        const double ratio = static_cast<double>(b.run.read_steps(8)) /
+                             static_cast<double>(b.run.optimal_read_steps(8));
         EXPECT_LE(ratio, 2.5);
     }
 }

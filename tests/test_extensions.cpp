@@ -164,18 +164,16 @@ TEST(SynchronizedWrites, TrackWritesShareOneIndex) {
     VirtualDisks vd(disks, 4, /*synchronized_writes=*/true);
     auto recs = generate(Workload::kUniform, 3 * vd.vblock_records(), 5);
     std::vector<std::uint32_t> vds = {0, 2, 3};
-    auto vbs = vd.write_track(vds, recs);
+    const std::vector<BlockOp> ops = vd.write_track(vds, recs);
     std::set<std::uint64_t> indices;
-    for (const auto& vb : vbs) {
-        for (const auto& op : vb.ops) indices.insert(op.block);
-    }
+    for (const auto& op : ops) indices.insert(op.block);
     EXPECT_EQ(indices.size(), 1u) << "synchronized track must land on one stripe index";
     // A second track lands strictly deeper.
-    auto vbs2 = vd.write_track(vds, recs);
-    EXPECT_GT(vbs2[0].ops[0].block, vbs[0].ops[0].block);
+    const std::vector<BlockOp> ops2 = vd.write_track(vds, recs);
+    EXPECT_GT(ops2[0].block, ops[0].block);
     // Data still reads back.
     std::vector<Record> out(recs.size());
-    vd.read_vblocks(vbs, out);
+    disks.read_batch(ops, out);
     EXPECT_EQ(out, recs);
 }
 
@@ -241,11 +239,10 @@ TEST(Allocator, VRunReleaseReturnsEverything) {
     VRun run;
     for (int i = 0; i < 4; ++i) {
         std::vector<std::uint32_t> vds = {static_cast<std::uint32_t>(i % 2)};
-        auto vbs = vd.write_track(
+        const std::vector<BlockOp> ops = vd.write_track(
             vds, std::span<const Record>(recs.data() + i * vd.vblock_records(),
                                          vd.vblock_records()));
-        run.entries.push_back(VRun::Entry{vbs[0], vd.vblock_records()});
-        run.n_records += vd.vblock_records();
+        run.append(ops, vd.vblock_records());
     }
     std::uint64_t before = 0;
     for (std::uint32_t d = 0; d < 4; ++d) before += disks.free_blocks(d);

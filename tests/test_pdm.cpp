@@ -4,6 +4,7 @@
 #include <gtest/gtest.h>
 
 #include <filesystem>
+#include <string>
 
 #include "pdm/config.hpp"
 #include "pdm/disk_array.hpp"
@@ -222,6 +223,105 @@ TEST(RunReader, ChunkedReadsAnySize) {
     }
 }
 
+/// What one read-through of a run produced: the records, and every charged
+/// step as the step observer saw it ("r 0:3 1:3" = a read of block 3 on
+/// disks 0 and 1).
+struct ReadThrough {
+    std::vector<Record> records;
+    std::vector<std::string> steps;
+};
+
+template <class Run>
+ReadThrough read_through(DiskArray& arr, const Run& run, std::uint64_t chunk,
+                         std::uint64_t staged = 0) {
+    ReadThrough t;
+    arr.set_step_observer([&t](bool is_read, std::span<const BlockOp> ops) {
+        std::string step = is_read ? "r" : "w";
+        for (const BlockOp& op : ops) {
+            step += " " + std::to_string(op.disk) + ":" + std::to_string(op.block);
+        }
+        t.steps.push_back(step);
+    });
+    {
+        RunReader r(arr, run);
+        if (staged > 0) {
+            EXPECT_EQ(r.start_prefetch(staged), arr.async_enabled());
+            EXPECT_TRUE(t.steps.empty()) << "start_prefetch charged before the first read()";
+        }
+        std::vector<Record> buf;
+        while (r.remaining() > 0) {
+            buf.resize(std::min<std::uint64_t>(chunk, r.remaining()));
+            const std::uint64_t got = r.read(buf);
+            t.records.insert(t.records.end(), buf.begin(),
+                             buf.begin() + static_cast<std::ptrdiff_t>(got));
+        }
+    }
+    arr.set_step_observer(nullptr);
+    return t;
+}
+
+/// Every run layout goes through the one RunReader: a striped BlockRun
+/// (g = 1, every block full but the tail) and VRuns built by write_track at
+/// g = 1, 2, 4 whose virtual blocks carry ragged valid counts. Any chunk
+/// size returns the valid records in run order, and the worker executor
+/// charges exactly the steps the inline executor does, staged or not.
+TEST(RunReader, OneReaderForStripedAndVirtualRuns) {
+    constexpr std::uint32_t kD = 4;
+    constexpr std::uint32_t kB = 8;
+    DiskArray arr(kD, kB);
+    auto check = [&](const auto& run, const std::vector<Record>& expect, const char* what) {
+        for (const std::uint64_t chunk :
+             {std::uint64_t{1}, std::uint64_t{kB - 1}, std::uint64_t{kB},
+              std::uint64_t{3 * kB + 1}, run.n_records}) {
+            arr.set_async(false);
+            const ReadThrough inline_read = read_through(arr, run, chunk);
+            arr.set_async(true);
+            const ReadThrough worker_read = read_through(arr, run, chunk);
+            arr.set_async(false);
+            EXPECT_EQ(inline_read.records, expect) << what << " chunk=" << chunk;
+            EXPECT_EQ(worker_read.records, expect) << what << " chunk=" << chunk;
+            EXPECT_EQ(worker_read.steps, inline_read.steps) << what << " chunk=" << chunk;
+        }
+    };
+
+    const std::vector<Record> striped_recs = generate(Workload::kUniform, 8 * kB * kD + 5, 41);
+    const BlockRun striped = write_striped(arr, striped_recs);
+    check(striped, striped_recs, "striped");
+    // Staging a striped run charges nothing until the first read().
+    arr.set_async(true);
+    const ReadThrough staged = read_through(arr, striped, 3 * kB + 1, /*staged=*/2 * kB);
+    arr.set_async(false);
+    EXPECT_EQ(staged.records, striped_recs);
+    EXPECT_EQ(staged.steps, read_through(arr, striped, 3 * kB + 1).steps);
+
+    for (const std::uint32_t g : {1u, 2u, 4u}) {
+        VirtualDisks vd(arr, kD / g);
+        const std::uint32_t v = vd.vblock_records();
+        const std::vector<Record> data = generate(Workload::kUniform, 11 * v, 50 + g);
+        // Eleven virtual blocks, round-robin over the vdisks in tracks of up
+        // to D'; block 4 is short, and so is the final block.
+        const std::vector<std::uint32_t> counts = {v, v, v, v, v / 2 + 1, v, v, v, v, v, 3};
+        VRun run;
+        std::vector<Record> expect;
+        std::uint32_t h = 0;
+        for (std::size_t k = 0; k < counts.size();) {
+            const std::size_t n = std::min<std::size_t>(vd.count(), counts.size() - k);
+            std::vector<std::uint32_t> vds(n);
+            for (auto& x : vds) x = h++ % vd.count();
+            const std::vector<BlockOp> ops = vd.write_track(
+                vds, std::span<const Record>(data).subspan(k * v, n * v));
+            for (std::size_t j = 0; j < n; ++j, ++k) {
+                run.append(std::span<const BlockOp>(ops).subspan(j * g, g), counts[k]);
+                expect.insert(expect.end(), data.begin() + static_cast<std::ptrdiff_t>(k * v),
+                              data.begin() + static_cast<std::ptrdiff_t>(k * v + counts[k]));
+            }
+        }
+        EXPECT_EQ(run.group(), g);
+        EXPECT_EQ(run.n_records, expect.size());
+        check(run, expect, ("g=" + std::to_string(g)).c_str());
+    }
+}
+
 TEST(VirtualDisks, DefaultCountIsDivisorNearCubeRoot) {
     EXPECT_EQ(VirtualDisks::default_virtual_count(1), 1u);
     EXPECT_EQ(VirtualDisks::default_virtual_count(8), 2u);
@@ -249,11 +349,11 @@ TEST(VirtualDisks, WriteTrackIsOneStepAndReadsBack) {
     EXPECT_EQ(vd.vblock_records(), 8u);
     auto recs = generate(Workload::kUniform, 16, 3);
     std::vector<std::uint32_t> vds = {0, 1};
-    auto vbs = vd.write_track(vds, recs);
+    const std::vector<BlockOp> ops = vd.write_track(vds, recs);
     EXPECT_EQ(arr.stats().write_steps, 1u);
     EXPECT_EQ(arr.stats().blocks_written, 8u);
     std::vector<Record> out(16);
-    vd.read_vblocks(vbs, out);
+    arr.read_batch(ops, out);
     EXPECT_EQ(out, recs);
     EXPECT_EQ(arr.stats().read_steps, 1u);
 }
@@ -270,21 +370,21 @@ TEST(VirtualDisks, BatchedVblockReadsMinimalSteps) {
     DiskArray arr(4, 2);
     VirtualDisks vd(arr, 2); // group 2, vblock = 4 records
     // Write 3 vblocks on vdisk 0, 1 on vdisk 1 (4 tracks... do 3 tracks).
-    std::vector<VirtualDisks::VBlock> all;
+    std::vector<BlockOp> all;
     auto recs = generate(Workload::kUniform, 4, 5);
     for (int i = 0; i < 3; ++i) {
         std::vector<std::uint32_t> vds = {0};
-        auto vbs = vd.write_track(vds, recs);
-        all.push_back(vbs[0]);
+        const std::vector<BlockOp> ops = vd.write_track(vds, recs);
+        all.insert(all.end(), ops.begin(), ops.end());
     }
     {
         std::vector<std::uint32_t> vds = {1};
-        auto vbs = vd.write_track(vds, recs);
-        all.push_back(vbs[0]);
+        const std::vector<BlockOp> ops = vd.write_track(vds, recs);
+        all.insert(all.end(), ops.begin(), ops.end());
     }
     const auto before = arr.stats().read_steps;
     std::vector<Record> out(16);
-    vd.read_vblocks(all, out);
+    arr.read_batch(all, out);
     // 3 vblocks on vdisk 0 gate the batch: 3 steps.
     EXPECT_EQ(arr.stats().read_steps - before, 3u);
 }

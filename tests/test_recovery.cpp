@@ -6,6 +6,8 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <array>
+#include <cstring>
 #include <filesystem>
 #include <fstream>
 
@@ -33,6 +35,9 @@ std::vector<Record> make_block(std::size_t b, std::uint64_t tag) {
     return blk;
 }
 
+/// Block index of the live bucket's first virtual block in rich_record().
+constexpr std::uint64_t kLiveBlockTag = 0x5a5a000000000000ull;
+
 /// A checkpoint record exercising every optional branch of the codec:
 /// multiple frames (with and without buckets), consumed/equal-class/
 /// sketch-pivot/repositioned buckets, a live emit buffer, nonzero meters,
@@ -59,9 +64,16 @@ CheckpointRecord rich_record() {
     root.next_bucket = 2;
     root.buckets.emplace_back(); // consumed: serialized empty
     BucketOutput live;
-    live.run.n_records = 77;
-    live.run.entries.push_back({{1, {{0, 5}, {2, 9}}}, 8});
-    live.run.entries.push_back({{0, {{1, 3}}}, 5});
+    // Five virtual blocks of g = d/dv = 2 ops each, alternating vdisks 1
+    // and 0 as Balance would write them: 4 full blocks of 16 records and a
+    // 13-record tail. The block indices are distinctive so tests can find
+    // them in the encoded payload.
+    for (std::uint32_t k = 0; k < 5; ++k) {
+        const std::uint32_t h = (k + 1) % 2;
+        const std::array<BlockOp, 2> ops{BlockOp{2 * h, kLiveBlockTag + k},
+                                         BlockOp{2 * h + 1, kLiveBlockTag + k}};
+        live.run.append(ops, k < 4 ? 16 : 13);
+    }
     live.min_key = 21;
     live.max_key = 29;
     live.has_sketch_pivots = true;
@@ -151,6 +163,46 @@ TEST(CheckpointCodec, RoundTripsEveryField) {
     ASSERT_EQ(back.disks.disks.size(), 2u);
     EXPECT_TRUE(back.disks.has_parity_sidecar);
     EXPECT_EQ(encode_checkpoint(back), payload);
+}
+
+/// Offset of the first op's block index of live virtual block `k` in an
+/// encoded rich_record() payload.
+std::size_t live_block_offset(const std::vector<std::uint8_t>& payload, std::uint32_t k) {
+    const std::uint64_t tag = kLiveBlockTag + k;
+    std::uint8_t pattern[sizeof tag];
+    std::memcpy(pattern, &tag, sizeof tag);
+    const auto it = std::search(payload.begin(), payload.end(), pattern, pattern + sizeof tag);
+    EXPECT_NE(it, payload.end());
+    return static_cast<std::size_t>(it - payload.begin());
+}
+
+// A bucket run is a flat op list with an implied group size, so the
+// decoder must refuse a record whose virtual blocks the flat layout cannot
+// express: a ragged op count, or a vdisk that disagrees with the first
+// op's disk. Both are corruption, reported as IoError (never an abort).
+TEST(CheckpointCodec, RejectsUnrealizableBucketRuns) {
+    const std::vector<std::uint8_t> payload = encode_checkpoint(rich_record());
+    ASSERT_NO_THROW(decode_checkpoint(payload.data(), payload.size()));
+    // Layout per virtual block: u32 vdisk, u64 op count, (u32 disk, u64
+    // block) per op, u32 count.
+    {
+        std::vector<std::uint8_t> bad = payload;
+        const std::size_t vdisk_at = live_block_offset(bad, 0) - 16;
+        ASSERT_EQ(bad[vdisk_at], 1u);
+        bad[vdisk_at] = 0; // ops sit on disks 2-3, i.e. vdisk 1
+        EXPECT_THROW(decode_checkpoint(bad.data(), bad.size()), IoError);
+    }
+    {
+        // Second virtual block keeps one of its two ops: 2 ops, then 1.
+        std::vector<std::uint8_t> bad = payload;
+        const std::size_t block_at = live_block_offset(bad, 1);
+        const std::size_t n_ops_at = block_at - 12;
+        ASSERT_EQ(bad[n_ops_at], 2u);
+        bad[n_ops_at] = 1;
+        const auto second_op = bad.begin() + static_cast<std::ptrdiff_t>(block_at + 8);
+        bad.erase(second_op, second_op + 12);
+        EXPECT_THROW(decode_checkpoint(bad.data(), bad.size()), IoError);
+    }
 }
 
 TEST(CheckpointFile, AtomicWriteThenLoad) {
