@@ -2,11 +2,13 @@
 // sorts a binary file of 16-byte records (u64 key, u64 payload) through a
 // bounded amount of memory, using file-backed simulated parallel disks as
 // scratch. The "downstream user" artifact: everything flows through the
-// public API. Input and output stream through one M-record buffer, so peak
-// memory depends on M, D and B, not on the input size. Every run checks its
-// own output on the way (StreamCheck: keys in order, and the same multiset
-// fingerprint as the input); the output file appears only if the check
-// passes, and any failure exits 1 with "balsort_cli: <reason>".
+// public API. The file work is the library's `sort_file` (DESIGN.md §9):
+// input and output stream through one M-record buffer, so peak memory
+// depends on M, D and B, not on the input size, and every run checks its
+// own output on the way (keys in order, and the same multiset fingerprint
+// as the input). The output file appears only if the check passes, and any
+// failure exits 1 with "balsort_cli: <reason>". What is left here is the
+// flags, the sort step for each --algo, and the artifacts.
 //
 //   balsort_cli <input.bin> <output.bin> [--mem RECORDS] [--disks D]
 //               [--block RECORDS] [--scratch DIR] [--algo balance|greed|merge]
@@ -32,16 +34,12 @@
 #include <sys/resource.h>
 #include <unistd.h>
 
-#include <algorithm>
 #include <cctype>
-#include <cerrno>
-#include <cstdio>
-#include <cstring>
 #include <filesystem>
+#include <fstream>
 #include <iostream>
 #include <memory>
 #include <optional>
-#include <span>
 #include <stdexcept>
 #include <string>
 #include <vector>
@@ -52,7 +50,6 @@
 #include "baselines/striped_merge.hpp"
 #include "cli_number.hpp"
 #include "util/function_ref.hpp"
-#include "util/stream_check.hpp"
 #include "util/table.hpp"
 #include "util/timer.hpp"
 
@@ -168,110 +165,20 @@ CliOptions parse(int argc, char** argv) {
     return o;
 }
 
-using FilePtr = std::unique_ptr<std::FILE, int (*)(std::FILE*)>;
-
-FilePtr open_file(const std::string& path, const char* mode) {
-    FilePtr f(std::fopen(path.c_str(), mode), &std::fclose);
-    if (f == nullptr) {
-        throw std::runtime_error("cannot open " + path + ": " + std::strerror(errno));
-    }
-    return f;
-}
-
-/// Records in the file at `path`, from its size.
-std::uint64_t record_count(const std::string& path) {
-    std::error_code ec;
-    const std::uintmax_t bytes = std::filesystem::file_size(path, ec);
-    if (ec) throw std::runtime_error("cannot read " + path + ": " + ec.message());
-    if (bytes % sizeof(Record) != 0) {
-        throw std::runtime_error(path + ": size " + std::to_string(bytes) +
-                                 " is not a multiple of 16 bytes");
-    }
-    return bytes / sizeof(Record);
-}
-
-void read_exact(std::FILE* f, std::span<Record> out, const std::string& path) {
-    if (std::fread(out.data(), sizeof(Record), out.size(), f) != out.size()) {
-        throw std::runtime_error(path + ": short read");
-    }
-}
-
-void write_all(std::FILE* f, std::span<const Record> recs, const std::string& path) {
-    if (std::fwrite(recs.data(), sizeof(Record), recs.size(), f) != recs.size()) {
-        throw std::runtime_error("cannot write " + path + ": " + std::strerror(errno));
-    }
-}
-
-/// Close `f`, reporting what the last flush of buffered data hit.
-void close_file(FilePtr f, const std::string& path) {
-    if (std::fclose(f.release()) != 0) {
-        throw std::runtime_error("cannot write " + path + ": " + std::strerror(errno));
-    }
-}
-
-/// The output commit: `next` fills the buffer with the next chunk of the
-/// sorted stream and returns its length (0 at the end). Every chunk is
-/// folded into `check` and written to `<path>.tmp`, which is renamed onto
-/// `path` only when the whole stream passed the check. On any failure the
-/// temporary file is removed and `path` is left as it was. Returns the
-/// seconds spent in the check.
-double commit_output(const std::string& path, std::span<Record> buf,
-                     FunctionRef<std::size_t(std::span<Record>)> next, StreamCheck& check) {
-    const std::string tmp = path + ".tmp";
-    struct RemoveUnlessCommitted {
-        const std::string& tmp;
-        bool committed = false;
-        ~RemoveUnlessCommitted() {
-            std::error_code ec;
-            if (!committed) std::filesystem::remove(tmp, ec);
-        }
-    } guard{tmp};
-    FilePtr f = open_file(tmp, "wb");
-    double verify_s = 0;
-    while (const std::size_t len = next(buf)) {
-        const std::span<const Record> chunk = buf.first(len);
-        const Timer t;
-        check.output(chunk);
-        verify_s += t.seconds();
-        write_all(f.get(), chunk, tmp);
-    }
-    close_file(std::move(f), tmp);
-    if (const std::string why = check.failure(); !why.empty()) throw std::runtime_error(why);
-    std::error_code ec;
-    std::filesystem::rename(tmp, path, ec);
-    if (ec) throw std::runtime_error("cannot rename " + tmp + " to " + path + ": " + ec.message());
-    guard.committed = true;
-    return verify_s;
-}
-
-double peak_rss_mb() {
-    rusage ru{};
-    getrusage(RUSAGE_SELF, &ru);
-    return static_cast<double>(ru.ru_maxrss) / 1024.0; // ru_maxrss is in KiB
+/// Seconds in a getrusage time field.
+double seconds(const timeval& tv) {
+    return static_cast<double>(tv.tv_sec) + static_cast<double>(tv.tv_usec) * 1e-6;
 }
 
 int run(const CliOptions& o) {
-    // An impossible machine shape is a usage error, reported before any
-    // input is read or scratch file created.
+    // An impossible machine shape or flag combination is a usage error,
+    // reported before any input is read or scratch file created.
     try {
         PdmConfig{.n = 1, .m = o.mem, .d = o.disks, .b = o.block, .p = 1}.validate();
     } catch (const std::invalid_argument& e) {
         std::cerr << "balsort_cli: " << e.what() << '\n';
         usage(o.argv0);
     }
-    // One M-record buffer carries the input in and the output out: memory
-    // depends on M, D and B, never on n. StreamCheck folds both streams, and
-    // the output is renamed into place only once it passed the check.
-    FilePtr input = open_file(o.input, "rb");
-    const std::uint64_t n = record_count(o.input);
-    StreamCheck check;
-    std::vector<Record> buf(std::min<std::uint64_t>(o.mem, n));
-    if (n == 0) {
-        commit_output(o.output, buf, [](std::span<Record>) { return std::size_t{0}; }, check);
-        return 0;
-    }
-    const PdmConfig cfg{.n = n, .m = o.mem, .d = o.disks, .b = o.block, .p = 1};
-
     // Crash restartability (DESIGN.md §13): pin the scratch files under
     // names derived from the checkpoint path and keep them across crashes,
     // so a --resume invocation can adopt the interrupted run's blocks.
@@ -284,6 +191,10 @@ int run(const CliOptions& o) {
         std::cerr << "--resume requires --checkpoint FILE (the same one the crashed run used)\n";
         return 2;
     }
+    if (o.algo != "balance" && o.algo != "greed" && o.algo != "merge") {
+        std::cerr << "unknown --algo " << o.algo << '\n';
+        return 2;
+    }
     ScratchOptions scratch;
     if (checkpointing) {
         scratch.tag = "ck_";
@@ -293,8 +204,8 @@ int run(const CliOptions& o) {
         scratch.adopt = o.resume;
         scratch.keep = true; // a crash must leave the blocks behind for --resume
     }
-    DiskArray disks(cfg.d, cfg.b, DiskBackend::kFile, o.scratch, Constraint::kIndependentDisks,
-                    {}, {}, scratch);
+    DiskArray disks(o.disks, o.block, DiskBackend::kFile, o.scratch,
+                    Constraint::kIndependentDisks, {}, {}, scratch);
 
     // Observability (DESIGN.md §11): install the tracer/registry for the
     // whole run so the layout and read-back I/O is captured too, not just
@@ -314,75 +225,47 @@ int run(const CliOptions& o) {
         profiler = std::make_unique<Profiler>(pcfg);
     }
 
+    // The library's driver streams the file in and out through one
+    // M-record buffer and renames the output into place once it is checked.
     Timer timer;
-    double verify_s = 0;
-    BlockRun run_in;
-    {
-        RunWriter w(disks);
-        for (std::uint64_t off = 0; off < n; off += buf.size()) {
-            const std::span<Record> chunk(buf.data(), std::min<std::uint64_t>(buf.size(), n - off));
-            read_exact(input.get(), chunk, o.input);
-            const Timer t;
-            check.input(chunk);
-            verify_s += t.seconds();
-            w.append(chunk);
-        }
-        run_in = w.finish();
-    }
-    input.reset();
-
-    IoStats io;
-    BlockRun run_out;
-    PhaseProfile phases;
-    double sort_elapsed = 0;
-    bool have_phases = false;
-    SortReport report; // fed to --manifest; fully populated by balance only
+    PdmConfig cfg{.n = 0, .m = o.mem, .d = o.disks, .b = o.block, .p = 1};
+    SortReport report; // fed to --manifest and --stats; fully populated by balance only
     BalanceTimeline timeline; // --balance-timeline recorder (balance algo only)
     const bool want_timeline = !o.timeline_path.empty();
-    if (o.algo == "balance") {
-        BalanceOptions bal;
-        bal.timeline = want_timeline ? &timeline : nullptr;
-        SortJobConfig job;
-        if (o.sketch) job.pivots(PivotMethod::kStreamingSketch);
-        // --threads caps the real compute lanes (work-stealing executor);
-        // the charged PRAM model still uses cfg.p processors.
-        if (o.threads != 0) job.threads(o.threads);
-        job.balance(bal)
-            .observability(ObsPolicy{}
-                               .tracer(o.trace_path.empty() ? nullptr : &tracer)
-                               .registry(want_metrics ? &metrics_reg : nullptr)
-                               .sampler(profiler.get()));
-        DurabilityPolicy dur;
-        dur.checkpoint(o.checkpoint);
-        if (o.resume) dur.resume(o.checkpoint);
-        job.durability(std::move(dur));
-        run_out = balance_sort(disks, run_in, cfg, job, &report);
-        io = report.io;
-        phases = report.phases;
-        sort_elapsed = report.elapsed_seconds;
-        have_phases = true;
-    } else if (o.algo == "greed") {
+    const double verify_s = sort_file(o.input, o.output, disks, o.mem, [&](const BlockRun& in) {
+        cfg.n = in.n_records;
+        if (o.algo == "balance") {
+            BalanceOptions bal;
+            bal.timeline = want_timeline ? &timeline : nullptr;
+            SortJobConfig job;
+            if (o.sketch) job.pivots(PivotMethod::kStreamingSketch);
+            // --threads caps the real compute lanes (work-stealing executor);
+            // the charged PRAM model still uses cfg.p processors.
+            if (o.threads != 0) job.threads(o.threads);
+            job.balance(bal)
+                .observability(ObsPolicy{}
+                                   .tracer(o.trace_path.empty() ? nullptr : &tracer)
+                                   .registry(want_metrics ? &metrics_reg : nullptr)
+                                   .sampler(profiler.get()));
+            DurabilityPolicy dur;
+            dur.checkpoint(o.checkpoint);
+            if (o.resume) dur.resume(o.checkpoint);
+            job.durability(std::move(dur));
+            return balance_sort(disks, in, cfg, job, &report);
+        }
         ProfilerScope profile_scope(profiler.get());
-        GreedSortReport rep;
-        run_out = greed_sort(disks, run_in, cfg, &rep);
-        io = rep.io;
-        report.io = io;
-    } else if (o.algo == "merge") {
-        ProfilerScope profile_scope(profiler.get());
-        StripedMergeReport rep;
-        run_out = striped_merge_sort(disks, run_in, cfg, &rep);
-        io = rep.io;
-        report.io = io;
-    } else {
-        std::cerr << "unknown --algo " << o.algo << '\n';
-        return 2;
-    }
-
-    {
-        RunReader r(disks, run_out);
-        verify_s += commit_output(
-            o.output, buf, [&](std::span<Record> b) { return std::size_t(r.read(b)); }, check);
-    }
+        BlockRun out;
+        if (o.algo == "greed") {
+            GreedSortReport rep;
+            out = greed_sort(disks, in, cfg, &rep);
+            report.io = rep.io;
+        } else {
+            StripedMergeReport rep;
+            out = striped_merge_sort(disks, in, cfg, &rep);
+            report.io = rep.io;
+        }
+        return out;
+    });
 
     if (checkpointing) {
         // The sort completed and the output landed: recovery state is no
@@ -393,6 +276,7 @@ int run(const CliOptions& o) {
         std::filesystem::remove(o.checkpoint, ec);
         std::filesystem::remove(o.checkpoint + ".tmp", ec);
     }
+    if (cfg.n == 0) return 0; // an empty input sorts to an empty output
 
     if (profiler != nullptr) {
         // Samples land in the trace too (one "profile N" lane per sampled
@@ -426,8 +310,13 @@ int run(const CliOptions& o) {
     }
 
     if (o.stats) {
+        const IoStats& io = report.io;
+        const PhaseProfile& phases = report.phases;
+        const double sort_elapsed = report.elapsed_seconds;
+        rusage use{};
+        getrusage(RUSAGE_SELF, &use);
         Table t({"metric", "value"});
-        t.add_row({"records", Table::num(n)});
+        t.add_row({"records", Table::num(cfg.n)});
         t.add_row({"algorithm", o.algo + (o.sketch ? "+sketch" : "")});
         t.add_row({"parallel I/O steps", Table::num(io.io_steps())});
         t.add_row({"scratch bytes moved",
@@ -439,8 +328,11 @@ int run(const CliOptions& o) {
         t.add_row({"resumes", Table::num(report.resumes)});
         t.add_row({"wall time (s)", Table::fixed(timer.seconds(), 2)});
         t.add_row({"verify (s)", Table::fixed(verify_s, 3)});
-        t.add_row({"peak RSS (MB)", Table::fixed(peak_rss_mb(), 1)});
-        if (have_phases) {
+        // ru_maxrss is in KiB.
+        t.add_row({"peak RSS (MB)", Table::fixed(static_cast<double>(use.ru_maxrss) / 1024.0, 1)});
+        t.add_row({"user CPU (s)", Table::fixed(seconds(use.ru_utime), 2)});
+        t.add_row({"system CPU (s)", Table::fixed(seconds(use.ru_stime), 2)});
+        if (o.algo == "balance") {
             t.add_row({"sort elapsed (s)", Table::fixed(sort_elapsed, 2)});
             t.add_row({"  pivot phase (s)", Table::fixed(phases.pivot_seconds, 2)});
             t.add_row({"  balance phase (s)", Table::fixed(phases.balance_seconds, 2)});
@@ -483,10 +375,10 @@ int selftest(const CliOptions& parsed) {
     const std::string out = stem + "_out.bin";
     const std::string bad = stem + "_bad.bin";
     const auto data = generate(Workload::kZipf, 200000, 1);
-    {
-        FilePtr f = open_file(in, "wb");
-        write_all(f.get(), data, in);
-        close_file(std::move(f), in);
+    const auto bytes = static_cast<std::streamsize>(data.size() * sizeof(Record));
+    if (std::ofstream f(in, std::ios::binary);
+        !f.write(reinterpret_cast<const char*>(data.data()), bytes)) {
+        throw std::runtime_error("cannot write " + in);
     }
     // Artifact and shape flags ride along (CI generates its reference
     // trace/manifest/profile via `--selftest --disks 8 --trace ...`);
@@ -499,34 +391,30 @@ int selftest(const CliOptions& parsed) {
     if (!o.disks_set) o.disks = 4;
     if (!o.block_set) o.block = 64;
     o.stats = true;
-    const int rc = run(o);
-    std::filesystem::remove(in);
-    if (rc != 0) return rc;
-    std::vector<Record> sorted(record_count(out));
-    read_exact(open_file(out, "rb").get(), sorted, out);
+    if (const int rc = run(o); rc != 0) {
+        std::filesystem::remove(in);
+        return rc;
+    }
+    // An exact check of the output, independent of the fused one.
+    std::vector<Record> sorted(data.size());
+    const bool ok = std::filesystem::file_size(out) == static_cast<std::uintmax_t>(bytes) &&
+                    std::ifstream(out, std::ios::binary)
+                        .read(reinterpret_cast<char*>(sorted.data()), bytes) &&
+                    is_sorted_permutation_of(data, sorted);
     std::filesystem::remove(out);
-    const bool ok = is_sorted_permutation_of(data, sorted);
 
-    // The fused check must refuse a corrupted stream: the sorted output
-    // with one payload bit flipped goes through the same commit path, which
-    // must fail and leave no file behind.
+    // The fused check must refuse a corrupted stream: a sort that returns
+    // the sorted output with one payload bit flipped goes through the same
+    // commit path, which must fail and leave no file behind.
     sorted[sorted.size() / 2].payload ^= 1;
     std::cout << "selftest: feeding a corrupted stream to the output check (expect a refusal)\n";
-    StreamCheck check;
-    check.input(data);
-    std::vector<Record> buf(std::min<std::uint64_t>(o.mem, sorted.size()));
-    std::span<const Record> rest(sorted);
+    DiskArray disks(o.disks, o.block);
     const int bad_rc = guarded([&] {
-        commit_output(bad, buf,
-                      [&](std::span<Record> b) {
-                          const std::size_t len = std::min(b.size(), rest.size());
-                          std::copy_n(rest.begin(), len, b.begin());
-                          rest = rest.subspan(len);
-                          return len;
-                      },
-                      check);
+        sort_file(in, bad, disks, o.mem,
+                  [&](const BlockRun&) { return write_striped(disks, sorted); });
         return 0;
     });
+    std::filesystem::remove(in);
     const bool refused = bad_rc != 0 && !std::filesystem::exists(bad) &&
                          !std::filesystem::exists(bad + ".tmp");
     if (!refused) std::cout << "selftest: a corrupted output stream was not refused\n";

@@ -4,14 +4,17 @@
 //
 //   ./external_sort_files [N] [M] [D] [B] [scratch-dir]
 //
-// The example creates an unsorted input file, spreads it across D scratch
-// disk files, runs Balance Sort, writes the sorted output file, and
-// verifies it. All I/O statistics reported are real pread/pwrite traffic.
+// The example creates an unsorted input file and hands it to the library's
+// streaming driver (`sort_file`, DESIGN.md §9): the file streams across D
+// scratch disk files M records at a time, Balance Sort runs, and the sorted
+// run streams out to the output file through the same M-record buffer,
+// checked on the way. All I/O statistics reported are real pread/pwrite
+// traffic.
 // A malformed number or an impossible machine shape is a usage error
 // (reason + usage on stderr, exit 2), reported before any file is created.
-#include <cstdio>
 #include <cstdlib>
 #include <filesystem>
+#include <fstream>
 #include <iostream>
 #include <limits>
 #include <stdexcept>
@@ -45,32 +48,6 @@ std::uint64_t positional(int argc, char** argv, int i, const char* name, std::ui
     return *v;
 }
 
-void write_record_file(const std::string& path, const std::vector<Record>& records) {
-    std::FILE* f = std::fopen(path.c_str(), "wb");
-    if (f == nullptr) {
-        std::perror("fopen");
-        std::exit(1);
-    }
-    std::fwrite(records.data(), sizeof(Record), records.size(), f);
-    std::fclose(f);
-}
-
-std::vector<Record> read_record_file(const std::string& path) {
-    std::FILE* f = std::fopen(path.c_str(), "rb");
-    if (f == nullptr) {
-        std::perror("fopen");
-        std::exit(1);
-    }
-    std::fseek(f, 0, SEEK_END);
-    const long bytes = std::ftell(f);
-    std::fseek(f, 0, SEEK_SET);
-    std::vector<Record> records(static_cast<std::size_t>(bytes) / sizeof(Record));
-    const std::size_t got = std::fread(records.data(), sizeof(Record), records.size(), f);
-    std::fclose(f);
-    records.resize(got);
-    return records;
-}
-
 } // namespace
 
 int main(int argc, char** argv) {
@@ -102,46 +79,34 @@ int main(int argc, char** argv) {
               << " scratch disks in " << dir << ", B=" << cfg.b << " records/block\n\n";
 
     // 1. Create the unsorted input file.
-    auto input = generate(Workload::kZipf, cfg.n, 7);
-    write_record_file(in_path, input);
-
-    // 2. Load it onto the file-backed disk array, striped.
-    DiskArray disks(cfg.d, cfg.b, DiskBackend::kFile, dir);
-    Timer total;
-    BlockRun run;
     {
-        // Stream the input file through memory M records at a time.
-        auto data = read_record_file(in_path);
-        RunWriter writer(disks);
-        for (std::size_t off = 0; off < data.size(); off += cfg.m) {
-            const std::size_t len = std::min<std::size_t>(cfg.m, data.size() - off);
-            writer.append(std::span<const Record>(data.data() + off, len));
-        }
-        run = writer.finish();
-    }
-
-    // 3. Sort.
-    SortReport rep;
-    Timer sort_timer;
-    BlockRun sorted_run = balance_sort(disks, run, cfg, SortJobConfig{}, &rep);
-    const double sort_secs = sort_timer.seconds();
-
-    // 4. Write the sorted output file (streamed).
-    {
-        RunReader reader(disks, sorted_run);
-        std::vector<Record> out;
-        out.reserve(sorted_run.n_records);
-        std::vector<Record> chunk;
-        while (reader.remaining() > 0) {
-            chunk.resize(std::min<std::uint64_t>(cfg.m, reader.remaining()));
-            reader.read(chunk);
-            out.insert(out.end(), chunk.begin(), chunk.end());
-        }
-        write_record_file(out_path, out);
-        if (!is_sorted_permutation_of(input, out)) {
-            std::cerr << "FAILED: output file is not a sorted permutation of the input!\n";
+        const auto input = generate(Workload::kZipf, cfg.n, 7);
+        std::ofstream f(in_path, std::ios::binary);
+        if (!f.write(reinterpret_cast<const char*>(input.data()),
+                     static_cast<std::streamsize>(input.size() * sizeof(Record)))) {
+            std::cerr << "external_sort_files: cannot write " << in_path << '\n';
             return 1;
         }
+    }
+
+    // 2-4. Stream it onto the file-backed disk array M records at a time,
+    // sort, and stream the sorted run out to the output file through the
+    // same M-record buffer, checking it on the way (sort_file: the output
+    // file appears only if it is a sorted permutation of the input).
+    DiskArray disks(cfg.d, cfg.b, DiskBackend::kFile, dir);
+    Timer total;
+    SortReport rep;
+    double sort_secs = 0;
+    try {
+        sort_file(in_path, out_path, disks, cfg.m, [&](const BlockRun& run) {
+            const Timer sort_timer;
+            BlockRun sorted = balance_sort(disks, run, cfg, SortJobConfig{}, &rep);
+            sort_secs = sort_timer.seconds();
+            return sorted;
+        });
+    } catch (const std::exception& e) {
+        std::cerr << "FAILED: " << e.what() << '\n';
+        return 1;
     }
 
     Table t({"metric", "value"});
@@ -157,8 +122,7 @@ int main(int argc, char** argv) {
     t.add_row({"sort wall time (s)", Table::fixed(sort_secs, 2)});
     t.add_row({"total wall time (s)", Table::fixed(total.seconds(), 2)});
     t.print(std::cout);
-    std::cout << "\nOK: " << out_path << " verified sorted ("
-              << sorted_run.n_records << " records).\n";
+    std::cout << "\nOK: " << out_path << " verified sorted (" << cfg.n << " records).\n";
 
     std::filesystem::remove(in_path);
     std::filesystem::remove(out_path);

@@ -14,6 +14,8 @@
 ///    array and getting it back (pdm/striping.hpp);
 ///  * `SortReport`, `balance_sort`, `balance_sort_records` — the flagship
 ///    Theorem 1 sort and its measurements (core/balance_sort.hpp);
+///  * `sort_stream`, `sort_file` — the streaming, self-checking external
+///    sort driver around any sort step (core/sort_stream.hpp);
 ///  * `SortJobConfig`, `IoPolicy`, `ComputePolicy`, `DurabilityPolicy`,
 ///    `ObsPolicy` — the sort configuration, one builder-style struct
 ///    (core/sort_config.hpp);
@@ -40,6 +42,7 @@
 #include "core/balance_sort.hpp"
 #include "core/hier_sort.hpp"
 #include "core/sort_config.hpp"
+#include "core/sort_stream.hpp"
 #include "obs/metrics.hpp"
 #include "obs/profiler.hpp"
 #include "obs/run_manifest.hpp"

@@ -48,7 +48,6 @@ public:
 
     /// Steps executed so far.
     std::uint64_t steps() const { return steps_; }
-    void reset_steps() { steps_ = 0; }
 
 private:
     std::vector<Record> data_;

@@ -63,10 +63,6 @@ public:
         std::lock_guard<std::mutex> lock(mu_);
         return index < has_crc_.size() && has_crc_[index];
     }
-    std::uint32_t stored_checksum(std::uint64_t index) const {
-        std::lock_guard<std::mutex> lock(mu_);
-        return crcs_[index];
-    }
 
     /// The in-memory sidecar, for checkpoint/restore (DESIGN.md §13): the
     /// sidecar is process state, so a resumed process must re-load it or

@@ -383,7 +383,6 @@ public:
     /// parity). The CLI's checkpointing path keeps scratch while a sort is
     /// in flight and re-enables cleanup after success.
     void set_keep_scratch(bool keep);
-    const ScratchOptions& scratch_options() const { return scratch_; }
 
     /// Blocks currently free-listed on `disk` (observability for tests).
     std::uint64_t free_blocks(std::uint32_t disk) const;
@@ -399,14 +398,9 @@ public:
 
     // ---- fault tolerance (DESIGN.md §8) ----
 
-    const FaultTolerance& fault_tolerance() const { return ft_; }
-
     /// Per-disk health counters; `health(d).alive == false` once disk `d`
     /// failed permanently (the array then serves it in degraded mode).
     const DiskHealth& health(std::uint32_t d) const;
-
-    /// The parity device (null unless FaultTolerance::parity).
-    const Disk* parity_disk_for_testing() const { return parity_.get(); }
 
     /// Recompute block `index` of disk `d` from the parity stripe:
     /// XOR of the parity block and every peer disk's block at `index`

@@ -92,14 +92,6 @@ public:
         std::lock_guard<std::mutex> lock(inject_mu_);
         return injected_write_errors_;
     }
-    std::uint64_t injected_torn_writes() const {
-        std::lock_guard<std::mutex> lock(inject_mu_);
-        return injected_torn_writes_;
-    }
-    std::uint64_t injected_bit_flips() const {
-        std::lock_guard<std::mutex> lock(inject_mu_);
-        return injected_bit_flips_;
-    }
     std::uint64_t injected_hangs() const {
         std::lock_guard<std::mutex> lock(inject_mu_);
         return injected_hangs_;

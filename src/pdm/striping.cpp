@@ -42,49 +42,57 @@ RunWriter::RunWriter(DiskArray& disks, std::uint32_t start_disk, bool synchroniz
 
 void RunWriter::append(std::span<const Record> records) {
     BS_REQUIRE(!finished_, "RunWriter::append after finish");
-    buffer_.insert(buffer_.end(), records.begin(), records.end());
     run_.n_records += records.size();
-    flush_full_blocks(false);
+    const std::size_t stripe = static_cast<std::size_t>(disks_.block_size()) * disks_.num_disks();
+    // Top the buffered tail up to a stripe, then write the caller's full
+    // stripes straight from its span: only a < 1-stripe rest is copied, so
+    // an append costs O(records) however the records are split.
+    if (!buffer_.empty()) {
+        const std::size_t take = std::min(stripe - buffer_.size(), records.size());
+        buffer_.insert(buffer_.end(), records.begin(), records.begin() + take);
+        records = records.subspan(take);
+        if (buffer_.size() == stripe) {
+            write_stripe(buffer_);
+            buffer_.clear();
+        }
+    }
+    for (; records.size() >= stripe; records = records.subspan(stripe)) {
+        write_stripe(records.first(stripe));
+    }
+    buffer_.insert(buffer_.end(), records.begin(), records.end());
 }
 
-void RunWriter::flush_full_blocks(bool final_flush) {
-    const std::uint32_t b = disks_.block_size();
+void RunWriter::write_stripe(std::span<const Record> data) {
     const std::uint32_t d = disks_.num_disks();
-    if (final_flush && buffer_.size() % b != 0) {
-        buffer_.resize(round_up(buffer_.size(), b)); // zero-pad the tail block
-    }
-    // Write in stripes of up to D blocks; keep a partial stripe buffered
-    // unless finishing (a stripe = one parallel I/O step).
-    while (buffer_.size() >= static_cast<std::size_t>(b) &&
-           (final_flush || buffer_.size() >= static_cast<std::size_t>(b) * d)) {
-        const std::size_t stripe_blocks =
-            std::min<std::size_t>(buffer_.size() / b, d);
-        std::vector<BlockOp> ops;
-        ops.reserve(stripe_blocks);
-        // §6 synchronized mode: the stripe shares one fresh index across
-        // the array (>= every disk's high-water mark), so each member
-        // block is at the same relative position — parity-friendly.
-        std::uint64_t synced_index = 0;
-        if (synchronized_) {
-            for (std::uint32_t k = 0; k < d; ++k) {
-                synced_index = std::max(synced_index, disks_.high_water(k));
-            }
+    const std::size_t stripe_blocks = data.size() / disks_.block_size();
+    std::vector<BlockOp> ops;
+    ops.reserve(stripe_blocks);
+    // §6 synchronized mode: the stripe shares one fresh index across
+    // the array (>= every disk's high-water mark), so each member
+    // block is at the same relative position — parity-friendly.
+    std::uint64_t synced_index = 0;
+    if (synchronized_) {
+        for (std::uint32_t k = 0; k < d; ++k) {
+            synced_index = std::max(synced_index, disks_.high_water(k));
         }
-        for (std::size_t k = 0; k < stripe_blocks; ++k) {
-            const std::uint32_t disk = next_disk_;
-            next_disk_ = (next_disk_ + 1) % d;
-            ops.push_back(BlockOp{disk, synchronized_ ? synced_index : disks_.allocate(disk)});
-        }
-        disks_.write_step(ops, std::span<const Record>(buffer_.data(), stripe_blocks * b));
-        run_.blocks.insert(run_.blocks.end(), ops.begin(), ops.end());
-        buffer_.erase(buffer_.begin(), buffer_.begin() + static_cast<std::ptrdiff_t>(stripe_blocks * b));
     }
+    for (std::size_t k = 0; k < stripe_blocks; ++k) {
+        const std::uint32_t disk = next_disk_;
+        next_disk_ = (next_disk_ + 1) % d;
+        ops.push_back(BlockOp{disk, synchronized_ ? synced_index : disks_.allocate(disk)});
+    }
+    disks_.write_step(ops, data);
+    run_.blocks.insert(run_.blocks.end(), ops.begin(), ops.end());
 }
 
 BlockRun RunWriter::finish() {
     BS_REQUIRE(!finished_, "RunWriter::finish called twice");
-    flush_full_blocks(true);
-    BS_MODEL_CHECK(buffer_.empty(), "RunWriter left unflushed records");
+    if (!buffer_.empty()) {
+        // The last, partial stripe: zero-pad its tail block.
+        buffer_.resize(round_up(buffer_.size(), disks_.block_size()));
+        write_stripe(buffer_);
+        buffer_.clear();
+    }
     finished_ = true;
     return std::move(run_);
 }
@@ -244,9 +252,8 @@ std::uint64_t RunReader::read(std::span<Record> out) {
     return want;
 }
 
-BlockRun write_striped(DiskArray& disks, std::span<const Record> records,
-                       std::uint32_t start_disk) {
-    RunWriter w(disks, start_disk);
+BlockRun write_striped(DiskArray& disks, std::span<const Record> records) {
+    RunWriter w(disks);
     w.append(records);
     return w.finish();
 }

@@ -43,8 +43,11 @@ struct BlockRun {
     void release(DiskArray& disks) const;
 };
 
-/// Append-only writer producing a striped BlockRun. Buffers one stripe
-/// (D blocks) and writes it with a single parallel I/O step.
+/// Append-only writer producing a striped BlockRun. Every full stripe (D
+/// blocks) is written with a single parallel I/O step; less than a stripe
+/// stays buffered until the next append or finish(). How the records are
+/// split into appends changes nothing: the blocks, the write steps and the
+/// buffered tail depend only on the records appended so far.
 class RunWriter {
 public:
     /// With `synchronized` (paper §6), every stripe lands at one common
@@ -71,13 +74,16 @@ public:
     std::uint32_t next_disk() const { return next_disk_; }
     void restore(BlockRun run, std::vector<Record> buffer, std::uint32_t next_disk) {
         BS_MODEL_CHECK(!finished_, "RunWriter::restore: writer already finished");
+        BS_MODEL_CHECK(buffer.size() < std::size_t{disks_.block_size()} * disks_.num_disks(),
+                       "RunWriter::restore: the buffered tail must be less than a stripe");
         run_ = std::move(run);
         buffer_ = std::move(buffer);
         next_disk_ = next_disk;
     }
 
 private:
-    void flush_full_blocks(bool final_flush);
+    /// Write `data` (whole blocks, at most D of them) as one stripe.
+    void write_stripe(std::span<const Record> data);
 
     DiskArray& disks_;
     std::uint32_t next_disk_;
@@ -194,8 +200,7 @@ private:
 };
 
 /// Convenience: write all of `records` as a striped run / read a whole run.
-BlockRun write_striped(DiskArray& disks, std::span<const Record> records,
-                       std::uint32_t start_disk = 0);
+BlockRun write_striped(DiskArray& disks, std::span<const Record> records);
 std::vector<Record> read_run(DiskArray& disks, const BlockRun& run);
 
 /// Partial striping (§4.1): D' virtual disks, each a group of g = D/D'

@@ -40,8 +40,10 @@ struct JobSpec {
     /// Fairness weight: a weight-2 job earns twice the I/O-step quantum of
     /// a weight-1 neighbour per arbiter round. Must be >= 1.
     std::uint32_t priority = 1;
-    /// Verify the output is a sorted permutation of the input before
-    /// declaring success (costs a copy of the input on the worker).
+    /// Check the output is a sorted permutation of the input before
+    /// declaring success: keys in order and the input's multiset
+    /// fingerprint, folded while the records stream through the job's
+    /// M-record buffer (StreamCheck; no copy of the input).
     bool verify = true;
     /// Front-end hint (balsortd `profile=` key): where to write this job's
     /// folded CPU stacks after the run. The scheduler itself ignores it —
@@ -142,11 +144,12 @@ struct JobStatus {
 };
 
 /// Order-sensitive FNV-1a over (key, payload) pairs — the service's output
-/// fingerprint (same constants as the pipeline golden tests).
-inline std::uint64_t fnv1a_records(std::span<const Record> records) {
-    constexpr std::uint64_t kOffset = 1469598103934665603ull;
+/// fingerprint (same constants as the pipeline golden tests). `h` is the
+/// running hash (default: FNV's offset basis), so a stream hashes chunk by
+/// chunk: fold each chunk into the previous chunk's result.
+inline std::uint64_t fnv1a_records(std::span<const Record> records,
+                                   std::uint64_t h = 1469598103934665603ull) {
     constexpr std::uint64_t kPrime = 1099511628211ull;
-    std::uint64_t h = kOffset;
     auto mix = [&h](std::uint64_t v) {
         for (int i = 0; i < 8; ++i) {
             h ^= (v >> (8 * i)) & 0xffu;

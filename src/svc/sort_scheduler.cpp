@@ -5,9 +5,9 @@
 #include <sstream>
 #include <utility>
 
+#include "core/sort_stream.hpp"
 #include "obs/flight_recorder.hpp"
 #include "obs/run_manifest.hpp"
-#include "pdm/striping.hpp"
 #include "util/math.hpp"
 
 namespace balsort {
@@ -239,8 +239,11 @@ SortJobConfig SortScheduler::wire_shared(SortJobConfig cfg) {
 void SortScheduler::execute(Job& job) {
     const auto t_enter = std::chrono::steady_clock::now();
     const JobSpec& spec = job.spec;
-    std::vector<Record> input =
-        spec.records.empty() ? generate(spec.workload, spec.n, spec.seed) : spec.records;
+    // The caller's records are read in place; a workload is generated here,
+    // on the worker.
+    const std::vector<Record> generated =
+        spec.records.empty() ? generate(spec.workload, spec.n, spec.seed) : std::vector<Record>{};
+    std::span<const Record> input = spec.records.empty() ? generated : spec.records;
 
     PdmConfig pdm;
     pdm.n = input.size();
@@ -274,36 +277,46 @@ void SortScheduler::execute(Job& job) {
     job_span.arg("job_id", static_cast<std::int64_t>(job.id));
 
     JobChannelBinding bind(disks_, &job.channel);
-    std::vector<Record> sorted;
-    // Wall-clock the gate + engine waits this channel has accrued so far,
-    // so the service segments below can be accounted net of them (a wait
-    // during striping belongs to its own budget bucket, not to "other").
+    // Service time outside the sort (generation, striping, read-back, hash,
+    // check, manifest) is "other", net of the gate + engine waits it spent;
+    // written under mu_, since status() reads it for the live budget.
     auto waited = [this, &job]() {
         return static_cast<double>(job.channel.gate_wait_ns.load(std::memory_order_relaxed)) *
                    1e-9 +
                disks_.channel_stats(job.channel).engine_stall_seconds;
     };
+    auto add_other = [&](std::chrono::steady_clock::time_point since, double waited_before) {
+        const double seg = std::chrono::duration<double>(std::chrono::steady_clock::now() - since)
+                               .count() -
+                           (waited() - waited_before);
+        std::lock_guard<std::mutex> lock(mu_);
+        job.other_seconds += std::max(0.0, seg);
+    };
     std::chrono::steady_clock::time_point t_post{};
     double waited_at_post = 0;
+    // One M-record buffer carries the input in and the output out. A whole
+    // number of stripes reads the output back in exactly the steps of one
+    // whole-run read (DB <= M/2, so it holds at least two).
+    const std::uint64_t stripe = std::uint64_t{pdm.d} * pdm.b;
+    std::vector<Record> buf(std::min(pdm.n, spec.m / stripe * stripe));
+    StreamCheck check;
+    std::uint64_t hash = fnv1a_records({});
     try {
-        BlockRun in_run = write_striped(disks_, input);
-        // Pre-sort service segment: input generation + striping. Written
-        // under mu_: status() reads other_seconds for the live budget.
-        {
-            const double seg = std::max(
-                0.0,
-                std::chrono::duration<double>(std::chrono::steady_clock::now() - t_enter)
-                        .count() -
-                    waited());
-            std::lock_guard<std::mutex> lock(mu_);
-            job.other_seconds += seg;
-        }
-        BlockRun out = balance_sort(disks_, in_run, pdm, cfg, &job.report);
-        t_post = std::chrono::steady_clock::now();
-        waited_at_post = waited();
-        sorted = read_run(disks_, out);
-        for (const BlockOp& op : in_run.blocks) disks_.release(op);
-        for (const BlockOp& op : out.blocks) disks_.release(op);
+        sort_stream(
+            disks_, pdm.n, buf,
+            [&input](std::span<Record> chunk) {
+                std::copy_n(input.begin(), chunk.size(), chunk.begin());
+                input = input.subspan(chunk.size());
+            },
+            [&](const BlockRun& in_run) {
+                add_other(t_enter, 0.0);
+                BlockRun out = balance_sort(disks_, in_run, pdm, cfg, &job.report);
+                t_post = std::chrono::steady_clock::now();
+                waited_at_post = waited();
+                return out;
+            },
+            [&hash](std::span<const Record> chunk) { hash = fnv1a_records(chunk, hash); },
+            spec.verify ? &check : nullptr);
         disks_.drain_async();
     } catch (...) {
         // Land this job's in-flight work while the channel is still bound
@@ -316,13 +329,7 @@ void SortScheduler::execute(Job& job) {
         }
         throw;
     }
-
-    job.output_hash = fnv1a_records(sorted);
-    if (spec.verify &&
-        !is_sorted_permutation_of(std::move(input), std::move(sorted))) {
-        throw ModelViolation("job '" + spec.name +
-                             "': output is not a sorted permutation of the input");
-    }
+    job.output_hash = hash;
 
     if (!cfg_.manifest_dir.empty()) {
         RunManifest mani;
@@ -335,15 +342,7 @@ void SortScheduler::execute(Job& job) {
         mani.write_json_file(path.str());
     }
 
-    // Post-sort service segment: read-back + release, output hash, verify,
-    // manifest — again net of the waits the read-back itself spent.
-    {
-        const double seg = std::max(
-            0.0, std::chrono::duration<double>(std::chrono::steady_clock::now() - t_post).count() -
-                     (waited() - waited_at_post));
-        std::lock_guard<std::mutex> lock(mu_);
-        job.other_seconds += seg;
-    }
+    add_other(t_post, waited_at_post);
 }
 
 void SortScheduler::finish(Job& job, JobState terminal, const std::string& error) {

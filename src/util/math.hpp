@@ -50,13 +50,6 @@ inline double paper_log_ratio(double x, double b) {
     return paper_log(x) / paper_log(b);
 }
 
-/// Integer power (overflow not checked; for small exponents).
-constexpr std::uint64_t ipow(std::uint64_t base, unsigned exp) {
-    std::uint64_t r = 1;
-    while (exp--) r *= base;
-    return r;
-}
-
 /// floor(x^(1/k)) for k >= 1, by Newton + correction. Exact for all uint64.
 inline std::uint64_t iroot(std::uint64_t x, unsigned k) {
     BS_REQUIRE(k >= 1, "iroot: k must be >= 1");

@@ -70,10 +70,4 @@ std::string Table::fixed(double v, int digits) {
     return os.str();
 }
 
-std::string Table::sci(double v, int digits) {
-    std::ostringstream os;
-    os << std::scientific << std::setprecision(digits) << v;
-    return os.str();
-}
-
 } // namespace balsort

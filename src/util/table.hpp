@@ -28,7 +28,6 @@ public:
     /// Formatting helpers for cells.
     static std::string num(std::uint64_t v);
     static std::string fixed(double v, int digits = 2);
-    static std::string sci(double v, int digits = 2);
 
 private:
     std::vector<std::string> headers_;

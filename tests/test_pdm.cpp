@@ -197,6 +197,55 @@ TEST(RunWriter, StripesAcrossDisksInOrder) {
     EXPECT_EQ(arr.stats().write_steps, 3u);
 }
 
+// The layout depends on the records appended, not on how they were split
+// into appends: the streaming driver appends M-record chunks where a
+// whole-input append used to be, and must write the same run in the same
+// steps.
+TEST(RunWriter, LayoutDoesNotDependOnAppendChunks) {
+    constexpr std::uint32_t d = 4, b = 8, m = 64;
+    const std::size_t stripe = std::size_t{d} * b;
+    const auto recs = generate(Workload::kUniform, 1000, 3); // 31 stripes + a ragged tail
+    using Ops = std::vector<std::pair<std::uint32_t, std::uint64_t>>;
+    auto ops_of = [](std::span<const BlockOp> ops) {
+        Ops out;
+        for (const BlockOp& op : ops) out.emplace_back(op.disk, op.block);
+        return out;
+    };
+    struct Layout {
+        Ops blocks;
+        std::vector<std::pair<bool, Ops>> steps;
+        std::vector<Record> back;
+    };
+    for (const bool synchronized : {false, true}) {
+        auto lay_out = [&](std::size_t chunk) {
+            DiskArray arr(d, b);
+            Layout l;
+            arr.set_step_observer([&l, &ops_of](bool is_read, std::span<const BlockOp> ops) {
+                l.steps.emplace_back(is_read, ops_of(ops));
+            });
+            RunWriter w(arr, 0, synchronized);
+            for (std::size_t off = 0; off < recs.size(); off += chunk) {
+                w.append(std::span(recs).subspan(off, std::min(chunk, recs.size() - off)));
+                EXPECT_LT(w.buffer().size(), stripe) << "chunk " << chunk;
+                EXPECT_EQ(w.buffer().size(), std::min(off + chunk, recs.size()) % stripe);
+            }
+            const BlockRun run = w.finish();
+            l.blocks = ops_of(run.blocks);
+            l.back = read_run(arr, run);
+            return l;
+        };
+        const Layout whole = lay_out(recs.size());
+        EXPECT_EQ(whole.back, recs);
+        for (const std::size_t chunk : {std::size_t{m}, std::size_t{1}, std::size_t{b - 1},
+                                        stripe + 1}) {
+            const Layout l = lay_out(chunk);
+            EXPECT_EQ(l.blocks, whole.blocks) << "chunk " << chunk << " sync " << synchronized;
+            EXPECT_EQ(l.steps, whole.steps) << "chunk " << chunk << " sync " << synchronized;
+            EXPECT_EQ(l.back, whole.back) << "chunk " << chunk << " sync " << synchronized;
+        }
+    }
+}
+
 TEST(RunWriter, AppendAfterFinishThrows) {
     DiskArray arr(2, 2);
     RunWriter w(arr);

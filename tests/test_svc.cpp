@@ -28,6 +28,7 @@
 #include "obs/metrics.hpp"
 #include "obs/tracer.hpp"
 #include "pdm/disk_array.hpp"
+#include "pdm/striping.hpp"
 #include "svc/sort_scheduler.hpp"
 #include "util/buffer_pool.hpp"
 #include "util/workload.hpp"
@@ -123,6 +124,56 @@ void expect_concurrent_matches_solo(DiskBackend backend, bool workers, std::size
         // alike (DESIGN.md §16).
         expect_budget_closed(solo[i]);
         expect_budget_closed(conc[i]);
+    }
+}
+
+// A job streams its input in and its output out through one M-record
+// buffer. With M not a whole number of stripes the read-back chunk rounds
+// down to one, so the job's steps and output hash equal the whole-run path
+// (lay out in one append, sort, read the whole run back at once).
+TEST(SvcJobTest, StreamedJobMatchesWholeRunPath) {
+    for (const bool workers : {false, true}) {
+        SCOPED_TRACE(workers ? "workers" : "inline");
+        JobSpec spec;
+        spec.name = "streamed";
+        spec.records = generate(Workload::kZipf, 20000, 5);
+        spec.m = 1100; // D*B = 512: read back in 1100-record chunks, this would cost more
+        spec.p = 2;
+        DiskArray disks = make_array(DiskBackend::kMemory);
+        disks.set_async(workers);
+        SchedulerConfig sc;
+        sc.max_active = 1;
+        SortScheduler sched(disks, sc);
+        const AdmissionResult adm = sched.submit(spec);
+        ASSERT_TRUE(adm.admitted) << adm.reason;
+        const JobStatus st = sched.wait(adm.id);
+        ASSERT_EQ(st.state, JobState::kSucceeded) << st.error;
+
+        DiskArray ref = make_array(DiskBackend::kMemory);
+        ref.set_async(workers);
+        const BlockRun in = write_striped(ref, spec.records);
+        const PdmConfig pdm{.n = 20000, .m = 1100, .d = 8, .b = 64, .p = 2};
+        const BlockRun out = balance_sort(ref, in, pdm, spec.config);
+        const std::vector<Record> sorted = read_run(ref, out);
+        EXPECT_EQ(st.io.io_steps(), ref.stats().io_steps());
+        EXPECT_EQ(st.io.blocks_read, ref.stats().blocks_read);
+        EXPECT_EQ(st.output_hash, fnv1a_records(sorted));
+    }
+}
+
+// The service hashes its output chunk by chunk as it streams back; that
+// must be the hash of the whole output.
+TEST(SvcJobTest, ChunkedOutputHashMatchesWhole) {
+    for (const std::size_t n : {0, 1, 1000, 65537}) {
+        const auto recs = generate(Workload::kUniform, n, n + 1);
+        const std::uint64_t whole = fnv1a_records(recs);
+        for (const std::size_t chunk : {1, 7, 4096, 65536}) {
+            std::uint64_t h = fnv1a_records({});
+            for (std::size_t off = 0; off < n; off += chunk) {
+                h = fnv1a_records(std::span(recs).subspan(off, std::min(chunk, n - off)), h);
+            }
+            EXPECT_EQ(h, whole) << "n " << n << " chunk " << chunk;
+        }
     }
 }
 
