@@ -210,6 +210,113 @@ TEST(Balance, SingleVirtualDisk) {
     EXPECT_EQ(r.stats.deferred_blocks, 0u);
 }
 
+// Goldens for the non-default BalanceOptions paths (the pipeline goldens
+// run only the defaults): BalanceStats, the step-observer sequence
+// (FNV-1a over direction, fan-out and every block address), every bucket's
+// key range, counts and block addresses, and the sketch pivots.
+std::uint64_t fnv1a(std::uint64_t h, std::uint64_t x) {
+    for (int i = 0; i < 8; ++i) {
+        h ^= (x >> (8 * i)) & 0xff;
+        h *= 1099511628211ull;
+    }
+    return h;
+}
+
+struct BalanceGolden {
+    std::uint64_t tracks, direct, matched, deferred, rounds, draws;
+    std::uint64_t step_hash, run_hash, sketch_hash;
+};
+
+void expect_balance_golden(const char* label, const BalanceOptions& opt,
+                           std::uint32_t sketch_child_s, const BalanceGolden& g) {
+    constexpr std::uint64_t kOffset = 1469598103934665603ull;
+    auto recs = generate(Workload::kGaussian, 10007, 13);
+    DiskArray disks(8, 4);
+    VirtualDisks vd(disks, 4);
+    Parallel pool(2);
+    VectorSource src_for_pivots(recs);
+    auto pivots = compute_pivots_sampling(src_for_pivots, recs.size(), 512, 4, pool);
+    std::uint64_t step_hash = kOffset;
+    disks.set_step_observer([&step_hash](bool is_read, std::span<const BlockOp> ops) {
+        step_hash = fnv1a(step_hash, is_read ? 1 : 2);
+        step_hash = fnv1a(step_hash, ops.size());
+        for (const auto& op : ops) {
+            step_hash = fnv1a(step_hash, op.disk);
+            step_hash = fnv1a(step_hash, op.block);
+        }
+    });
+    VectorSource src(recs);
+    BalanceStats stats;
+    auto buckets = balance_pass(src, pivots, vd, 512, opt, pool, nullptr, nullptr, &stats,
+                                sketch_child_s);
+    std::uint64_t run_hash = kOffset;
+    std::uint64_t sketch_hash = kOffset;
+    for (const auto& b : buckets) {
+        run_hash = fnv1a(run_hash, b.min_key);
+        run_hash = fnv1a(run_hash, b.max_key);
+        run_hash = fnv1a(run_hash, b.run.n_records);
+        for (std::uint32_t c : b.run.counts) run_hash = fnv1a(run_hash, c);
+        for (const auto& op : b.run.blocks) {
+            run_hash = fnv1a(run_hash, op.disk);
+            run_hash = fnv1a(run_hash, op.block);
+        }
+        sketch_hash = fnv1a(sketch_hash, b.has_sketch_pivots ? 1 : 0);
+        for (std::uint64_t k : b.sketch_pivots.keys) sketch_hash = fnv1a(sketch_hash, k);
+    }
+    EXPECT_EQ(stats.tracks, g.tracks) << label;
+    EXPECT_EQ(stats.direct_blocks, g.direct) << label;
+    EXPECT_EQ(stats.matched_blocks, g.matched) << label;
+    EXPECT_EQ(stats.deferred_blocks, g.deferred) << label;
+    EXPECT_EQ(stats.rearrange_rounds, g.rounds) << label;
+    EXPECT_EQ(stats.match_draws, g.draws) << label;
+    EXPECT_EQ(step_hash, g.step_hash) << label;
+    EXPECT_EQ(run_hash, g.run_hash) << label;
+    EXPECT_EQ(sketch_hash, g.sketch_hash) << label;
+}
+
+TEST(BalanceGoldens, NonDefaultOptions) {
+    BalanceOptions least;
+    least.assign = AssignPolicy::kLeastLoaded;
+    expect_balance_golden("least_loaded", least, 0,
+                          {318, 1255, 0, 14, 0, 0,
+                           13048412238721668764ull, 14269228145720471070ull,
+                           5195556152062190627ull});
+    BalanceOptions min_cost;
+    min_cost.assign = AssignPolicy::kMinCostMatching;
+    expect_balance_golden("min_cost", min_cost, 0,
+                          {314, 1255, 0, 0, 0, 0,
+                           16037035368188795732ull, 10809853807560306138ull,
+                           5195556152062190627ull});
+    BalanceOptions all;
+    all.defer = DeferPolicy::kRebalanceAll;
+    expect_balance_golden("rebalance_all", all, 0,
+                          {314, 957, 298, 0, 222, 0,
+                           17012823781382060018ull, 13169676443599073106ull,
+                           5195556152062190627ull});
+    BalanceOptions arg;
+    arg.aux = AuxRule::kArgTwiceAvg;
+    expect_balance_golden("arg_twice_avg", arg, 0,
+                          {314, 1255, 0, 1, 0, 0,
+                           7446033333136725444ull, 6954167875007015018ull,
+                           5195556152062190627ull});
+    BalanceOptions randomized;
+    randomized.matching = MatchStrategy::kRandomized;
+    expect_balance_golden("randomized", randomized, 0,
+                          {354, 1111, 144, 160, 78, 280,
+                           16319373094225370384ull, 2080176078844337170ull,
+                           5195556152062190627ull});
+    BalanceOptions derandomized;
+    derandomized.matching = MatchStrategy::kDerandomized;
+    expect_balance_golden("derandomized", derandomized, 0,
+                          {354, 1083, 172, 155, 86, 220,
+                           17291030629736127618ull, 11160725485838004786ull,
+                           5195556152062190627ull});
+    expect_balance_golden("sketch", BalanceOptions{}, 4,
+                          {353, 1073, 182, 156, 91, 0,
+                           10054889716398002216ull, 6374996991015450754ull,
+                           3947612896265367259ull});
+}
+
 TEST(Balance, MemorySmallerThanVBlockRejected) {
     auto recs = generate(Workload::kUniform, 100, 47);
     EXPECT_THROW(run_balance(recs, 8, 1, 8, 32, 2, BalanceOptions{}),

@@ -111,6 +111,64 @@ TEST_P(BaselineWorkloadTest, RandDistSorts) {
     EXPECT_TRUE(is_sorted_permutation_of(input, sorted)) << to_string(w);
 }
 
+// Golden for the randomized distribution path: the full step-observer
+// sequence (FNV-1a over direction, fan-out and every block address), the
+// sorted output and the bucket-read tail, for two seeds. n = 20,011 leaves
+// ragged final blocks in most buckets, so the padded tails are pinned too.
+struct RandDistGolden {
+    std::uint64_t rs, ws, br, bw;
+    std::uint64_t step_hash, out_hash;
+    double worst_ratio;
+};
+
+std::uint64_t fnv1a(std::uint64_t h, std::uint64_t x) {
+    for (int i = 0; i < 8; ++i) {
+        h ^= (x >> (8 * i)) & 0xff;
+        h *= 1099511628211ull;
+    }
+    return h;
+}
+
+void expect_rand_dist_golden(std::uint64_t seed, const RandDistGolden& g) {
+    PdmConfig cfg{.n = 20011, .m = 1024, .d = 8, .b = 16, .p = 1};
+    DiskArray disks(cfg.d, cfg.b);
+    auto input = generate(Workload::kZipf, cfg.n, 61);
+    BlockRun run = write_striped(disks, input);
+    std::uint64_t step_hash = 1469598103934665603ull;
+    disks.set_step_observer([&step_hash](bool is_read, std::span<const BlockOp> ops) {
+        step_hash = fnv1a(step_hash, is_read ? 1 : 2);
+        step_hash = fnv1a(step_hash, ops.size());
+        for (const auto& op : ops) {
+            step_hash = fnv1a(step_hash, op.disk);
+            step_hash = fnv1a(step_hash, op.block);
+        }
+    });
+    RandDistReport rep;
+    BlockRun out = rand_dist_sort(disks, run, cfg, seed, &rep);
+    disks.set_step_observer(nullptr);
+    std::uint64_t out_hash = 1469598103934665603ull;
+    for (const Record& r : read_run(disks, out)) {
+        out_hash = fnv1a(out_hash, r.key);
+        out_hash = fnv1a(out_hash, r.payload);
+    }
+    EXPECT_EQ(rep.io.read_steps, g.rs) << seed;
+    EXPECT_EQ(rep.io.write_steps, g.ws) << seed;
+    EXPECT_EQ(rep.io.blocks_read, g.br) << seed;
+    EXPECT_EQ(rep.io.blocks_written, g.bw) << seed;
+    EXPECT_EQ(step_hash, g.step_hash) << seed;
+    EXPECT_EQ(out_hash, g.out_hash) << seed;
+    EXPECT_DOUBLE_EQ(rep.worst_bucket_read_ratio, g.worst_ratio) << seed;
+}
+
+TEST(RandDistGoldens, TwoSeedsRaggedBlocks) {
+    expect_rand_dist_golden(5,
+                            {2111, 899, 12882, 7082, 2935478334604307119ull,
+                             17293921072379798822ull, 2.0});
+    expect_rand_dist_golden(77,
+                            {2143, 899, 12882, 7082, 1002357348510832548ull,
+                             17293921072379798822ull, 1.6});
+}
+
 INSTANTIATE_TEST_SUITE_P(AllWorkloads, BaselineWorkloadTest,
                          ::testing::ValuesIn(all_workloads()),
                          [](const auto& pinfo) { return test_safe(to_string(pinfo.param)); });
