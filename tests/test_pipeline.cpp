@@ -128,6 +128,17 @@ TEST(PipelineGoldens, SynchronizedWritesReverse) {
     expect_matches(traced_sort(Workload::kReverse, cfg, opt, DiskBackend::kMemory), g);
 }
 
+TEST(PipelineGoldens, RepositionBucketsGaussian) {
+    // §4.4 repositioning rewrites every recursing bucket before its child
+    // pass; n leaves ragged final blocks in the rewritten runs.
+    PdmConfig cfg{.n = 30011, .m = 1024, .d = 8, .b = 8, .p = 2};
+    SortJobConfig opt;
+    opt.reposition_buckets = true;
+    const Golden g{5656, 4555, 44548, 29844, 5, 75, 3,
+                   7565067432507818598ull, 7103970127395338848ull};
+    expect_matches(traced_sort(Workload::kGaussian, cfg, opt, DiskBackend::kMemory), g);
+}
+
 TEST(PipelineGoldens, HierSortHmmLog) {
     HierSortConfig hc;
     hc.h = 16;
