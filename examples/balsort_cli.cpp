@@ -195,6 +195,10 @@ int run(const CliOptions& o) {
         std::cerr << "unknown --algo " << o.algo << '\n';
         return 2;
     }
+    if (o.resume && !std::ifstream(o.checkpoint)) {
+        // Fail before the array pins its scratch files: nothing would remove them.
+        throw IoError("checkpoint: cannot open '" + o.checkpoint + "'");
+    }
     ScratchOptions scratch;
     if (checkpointing) {
         scratch.tag = "ck_";

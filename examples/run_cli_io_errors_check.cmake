@@ -9,15 +9,19 @@ file(WRITE "${WORK}/in.bin" "${records}")
 file(WRITE "${WORK}/ragged.bin" "${records}x") # not a multiple of 16 bytes
 file(WRITE "${WORK}/out.bin" "untouched")
 
-# (input, output): an output directory that does not exist, a missing
-# input, and an input whose size is not a whole number of records.
+# (input, output[, extra flags]): an output directory that does not exist,
+# a missing input, an input whose size is not a whole number of records,
+# and --resume from a checkpoint that does not exist.
 foreach(case IN ITEMS "in.bin;no_such_dir/out.bin" "no_such_input.bin;out.bin"
-                      "ragged.bin;out.bin")
+                      "ragged.bin;out.bin"
+                      "in.bin;out.bin;--checkpoint;${WORK}/absent.ck;--resume")
   list(GET case 0 in)
   list(GET case 1 out)
+  set(extra ${case})
+  list(REMOVE_AT extra 0 1)
   execute_process(
     COMMAND "${CLI}" "${WORK}/${in}" "${WORK}/${out}" --mem 1024 --disks 4 --block 64
-            --scratch "${WORK}/scratch"
+            --scratch "${WORK}/scratch" ${extra}
     RESULT_VARIABLE rc OUTPUT_QUIET ERROR_VARIABLE err)
   if(rc EQUAL 0)
     message(FATAL_ERROR "balsort_cli ${in} ${out}: exit 0, expected a failure")

@@ -1,10 +1,10 @@
 #include "baselines/rand_dist.hpp"
 
 #include <algorithm>
-#include <deque>
 #include <functional>
 #include <memory>
 
+#include "core/block_fill.hpp"
 #include "core/partition.hpp"
 #include "core/vrun.hpp"
 #include "pram/parallel_sort.hpp"
@@ -13,8 +13,6 @@
 namespace balsort {
 
 namespace {
-
-constexpr Record kPadRecord{~std::uint64_t{0}, ~std::uint64_t{0}};
 
 struct RandState {
     DiskArray& disks;
@@ -35,40 +33,21 @@ using SourceFactory = std::function<std::unique_ptr<RecordSource>()>;
 /// full block to a randomly shifted disk (one block per disk per step).
 std::vector<BucketOutput> rand_distribute(RandState& st, RecordSource& input,
                                           const PivotSet& pivots) {
-    const std::uint32_t s_eff = pivots.n_buckets();
     const std::uint32_t d = st.disks.num_disks();
-    const std::uint32_t v = st.vdisks.vblock_records(); // == B
-
-    std::vector<BucketOutput> buckets(s_eff);
-    for (std::uint32_t b = 0; b < s_eff; ++b) {
-        buckets[b].is_equal_class = pivots.is_equal_class(b);
-    }
-    std::vector<std::vector<Record>> fill(s_eff);
-    std::deque<std::pair<std::uint32_t, std::vector<Record>>> ready;
+    BlockFill fill(st.vdisks, pivots, std::min<std::uint64_t>(st.cfg.m, input.remaining()),
+                   nullptr);
+    std::vector<BlockFill::Block> step;
+    std::vector<std::uint32_t> vds;
 
     auto flush_ready = [&](bool all) {
-        while (ready.size() >= d || (all && !ready.empty())) {
-            const std::uint32_t k =
-                static_cast<std::uint32_t>(std::min<std::size_t>(d, ready.size()));
+        while (fill.ready.size() >= d || (all && !fill.ready.empty())) {
             // Random cyclic shift: block j of this step goes to disk
             // (shift + j) mod D — the [ViSa] randomized placement.
             const auto shift = static_cast<std::uint32_t>(st.rng.below(d));
-            std::vector<std::uint32_t> vds(k);
-            std::vector<Record> buf(static_cast<std::size_t>(k) * v, kPadRecord);
-            std::vector<std::pair<std::uint32_t, std::uint32_t>> meta(k); // bucket, count
-            for (std::uint32_t j = 0; j < k; ++j) {
-                auto [bkt, data] = std::move(ready.front());
-                ready.pop_front();
-                vds[j] = (shift + j) % d;
-                std::copy(data.begin(), data.end(),
-                          buf.begin() + static_cast<std::ptrdiff_t>(j * v));
-                meta[j] = {bkt, static_cast<std::uint32_t>(data.size())};
-            }
-            const std::vector<BlockOp> ops = st.vdisks.write_track(vds, buf);
-            for (std::uint32_t j = 0; j < k; ++j) {
-                buckets[meta[j].first].run.append(std::span<const BlockOp>(ops).subspan(j, 1),
-                                                  meta[j].second);
-            }
+            fill.take(d, step);
+            vds.resize(step.size());
+            for (std::uint32_t j = 0; j < step.size(); ++j) vds[j] = (shift + j) % d;
+            fill.write(step, vds);
         }
     };
 
@@ -77,23 +56,12 @@ std::vector<BucketOutput> rand_distribute(RandState& st, RecordSource& input,
         chunk.resize(std::min<std::uint64_t>(st.cfg.m, input.remaining()));
         const std::uint64_t got = input.read(chunk);
         BS_MODEL_CHECK(got == chunk.size(), "rand_dist: short read");
-        for (std::uint64_t i = 0; i < got; ++i) {
-            const std::uint32_t b = pivots.bucket_of(chunk[i].key);
-            buckets[b].min_key = std::min(buckets[b].min_key, chunk[i].key);
-            buckets[b].max_key = std::max(buckets[b].max_key, chunk[i].key);
-            fill[b].push_back(chunk[i]);
-            if (fill[b].size() == v) {
-                ready.emplace_back(b, std::move(fill[b]));
-                fill[b].clear();
-            }
-        }
+        fill.scatter(chunk, st.pool);
         flush_ready(false);
     }
-    for (std::uint32_t b = 0; b < s_eff; ++b) {
-        if (!fill[b].empty()) ready.emplace_back(b, std::move(fill[b]));
-    }
+    fill.flush_tails();
     flush_ready(true);
-    return buckets;
+    return std::move(fill.buckets);
 }
 
 void rand_rec(RandState& st, const SourceFactory& factory, std::uint64_t n,

@@ -1,12 +1,12 @@
 #include "core/balance.hpp"
 
 #include <algorithm>
-#include <deque>
 #include <fstream>
 #include <memory>
 #include <ostream>
 #include <sstream>
 
+#include "core/block_fill.hpp"
 #include "obs/metrics.hpp"
 #include "pram/hungarian.hpp"
 #include "pram/quantile_sketch.hpp"
@@ -39,18 +39,6 @@ void BalanceStats::merge(const BalanceStats& o) {
     invariant2_held = invariant2_held && o.invariant2_held;
 }
 
-namespace {
-
-/// A bucket-homogeneous virtual block waiting to be placed.
-struct PendingBlock {
-    std::uint32_t bucket = 0;
-    std::vector<Record> data; // size <= V; remainder of a final block is pad
-};
-
-constexpr Record kPadRecord{~std::uint64_t{0}, ~std::uint64_t{0}};
-
-} // namespace
-
 std::vector<BucketOutput> balance_pass(RecordSource& input, const PivotSet& pivots,
                                        VirtualDisks& vdisks, std::uint64_t memory_records,
                                        const BalanceOptions& opt, const Parallel& pool,
@@ -58,8 +46,8 @@ std::vector<BucketOutput> balance_pass(RecordSource& input, const PivotSet& pivo
                                        std::uint32_t sketch_child_s, BufferPool* buffers) {
     const std::uint32_t s_eff = pivots.n_buckets();
     const std::uint32_t dv = vdisks.count();
-    const std::uint32_t v = vdisks.vblock_records();
-    BS_REQUIRE(memory_records >= v, "balance_pass: memoryload smaller than a virtual block");
+    BS_REQUIRE(memory_records >= vdisks.vblock_records(),
+               "balance_pass: memoryload smaller than a virtual block");
 
     BalanceMatrices matrices(s_eff, dv, opt.aux);
     Xoshiro256 rng(opt.seed);
@@ -88,10 +76,13 @@ std::vector<BucketOutput> balance_pass(RecordSource& input, const PivotSet& pivo
         c_tracks = &mreg->counter("balance.tracks");
     }
 
-    std::vector<BucketOutput> buckets(s_eff);
-    for (std::uint32_t b = 0; b < s_eff; ++b) {
-        buckets[b].is_equal_class = pivots.is_equal_class(b);
-    }
+    // One memoryload of input staging, plus the block arena and the track
+    // write staging (BlockFill), leased once per pass and reused across all
+    // tracks.
+    const std::uint64_t load = std::min<std::uint64_t>(memory_records, input.remaining());
+    auto chunk = BufferPool::acquire_from(buffers, static_cast<std::size_t>(load));
+    BlockFill fill(vdisks, pivots, load, buffers);
+    std::vector<BucketOutput>& buckets = fill.buckets;
     // Streaming-sketch pivots for the next level (PivotMethod::
     // kStreamingSketch): one deterministic quantile sketch per open-range
     // bucket, fed during partitioning below.
@@ -106,77 +97,41 @@ std::vector<BucketOutput> balance_pass(RecordSource& input, const PivotSet& pivo
         }
     }
 
-    std::vector<std::vector<Record>> fill(s_eff); // partial blocks being built
-    std::deque<PendingBlock> ready;               // full (or final) blocks to place
-    bool tails_flushed = false;
     std::uint32_t rr_cursor = 0; // cyclic assignment cursor
     std::uint64_t stalled_tracks = 0;
 
-    // One memoryload of input staging plus one track of write staging,
-    // leased once per pass and reused across all tracks.
-    auto chunk = BufferPool::acquire_from(
-        buffers,
-        static_cast<std::size_t>(std::min<std::uint64_t>(memory_records, input.remaining())));
-    auto wbuf = BufferPool::acquire_from(buffers, static_cast<std::size_t>(dv) * v);
-    std::vector<std::uint32_t> chunk_bucket;
+    // Per-track scratch, cleared per track (indices j are track positions).
+    std::vector<BlockFill::Block> track, now;
+    std::vector<std::uint32_t> assigned, pending, offender_js, later, hs;
+    std::vector<bool> was_matched, used;
 
     while (true) {
         // ---- Refill the ready queue from the input (one memoryload). ----
-        if (ready.size() < dv && input.remaining() > 0) {
-            const std::uint64_t want = std::min<std::uint64_t>(memory_records, input.remaining());
-            chunk->resize(want);
+        if (fill.ready.size() < dv && input.remaining() > 0) {
+            chunk->resize(std::min<std::uint64_t>(memory_records, input.remaining()));
             const std::uint64_t got = input.read(*chunk);
-            BS_MODEL_CHECK(got == want, "balance_pass: short read from source");
+            BS_MODEL_CHECK(got == chunk->size(), "balance_pass: short read from source");
             // Partition the memoryload into buckets (Algorithm 3 line (1)):
             // bucket indices computed data-parallel, scatter sequential.
-            chunk_bucket.resize(got);
-            pool.parallel_for(0, got, [&](std::size_t lo, std::size_t hi, std::size_t) {
-                for (std::size_t i = lo; i < hi; ++i) {
-                    chunk_bucket[i] = pivots.bucket_of((*chunk)[i].key);
-                }
-            });
+            const std::span<const std::uint32_t> chunk_bucket = fill.scatter(*chunk, pool);
             charge_classify(got, s_eff, meter, cost);
-            for (std::uint64_t i = 0; i < got; ++i) {
-                const std::uint32_t b = chunk_bucket[i];
-                buckets[b].min_key = std::min(buckets[b].min_key, (*chunk)[i].key);
-                buckets[b].max_key = std::max(buckets[b].max_key, (*chunk)[i].key);
-                if (!sketches.empty() && sketches[b] != nullptr) {
-                    sketches[b]->add((*chunk)[i].key);
-                }
-                fill[b].push_back((*chunk)[i]);
-                if (fill[b].size() == v) {
-                    ready.push_back(PendingBlock{b, std::move(fill[b])});
-                    fill[b].clear();
-                }
+            for (std::uint64_t i = 0; i < got && !sketches.empty(); ++i) {
+                if (const auto& sk = sketches[chunk_bucket[i]]) sk->add((*chunk)[i].key);
             }
+            // Input exhausted: the final partial blocks join the queue.
+            if (input.remaining() == 0) fill.flush_tails();
         }
-        // ---- Input exhausted: final partial blocks join the queue. ----
-        if (input.remaining() == 0 && !tails_flushed) {
-            for (std::uint32_t b = 0; b < s_eff; ++b) {
-                if (!fill[b].empty()) {
-                    ready.push_back(PendingBlock{b, std::move(fill[b])});
-                    fill[b].clear();
-                }
-            }
-            tails_flushed = true;
-        }
-        if (ready.empty()) {
+        if (fill.ready.empty()) {
             if (input.remaining() == 0) break;
             continue;
         }
 
         // ---- Form a track of up to D' blocks (Algorithm 3). ----
         const BalanceStats before_track = local_stats; // observer deltas
-        const std::uint32_t k = static_cast<std::uint32_t>(
-            std::min<std::size_t>(dv, ready.size()));
-        std::vector<PendingBlock> track;
-        track.reserve(k);
-        for (std::uint32_t j = 0; j < k; ++j) {
-            track.push_back(std::move(ready.front()));
-            ready.pop_front();
-        }
+        fill.take(dv, track);
+        const auto k = static_cast<std::uint32_t>(track.size());
         // Tentative assignment to distinct virtual disks.
-        std::vector<std::uint32_t> assigned(k);
+        assigned.resize(k);
         if (opt.assign == AssignPolicy::kCyclic) {
             for (std::uint32_t j = 0; j < k; ++j) assigned[j] = (rr_cursor + j) % dv;
             rr_cursor = (rr_cursor + 1) % dv;
@@ -194,7 +149,7 @@ std::vector<BucketOutput> balance_pass(RecordSource& input, const PivotSet& pivo
             assigned = min_cost_assignment(cost_matrix, k, dv);
             if (cost != nullptr) cost->charge_collectives(k); // the matching work
         } else {
-            std::vector<bool> used(dv, false);
+            used.assign(dv, false);
             for (std::uint32_t j = 0; j < k; ++j) {
                 std::uint32_t best = dv, best_x = ~std::uint32_t{0};
                 for (std::uint32_t h = 0; h < dv; ++h) {
@@ -224,76 +179,41 @@ std::vector<BucketOutput> balance_pass(RecordSource& input, const PivotSet& pivo
         // offender that must be matched away or deferred. Matched moves can
         // raise a row's median and thereby *free* other offenders — those
         // simply become writable in a later round.
-        auto write_blocks = [&](const std::vector<std::uint32_t>& js) {
-            if (js.empty()) return;
-            // Reuses the pass-level `wbuf` lease: each block's payload is
-            // copied in and only the tail of a final partial block needs
-            // pad (full blocks overwrite their slot entirely).
-            wbuf->resize(js.size() * static_cast<std::size_t>(v));
-            std::vector<std::uint32_t> hs(js.size());
-            for (std::size_t q = 0; q < js.size(); ++q) {
-                const auto& blk = track[js[q]];
-                const auto dst = wbuf->begin() + static_cast<std::ptrdiff_t>(q * v);
-                std::copy(blk.data.begin(), blk.data.end(), dst);
-                std::fill(dst + static_cast<std::ptrdiff_t>(blk.data.size()),
-                          dst + static_cast<std::ptrdiff_t>(v), kPadRecord);
-                hs[q] = assigned[js[q]];
-            }
-            const std::vector<BlockOp> ops = vdisks.write_track(hs, *wbuf); // one I/O step
-            const std::uint32_t g = vdisks.group_size();
-            for (std::size_t q = 0; q < js.size(); ++q) {
-                buckets[track[js[q]].bucket].run.append(
-                    std::span<const BlockOp>(ops).subspan(q * g, g),
-                    static_cast<std::uint32_t>(track[js[q]].data.size()));
-            }
-        };
-
-        std::vector<std::uint32_t> pending(k);
+        pending.resize(k);
         for (std::uint32_t j = 0; j < k; ++j) pending[j] = j;
-        std::vector<bool> was_matched(k, false);
+        was_matched.assign(k, false);
         std::uint64_t rounds = 0;
         std::uint64_t written_this_track = 0;
         const std::uint64_t defer_threshold = std::max<std::uint64_t>(1, dv / 2);
         std::uint64_t safety = 0;
         while (!pending.empty()) {
             BS_MODEL_CHECK(++safety <= 4ull * dv + 16, "track placement failed to converge");
-            // Classify pending blocks by their own aux entry.
-            std::vector<std::uint32_t> writable, offender_js;
+            // Classify pending blocks by their own aux entry and write the
+            // writable ones — at most one per virtual disk per parallel step
+            // (vdisk duplicates wait one round; they only arise when a
+            // matched move targets a vdisk that still carries another
+            // pending block).
+            offender_js.clear();
+            later.clear();
+            now.clear();
+            hs.clear();
+            used.assign(dv, false);
             for (std::uint32_t j : pending) {
-                if (matrices.aux(track[j].bucket, assigned[j]) <= 1) {
-                    writable.push_back(j);
-                } else {
+                if (matrices.aux(track[j].bucket, assigned[j]) >= 2) {
                     offender_js.push_back(j);
+                } else if (used[assigned[j]]) {
+                    later.push_back(j);
+                } else {
+                    used[assigned[j]] = true;
+                    (was_matched[j] ? local_stats.matched_blocks : local_stats.direct_blocks) += 1;
+                    now.push_back(track[j]);
+                    hs.push_back(assigned[j]);
                 }
             }
-            // Write the writable ones — at most one per virtual disk per
-            // parallel step (vdisk duplicates wait one round; they only
-            // arise when a matched move targets a vdisk that still carries
-            // another pending block).
-            {
-                std::vector<bool> used(dv, false);
-                std::vector<std::uint32_t> now, later;
-                for (std::uint32_t j : writable) {
-                    if (!used[assigned[j]]) {
-                        used[assigned[j]] = true;
-                        now.push_back(j);
-                    } else {
-                        later.push_back(j);
-                    }
-                }
-                for (std::uint32_t j : now) {
-                    if (was_matched[j]) {
-                        local_stats.matched_blocks += 1;
-                    } else {
-                        local_stats.direct_blocks += 1;
-                    }
-                }
-                written_this_track += now.size();
-                write_blocks(now); // Algorithm 3 line (6) / Algorithm 6 line (5)
-                std::vector<std::uint32_t> next_pending = std::move(later);
-                next_pending.insert(next_pending.end(), offender_js.begin(), offender_js.end());
-                pending = std::move(next_pending);
-            }
+            written_this_track += now.size();
+            fill.write(now, hs); // Algorithm 3 line (6) / Algorithm 6 line (5)
+            pending.assign(later.begin(), later.end());
+            pending.insert(pending.end(), offender_js.begin(), offender_js.end());
             if (offender_js.empty()) continue; // only vdisk collisions left
             // ---- Rebalance decision (Algorithm 5). ----
             const bool defer_now = opt.defer == DeferPolicy::kPaperDefer &&
@@ -322,24 +242,25 @@ std::vector<BucketOutput> balance_pass(RecordSource& input, const PivotSet& pivo
                 // roll X back and conceptually return the block to the
                 // input. The entries removed sit above their row medians,
                 // so the rollback cannot create new 2s.
-                std::vector<std::uint32_t> still_pending;
+                std::size_t kept = 0;
                 for (std::uint32_t j : pending) {
                     if (matrices.aux(track[j].bucket, assigned[j]) >= 2) {
                         matrices.decrement(track[j].bucket, assigned[j]);
-                        ready.push_front(std::move(track[j]));
+                        fill.ready.push_front(track[j]);
                         local_stats.deferred_blocks += 1;
                     } else {
-                        still_pending.push_back(j);
+                        pending[kept++] = j;
                     }
                 }
-                pending = std::move(still_pending);
+                pending.resize(kept);
                 matrices.compute_aux();
                 continue;
             }
             MatchResult match = fast_partial_match(candidates, dv, opt.matching, rng);
             local_stats.match_draws += match.draws;
             if (cost != nullptr) cost->charge_collectives(2); // sort + route of §4.2
-            std::uint32_t applied = 0;
+            // A round that matches nothing (randomized-engine conflicts)
+            // is retried; the safety counter above bounds the total.
             for (std::size_t i = 0; i < u.size(); ++i) {
                 if (match.matched[i] == MatchResult::kUnmatched) continue;
                 const std::uint32_t j = u[i];
@@ -348,16 +269,9 @@ std::vector<BucketOutput> balance_pass(RecordSource& input, const PivotSet& pivo
                 matrices.increment(track[j].bucket, h_to);
                 assigned[j] = h_to;
                 was_matched[j] = true;
-                ++applied;
             }
             matrices.compute_aux();
             ++rounds;
-            if (applied == 0) {
-                // Matcher stalled (possible under the randomized engine
-                // only via conflicts — retry is allowed next round; the
-                // safety counter above bounds the total).
-                continue;
-            }
         }
         local_stats.rearrange_rounds += rounds;
         local_stats.max_rounds_per_track = std::max(local_stats.max_rounds_per_track, rounds);
@@ -439,7 +353,7 @@ std::vector<BucketOutput> balance_pass(RecordSource& input, const PivotSet& pivo
         }
     }
     if (stats != nullptr) stats->merge(local_stats);
-    return buckets;
+    return std::move(buckets);
 }
 
 } // namespace balsort

@@ -159,9 +159,9 @@ struct BucketOutput {
 ///   sketch_child_s — if nonzero, feed every non-equal-class bucket into a
 ///     deterministic quantile sketch while partitioning and emit
 ///     sketch_child_s-way pivots per bucket (PivotMethod::kStreamingSketch).
-///   buffers — if non-null, the memoryload chunk and the track write
-///     staging are leased from this pool instead of heap-allocated per
-///     pass (DESIGN.md §10).
+///   buffers — if non-null, the memoryload chunk and the distributor's
+///     block arena and track write staging (BlockFill) are leased from this
+///     pool instead of heap-allocated per pass (DESIGN.md §5 item 13, §10).
 std::vector<BucketOutput> balance_pass(RecordSource& input, const PivotSet& pivots,
                                        VirtualDisks& vdisks, std::uint64_t memory_records,
                                        const BalanceOptions& opt, const Parallel& pool,

@@ -18,8 +18,9 @@ namespace balsort {
 std::uint32_t default_bucket_count(const PdmConfig& cfg, std::uint32_t vblock_records) {
     const std::uint64_t mb = std::max<std::uint64_t>(2, cfg.m / cfg.b);
     auto s = static_cast<std::uint32_t>(iroot(mb, 4));
-    // Staging limit: the 2S-1 bucket fill buffers (each < one virtual
-    // block) must fit comfortably: 2S * V <= M / 2.
+    // Staging limit: Balance's block arena holds 2(2S-1) + D' virtual
+    // blocks besides a memoryload (BlockFill); 4S * V <= M keeps that extra
+    // within one memoryload.
     const std::uint64_t cap = cfg.m / (4ull * std::max<std::uint32_t>(vblock_records, 1));
     if (cap >= 2) s = static_cast<std::uint32_t>(std::min<std::uint64_t>(s, cap));
     return std::max<std::uint32_t>(2, s);

@@ -2,18 +2,18 @@
 
 #include <algorithm>
 #include <cmath>
+#include <numeric>
 
+#include "core/block_fill.hpp"
 #include "core/checkpoint.hpp"
 #include "core/partition.hpp"
 #include "obs/flight_recorder.hpp"
 #include "obs/tracer.hpp"
 #include "pram/parallel_sort.hpp"
-#include "util/math.hpp"
 
 namespace balsort {
 
 namespace {
-constexpr Record kPadRecord{~std::uint64_t{0}, ~std::uint64_t{0}};
 
 /// Phase-span bookkeeping: captures the pre-phase io_steps() so the span
 /// can carry the phase's model-I/O delta alongside bucket id and record
@@ -212,37 +212,31 @@ void EmitPhase::stream_copy(RecordSource& src) {
 VRun EmitPhase::reposition(const VRun& run) {
     PhaseTimer timer(st_.profile.emit_seconds);
     PhaseSpan span(st_, "reposition", st_.lane_emit, run.n_records);
-    VRun fresh;
     RunSource src(st_.disks, run, st_.buffer_pool());
+    // One track per read and write step through a one-bucket distributor:
+    // D' virtual blocks, block j on virtual disk j, only the last one padded.
     const std::uint32_t dv = st_.vdisks.count();
-    const std::uint32_t v = st_.vdisks.vblock_records();
-    auto chunk = BufferPool::acquire_from(st_.buffer_pool(), static_cast<std::size_t>(dv) * v);
-    std::uint32_t rr = 0;
+    const std::uint64_t track = static_cast<std::uint64_t>(dv) * st_.vdisks.vblock_records();
+    const PivotSet one_bucket;
+    BlockFill fill(st_.vdisks, one_bucket, track, st_.buffer_pool());
+    auto chunk = BufferPool::acquire_from(st_.buffer_pool(), static_cast<std::size_t>(track));
+    std::vector<std::uint32_t> vds(dv);
+    std::iota(vds.begin(), vds.end(), 0u);
+    std::vector<BlockFill::Block> step;
     while (src.remaining() > 0) {
-        // One track's worth (up to D' virtual blocks) per write step.
-        const std::uint64_t want =
-            std::min<std::uint64_t>(static_cast<std::uint64_t>(dv) * v, src.remaining());
-        const auto k = static_cast<std::uint32_t>(ceil_div(want, v));
-        chunk->resize(static_cast<std::size_t>(k) * v);
-        const std::uint64_t got = src.read(std::span<Record>(chunk->data(), want));
-        BS_MODEL_CHECK(got == want, "reposition: short read");
-        // Only the final block's tail needs pad; the rest is overwritten.
-        std::fill(chunk->begin() + static_cast<std::ptrdiff_t>(want), chunk->end(), kPadRecord);
-        std::vector<std::uint32_t> vds(k);
-        for (std::uint32_t j = 0; j < k; ++j) vds[j] = (rr + j) % dv;
-        rr = (rr + k) % dv;
-        const std::vector<BlockOp> ops = st_.vdisks.write_track(vds, *chunk);
-        const std::uint32_t g = st_.vdisks.group_size();
-        for (std::uint32_t j = 0; j < k; ++j) {
-            fresh.append(std::span<const BlockOp>(ops).subspan(j * g, g),
-                         static_cast<std::uint32_t>(std::min<std::uint64_t>(
-                             v, want - static_cast<std::uint64_t>(j) * v)));
-        }
+        chunk->resize(static_cast<std::size_t>(std::min(track, src.remaining())));
+        const std::uint64_t got = src.read(*chunk);
+        BS_MODEL_CHECK(got == chunk->size(), "reposition: short read");
+        fill.scatter(*chunk, st_.pool);
+        if (src.remaining() == 0) fill.flush_tails();
+        fill.take(dv, step);
+        fill.write(step, std::span<const std::uint32_t>(vds).first(step.size()));
         st_.meter.add_moves(got);
     }
+    VRun& fresh = fill.buckets[0].run;
     BS_MODEL_CHECK(fresh.n_records == run.n_records, "reposition: record count changed");
     run.release(st_.disks);
-    return fresh;
+    return std::move(fresh);
 }
 
 SortPipeline::SortPipeline(DriverState& st)
