@@ -60,15 +60,88 @@ struct RunState {
     }
 };
 
-/// Fence keys for a sorted run laid out block by block over `data`
-/// (padded to whole blocks). Standard external-merge metadata.
-std::vector<std::uint64_t> fences_of(const BlockRun& run, std::span<const Record> data,
-                                     std::uint32_t b) {
-    std::vector<std::uint64_t> f(run.blocks.size());
-    for (std::size_t i = 0; i < f.size(); ++i) {
-        f[i] = data[i * b].key;
+/// One greedy parallel read step: EVERY disk independently fetches its
+/// most urgent pending block — the smallest fence key among all runs'
+/// unfetched blocks residing on that disk. (Runs are striped round-robin,
+/// so each run offers every disk roughly one block per stripe; out-of-order
+/// fetches within a run wait in `pending` until contiguous.) Returns the
+/// valid records fetched; `any_left` reports whether any run still had an
+/// unfetched block before the step.
+std::uint64_t greedy_read_step(DiskArray& disks, std::vector<RunState>& st, bool* any_left) {
+    const std::uint32_t b = disks.block_size();
+    const std::uint32_t d = disks.num_disks();
+    struct Pick {
+        std::size_t run = ~std::size_t{0};
+        std::uint64_t block = 0;
+        std::uint64_t key = ~std::uint64_t{0};
+    };
+    std::vector<Pick> pick(d);
+    *any_left = false;
+    for (std::size_t i = 0; i < st.size(); ++i) {
+        auto& s = st[i];
+        const std::uint64_t nb = s.run->blocks.size();
+        std::vector<std::uint8_t> disk_seen(d, 0);
+        std::size_t seen = 0;
+        for (std::uint64_t blk = s.first_unfetched(); blk < nb && seen < d; ++blk) {
+            if (s.fetched[blk] != 0) continue;
+            *any_left = true;
+            const std::uint32_t dk = s.run->blocks[blk].disk;
+            if (disk_seen[dk] != 0) continue; // only the run's first per disk
+            disk_seen[dk] = 1;
+            ++seen;
+            if (s.fence[blk] < pick[dk].key) pick[dk] = Pick{i, blk, s.fence[blk]};
+        }
     }
-    return f;
+    std::vector<BlockOp> ops;
+    std::vector<Pick> op_pick;
+    for (std::uint32_t dk = 0; dk < d; ++dk) {
+        if (pick[dk].run == ~std::size_t{0}) continue;
+        ops.push_back(st[pick[dk].run].run->blocks[pick[dk].block]);
+        op_pick.push_back(pick[dk]);
+    }
+    if (ops.empty()) return 0;
+    std::vector<Record> buf(ops.size() * static_cast<std::size_t>(b));
+    disks.read_batch(ops, buf); // distinct disks: one step
+    std::uint64_t fetched = 0;
+    for (std::size_t q = 0; q < ops.size(); ++q) {
+        auto& s = st[op_pick[q].run];
+        const std::uint64_t blk = op_pick[q].block;
+        const std::uint64_t valid = std::min<std::uint64_t>(b, s.run->n_records - blk * b);
+        s.fetched[blk] = 1;
+        const auto first = buf.begin() + static_cast<std::ptrdiff_t>(q * b);
+        s.pending.emplace(blk, std::vector<Record>(first, first + static_cast<std::ptrdiff_t>(valid)));
+        fetched += valid;
+    }
+    for (auto& s : st) s.absorb();
+    return fetched;
+}
+
+/// A sorted striped run and its fence keys (the first key of each block):
+/// standard external-merge metadata.
+struct RunWithFence {
+    BlockRun run;
+    std::vector<std::uint64_t> fence;
+};
+
+/// Fence `run`, whose records are `data`.
+RunWithFence fenced(BlockRun run, std::span<const Record> data, std::uint32_t b) {
+    RunWithFence out{std::move(run), {}};
+    out.fence.resize(out.run.blocks.size());
+    for (std::size_t i = 0; i < out.fence.size(); ++i) out.fence[i] = data[i * b].key;
+    return out;
+}
+
+/// Run formation: each memoryload of the input sorted in place and
+/// written as a fenced striped run.
+std::vector<RunWithFence> form_runs(DiskArray& disks, const BlockRun& input, std::uint64_t m) {
+    std::vector<RunWithFence> runs;
+    RunReader in(disks, input);
+    while (in.remaining() > 0) {
+        const std::span<Record> load = in.next(m);
+        std::sort(load.begin(), load.end(), KeyLess{});
+        runs.push_back(fenced(write_striped(disks, load), load, disks.block_size()));
+    }
+    return runs;
 }
 
 } // namespace
@@ -79,34 +152,11 @@ BlockRun greed_sort(DiskArray& disks, const BlockRun& input, const PdmConfig& cf
     BS_REQUIRE(input.n_records == cfg.n, "greed_sort: cfg.n != input.n_records");
     const IoStats before = disks.stats();
     const std::uint32_t b = disks.block_size();
-    const std::uint32_t d = disks.num_disks();
     const std::uint32_t r_degree = greed_merge_degree(cfg);
     std::uint64_t peak_buffered = 0;
 
-    struct RunWithFence {
-        BlockRun run;
-        std::vector<std::uint64_t> fence;
-    };
-
     // ---- Run formation (memoryload runs + fence-key index). ----
-    std::vector<RunWithFence> runs;
-    {
-        RunReader in(disks, input);
-        std::vector<Record> load;
-        while (in.remaining() > 0) {
-            load.resize(std::min<std::uint64_t>(cfg.m, in.remaining()));
-            const std::uint64_t got = in.read(load);
-            BS_MODEL_CHECK(got == load.size(), "greed run formation: short read");
-            std::sort(load.begin(), load.end(), KeyLess{});
-            RunWithFence formed;
-            formed.run = write_striped(disks, load);
-            std::vector<Record> padded(formed.run.blocks.size() * static_cast<std::size_t>(b),
-                                       Record{~std::uint64_t{0}, 0});
-            std::copy(load.begin(), load.end(), padded.begin());
-            formed.fence = fences_of(formed.run, padded, b);
-            runs.push_back(std::move(formed));
-        }
-    }
+    std::vector<RunWithFence> runs = form_runs(disks, input, cfg.m);
     const std::uint64_t initial_runs = runs.size();
 
     // ---- Greedy merge passes. ----
@@ -133,61 +183,8 @@ BlockRun greed_sort(DiskArray& disks, const BlockRun& input, const PdmConfig& cf
 
             std::uint64_t buffered_now = 0;
             while (true) {
-                // One parallel read step: EVERY disk independently fetches
-                // its most urgent pending block — the smallest fence key
-                // among all runs' unfetched blocks residing on that disk.
-                // (Runs are striped round-robin, so each run offers every
-                // disk roughly one block per stripe; out-of-order fetches
-                // within a run are buffered until contiguous.)
-                struct Pick {
-                    std::size_t run = ~std::size_t{0};
-                    std::uint64_t block = 0;
-                    std::uint64_t key = ~std::uint64_t{0};
-                };
-                std::vector<Pick> pick(d);
                 bool any_blocks_left = false;
-                for (std::size_t i = 0; i < st.size(); ++i) {
-                    auto& s = st[i];
-                    const std::uint64_t nb = s.run->blocks.size();
-                    std::vector<std::uint8_t> disk_seen(d, 0);
-                    std::size_t seen = 0;
-                    for (std::uint64_t blk = s.first_unfetched(); blk < nb && seen < d; ++blk) {
-                        if (s.fetched[blk] != 0) continue;
-                        any_blocks_left = true;
-                        const std::uint32_t dk = s.run->blocks[blk].disk;
-                        if (disk_seen[dk] != 0) continue; // only the run's first per disk
-                        disk_seen[dk] = 1;
-                        ++seen;
-                        if (s.fence[blk] < pick[dk].key) {
-                            pick[dk] = Pick{i, blk, s.fence[blk]};
-                        }
-                    }
-                }
-                std::vector<BlockOp> ops;
-                std::vector<Pick> op_pick;
-                for (std::uint32_t dk = 0; dk < d; ++dk) {
-                    if (pick[dk].run == ~std::size_t{0}) continue;
-                    ops.push_back(st[pick[dk].run].run->blocks[pick[dk].block]);
-                    op_pick.push_back(pick[dk]);
-                }
-                if (!ops.empty()) {
-                    std::vector<Record> buf(ops.size() * static_cast<std::size_t>(b));
-                    disks.read_batch(ops, buf); // distinct disks: one step
-                    for (std::size_t q = 0; q < ops.size(); ++q) {
-                        auto& s = st[op_pick[q].run];
-                        const std::uint64_t blk = op_pick[q].block;
-                        const std::uint64_t base = blk * b;
-                        const std::uint64_t valid =
-                            std::min<std::uint64_t>(b, s.run->n_records - base);
-                        s.fetched[blk] = 1;
-                        s.pending.emplace(
-                            blk, std::vector<Record>(
-                                     buf.begin() + static_cast<std::ptrdiff_t>(q * b),
-                                     buf.begin() + static_cast<std::ptrdiff_t>(q * b + valid)));
-                        buffered_now += valid;
-                    }
-                    for (auto& s : st) s.absorb();
-                }
+                buffered_now += greedy_read_step(disks, st, &any_blocks_left);
                 peak_buffered = std::max(peak_buffered, buffered_now);
 
                 // Emit every record provably no larger than anything still
@@ -218,13 +215,7 @@ BlockRun greed_sort(DiskArray& disks, const BlockRun& input, const PdmConfig& cf
                     if (!any_records) break;
                 }
             }
-            RunWithFence merged;
-            merged.run = out.finish();
-            std::vector<Record> padded(merged.run.blocks.size() * static_cast<std::size_t>(b),
-                                       Record{~std::uint64_t{0}, 0});
-            std::copy(out_data.begin(), out_data.end(), padded.begin());
-            merged.fence = fences_of(merged.run, padded, b);
-            next.push_back(std::move(merged));
+            next.push_back(fenced(out.finish(), out_data, b));
         }
         runs = std::move(next);
         ++passes;
@@ -274,50 +265,9 @@ ApproxMergeOut approx_merge_group(DiskArray& disks, std::uint32_t b, std::uint32
     out.data.reserve(total);
     RunWriter writer(disks);
     while (out.data.size() < total) {
-        // Greedy read step (identical schedule to the exact variant).
-        struct Pick {
-            std::size_t run = ~std::size_t{0};
-            std::uint64_t block = 0;
-            std::uint64_t key = ~std::uint64_t{0};
-        };
-        std::vector<Pick> pick(d);
-        for (std::size_t i = 0; i < st.size(); ++i) {
-            auto& s = st[i];
-            std::vector<std::uint8_t> disk_seen(d, 0);
-            std::size_t seen = 0;
-            for (std::uint64_t blk = s.first_unfetched();
-                 blk < s.run->blocks.size() && seen < d; ++blk) {
-                if (s.fetched[blk] != 0) continue;
-                const std::uint32_t dk = s.run->blocks[blk].disk;
-                if (disk_seen[dk] != 0) continue;
-                disk_seen[dk] = 1;
-                ++seen;
-                if (s.fence[blk] < pick[dk].key) pick[dk] = Pick{i, blk, s.fence[blk]};
-            }
-        }
-        std::vector<BlockOp> ops;
-        std::vector<Pick> op_pick;
-        for (std::uint32_t dk = 0; dk < d; ++dk) {
-            if (pick[dk].run == ~std::size_t{0}) continue;
-            ops.push_back(st[pick[dk].run].run->blocks[pick[dk].block]);
-            op_pick.push_back(pick[dk]);
-        }
-        if (!ops.empty()) {
-            std::vector<Record> buf(ops.size() * static_cast<std::size_t>(b));
-            disks.read_batch(ops, buf);
-            for (std::size_t q = 0; q < ops.size(); ++q) {
-                auto& s = st[op_pick[q].run];
-                const std::uint64_t blk = op_pick[q].block;
-                const std::uint64_t base = blk * b;
-                const std::uint64_t valid = std::min<std::uint64_t>(b, s.run->n_records - base);
-                s.fetched[blk] = 1;
-                s.pending.emplace(blk, std::vector<Record>(
-                                           buf.begin() + static_cast<std::ptrdiff_t>(q * b),
-                                           buf.begin() +
-                                               static_cast<std::ptrdiff_t>(q * b + valid)));
-            }
-            for (auto& s : st) s.absorb();
-        }
+        // Greedy read step (the exact variant's schedule).
+        bool any_left = false;
+        (void)greedy_read_step(disks, st, &any_left);
         // Unconditional emission of up to D*B smallest buffered records —
         // the approximate part: a smaller record may still be on disk.
         std::uint64_t quota = static_cast<std::uint64_t>(d) * b;
@@ -367,7 +317,6 @@ BlockRun cleanup_pass(DiskArray& disks, const BlockRun& approx, std::uint64_t wi
     RunWriter out(disks);
     std::vector<Record> win;
     win.reserve(window + approx.n_records % std::max<std::uint64_t>(window, 1));
-    std::vector<Record> chunk;
     std::uint64_t last_emitted = 0;
     bool any_emitted = false;
     auto emit = [&](std::size_t count) {
@@ -382,9 +331,7 @@ BlockRun cleanup_pass(DiskArray& disks, const BlockRun& approx, std::uint64_t wi
         win.erase(win.begin(), win.begin() + static_cast<std::ptrdiff_t>(count));
     };
     while (in.remaining() > 0) {
-        const std::uint64_t want = std::min<std::uint64_t>(window - win.size(), in.remaining());
-        chunk.resize(want);
-        in.read(chunk);
+        const std::span<const Record> chunk = in.next(window - win.size());
         win.insert(win.end(), chunk.begin(), chunk.end());
         std::sort(win.begin(), win.end(), KeyLess{});
         if (win.size() >= window) emit(window / 2);
@@ -410,27 +357,7 @@ BlockRun greed_sort_approximate(DiskArray& disks, const BlockRun& input, const P
                                     static_cast<std::uint64_t>(d) * b);
     std::uint64_t max_disp = 0;
 
-    struct RunWithFence {
-        BlockRun run;
-        std::vector<std::uint64_t> fence;
-    };
-    std::vector<RunWithFence> runs;
-    {
-        RunReader in(disks, input);
-        std::vector<Record> load;
-        while (in.remaining() > 0) {
-            load.resize(std::min<std::uint64_t>(cfg.m, in.remaining()));
-            in.read(load);
-            std::sort(load.begin(), load.end(), KeyLess{});
-            RunWithFence formed;
-            formed.run = write_striped(disks, load);
-            std::vector<Record> padded(formed.run.blocks.size() * static_cast<std::size_t>(b),
-                                       Record{~std::uint64_t{0}, 0});
-            std::copy(load.begin(), load.end(), padded.begin());
-            formed.fence = fences_of(formed.run, padded, b);
-            runs.push_back(std::move(formed));
-        }
-    }
+    std::vector<RunWithFence> runs = form_runs(disks, input, cfg.m);
 
     std::uint32_t passes = 0;
     while (runs.size() > 1) {
@@ -453,13 +380,7 @@ BlockRun greed_sort_approximate(DiskArray& disks, const BlockRun& input, const P
             std::vector<Record> cleaned;
             cleaned.reserve(approx.run.n_records);
             BlockRun fixed = cleanup_pass(disks, approx.run, window, &cleaned);
-            RunWithFence merged;
-            merged.run = std::move(fixed);
-            std::vector<Record> padded(merged.run.blocks.size() * static_cast<std::size_t>(b),
-                                       Record{~std::uint64_t{0}, 0});
-            std::copy(cleaned.begin(), cleaned.end(), padded.begin());
-            merged.fence = fences_of(merged.run, padded, b);
-            next.push_back(std::move(merged));
+            next.push_back(fenced(std::move(fixed), cleaned, b));
         }
         runs = std::move(next);
         ++passes;

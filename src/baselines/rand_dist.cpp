@@ -51,12 +51,8 @@ std::vector<BucketOutput> rand_distribute(RandState& st, RecordSource& input,
         }
     };
 
-    std::vector<Record> chunk;
     while (input.remaining() > 0) {
-        chunk.resize(std::min<std::uint64_t>(st.cfg.m, input.remaining()));
-        const std::uint64_t got = input.read(chunk);
-        BS_MODEL_CHECK(got == chunk.size(), "rand_dist: short read");
-        fill.scatter(chunk, st.pool);
+        fill.scatter(input.next(st.cfg.m), st.pool);
         flush_ready(false);
     }
     fill.flush_tails();
@@ -73,11 +69,9 @@ void rand_rec(RandState& st, const SourceFactory& factory, std::uint64_t n,
     BS_MODEL_CHECK(depth <= 64, "rand_dist: recursion too deep");
     if (n <= st.cfg.m) {
         auto src = factory();
-        std::vector<Record> buf(n);
-        const std::uint64_t got = src->read(buf);
-        BS_MODEL_CHECK(got == n, "rand_dist base: short read");
-        std::sort(buf.begin(), buf.end(), KeyLess{});
-        st.out.append(std::span<const Record>(buf));
+        const std::span<Record> load = src->next(n);
+        std::sort(load.begin(), load.end(), KeyLess{});
+        st.out.append(load);
         if (st.report != nullptr) st.report->base_cases += 1;
         return;
     }
@@ -106,12 +100,7 @@ void rand_rec(RandState& st, const SourceFactory& factory, std::uint64_t n,
         const bool sorted_already = bucket.is_equal_class || bucket.min_key == bucket.max_key;
         if (sorted_already) {
             RunSource src(st.disks, bucket.run);
-            std::vector<Record> buf;
-            while (src.remaining() > 0) {
-                buf.resize(std::min<std::uint64_t>(st.cfg.m, src.remaining()));
-                const std::uint64_t got = src.read(buf);
-                st.out.append(std::span<const Record>(buf.data(), got));
-            }
+            while (src.remaining() > 0) st.out.append(src.next(st.cfg.m));
             bucket.run.release(st.disks);
             continue;
         }

@@ -24,28 +24,23 @@ public:
         refill();
     }
 
-    bool exhausted() const { return pos_ >= buf_.size() && reader_.remaining() == 0; }
-    const Record& peek() const { return buf_[pos_]; }
+    bool exhausted() const { return pos_ >= view_.size() && reader_.remaining() == 0; }
+    const Record& peek() const { return view_[pos_]; }
     Record pop() {
-        Record r = buf_[pos_++];
-        if (pos_ >= buf_.size()) refill();
+        Record r = view_[pos_++];
+        if (pos_ >= view_.size()) refill();
         return r;
     }
 
 private:
     void refill() {
-        const std::uint64_t want = std::min<std::uint64_t>(superblock_, reader_.remaining());
-        buf_.resize(want);
+        view_ = reader_.next(superblock_);
         pos_ = 0;
-        if (want > 0) {
-            const std::uint64_t got = reader_.read(buf_);
-            BS_MODEL_CHECK(got == want, "striped merge: short refill");
-        }
     }
 
     RunReader reader_;
     std::uint64_t superblock_;
-    std::vector<Record> buf_;
+    std::span<const Record> view_;
     std::size_t pos_ = 0;
 };
 
@@ -64,11 +59,8 @@ BlockRun striped_merge_sort(DiskArray& disks, const BlockRun& input, const PdmCo
     std::vector<BlockRun> runs;
     {
         RunReader in(disks, input);
-        std::vector<Record> load;
         while (in.remaining() > 0) {
-            load.resize(std::min<std::uint64_t>(cfg.m, in.remaining()));
-            const std::uint64_t got = in.read(load);
-            BS_MODEL_CHECK(got == load.size(), "run formation: short read");
+            const std::span<Record> load = in.next(cfg.m);
             std::sort(load.begin(), load.end(), CountingLess<KeyLess>(KeyLess{}, &meter));
             runs.push_back(write_striped(disks, load));
         }

@@ -76,12 +76,11 @@ std::vector<BucketOutput> balance_pass(RecordSource& input, const PivotSet& pivo
         c_tracks = &mreg->counter("balance.tracks");
     }
 
-    // One memoryload of input staging, plus the block arena and the track
-    // write staging (BlockFill), leased once per pass and reused across all
-    // tracks.
-    const std::uint64_t load = std::min<std::uint64_t>(memory_records, input.remaining());
-    auto chunk = BufferPool::acquire_from(buffers, static_cast<std::size_t>(load));
-    BlockFill fill(vdisks, pivots, load, buffers);
+    // The block arena and the track write staging (BlockFill), leased once
+    // per pass and reused across all tracks; each memoryload is read in
+    // place from the source's buffer.
+    BlockFill fill(vdisks, pivots, std::min<std::uint64_t>(memory_records, input.remaining()),
+                   buffers);
     std::vector<BucketOutput>& buckets = fill.buckets;
     // Streaming-sketch pivots for the next level (PivotMethod::
     // kStreamingSketch): one deterministic quantile sketch per open-range
@@ -108,15 +107,13 @@ std::vector<BucketOutput> balance_pass(RecordSource& input, const PivotSet& pivo
     while (true) {
         // ---- Refill the ready queue from the input (one memoryload). ----
         if (fill.ready.size() < dv && input.remaining() > 0) {
-            chunk->resize(std::min<std::uint64_t>(memory_records, input.remaining()));
-            const std::uint64_t got = input.read(*chunk);
-            BS_MODEL_CHECK(got == chunk->size(), "balance_pass: short read from source");
+            const std::span<const Record> chunk = input.next(memory_records);
             // Partition the memoryload into buckets (Algorithm 3 line (1)):
             // bucket indices computed data-parallel, scatter sequential.
-            const std::span<const std::uint32_t> chunk_bucket = fill.scatter(*chunk, pool);
-            charge_classify(got, s_eff, meter, cost);
-            for (std::uint64_t i = 0; i < got && !sketches.empty(); ++i) {
-                if (const auto& sk = sketches[chunk_bucket[i]]) sk->add((*chunk)[i].key);
+            const std::span<const std::uint32_t> chunk_bucket = fill.scatter(chunk, pool);
+            charge_classify(chunk.size(), s_eff, meter, cost);
+            for (std::size_t i = 0; i < chunk.size() && !sketches.empty(); ++i) {
+                if (const auto& sk = sketches[chunk_bucket[i]]) sk->add(chunk[i].key);
             }
             // Input exhausted: the final partial blocks join the queue.
             if (input.remaining() == 0) fill.flush_tails();

@@ -51,18 +51,16 @@ PivotSet select_pivots_from_sorted_samples(const std::vector<std::uint64_t>& sor
 
 PivotSet compute_pivots_sampling(RecordSource& input, std::uint64_t n, std::uint64_t m,
                                  std::uint32_t s_target, const Parallel& pool, WorkMeter* meter,
-                                 PramCost* cost, BufferPool* buffers) {
+                                 PramCost* cost) {
     BS_REQUIRE(input.remaining() == n, "compute_pivots: n != input.remaining()");
     BS_REQUIRE(m >= 2, "compute_pivots: memory too small");
     const std::uint64_t t = sampling_stride(n, m, s_target);
     std::vector<std::uint64_t> samples;
     samples.reserve(n / t + 2);
-    auto load = BufferPool::acquire_from(
-        buffers, static_cast<std::size_t>(std::min<std::uint64_t>(m, n)));
     std::vector<std::uint64_t> ranks;
     while (input.remaining() > 0) {
-        const std::uint64_t got = input.read(*load);
-        std::span<Record> span_load(load->data(), got);
+        const std::span<const Record> load = input.next(m);
+        const std::uint64_t got = load.size();
         // Every t-th order statistic of the memoryload, *centered* (ranks
         // (t+1)/2, (t+1)/2 + t, ...): the samples then sit at quantiles
         // (j+1/2)*t/M, whose pooled order statistics are unbiased
@@ -77,7 +75,7 @@ PivotSet compute_pivots_sampling(RecordSource& input, std::uint64_t n, std::uint
         // Loads smaller than the first centered rank contribute their
         // median so no stretch of the input is entirely unsampled.
         if (got > 0 && ranks.empty()) ranks.push_back((got + 1) / 2);
-        auto keys = multi_select_keys(span_load, ranks, pool, meter);
+        auto keys = multi_select_keys(load, ranks, pool, meter);
         samples.insert(samples.end(), keys.begin(), keys.end());
         if (cost != nullptr) {
             cost->charge_parallel_work(got * std::max<std::uint64_t>(

@@ -79,12 +79,10 @@ void charge_classify(std::uint64_t n, std::uint32_t n_buckets, WorkMeter* meter,
 /// recursively with the same rank guarantees ([ViSa]) — the simulator
 /// keeps the pool directly (keys only), which changes no I/O accounting
 /// (samples are collected during the metered pivot read pass).
-/// With `buffers`, the memoryload staging is leased from the pool instead
-/// of heap-allocated per pass (DESIGN.md §10).
+/// Each memoryload is sampled in place, as a view into the source.
 PivotSet compute_pivots_sampling(RecordSource& input, std::uint64_t n, std::uint64_t m,
                                  std::uint32_t s_target, const Parallel& pool,
-                                 WorkMeter* meter = nullptr, PramCost* cost = nullptr,
-                                 BufferPool* buffers = nullptr);
+                                 WorkMeter* meter = nullptr, PramCost* cost = nullptr);
 
 /// The sampling stride used above (exposed for the analytic bound tests):
 /// t = max(ceil(M/(8S)), 1).

@@ -5,12 +5,6 @@
 
 namespace balsort {
 
-void IoPolicy::validate() const {
-    BS_REQUIRE(shared_pool == nullptr || pool_retain_records == kPoolRetainAuto,
-               "IoPolicy: pool_retain_records sizes the per-sort pool; a shared pool's "
-               "retention is fixed by its owner at construction");
-}
-
 void DurabilityPolicy::validate() const {
     BS_REQUIRE(resume_from.empty() || !checkpoint_path.empty(),
                "DurabilityPolicy: resume requires checkpoint — the resumed run continues "
@@ -27,7 +21,6 @@ void ComputePolicy::validate() const {
 }
 
 void SortJobConfig::validate(std::uint32_t d) const {
-    io_policy.validate();
     compute_policy.validate();
     durability_policy.validate();
     BS_REQUIRE(!(pivot_method == PivotMethod::kStreamingSketch &&

@@ -8,7 +8,7 @@
 /// concerns are grouped into four policy structs —
 ///
 ///   IoPolicy          — how the sort drives the array (synchronized
-///                       writes, buffer-pool retention, a shared pool),
+///                       writes, a shared buffer pool),
 ///   ComputePolicy     — compute lanes and the executor they run on,
 ///   DurabilityPolicy  — crash consistency (checkpoint/resume paths, the
 ///                       chaos hook),
@@ -58,15 +58,6 @@ enum class PivotMethod {
     kStreamingSketch,
 };
 
-/// Which model charges a base-case memoryload's sort with the P processors
-/// (§5's internal-processing toolbox: Cole's merge sort [Col] vs the
-/// Rajasekaran-Reif radix path [RaR]). Both run the same stable kernel, so
-/// the choice moves the charged work, never the output bytes.
-enum class InternalSort {
-    kParallelMerge, ///< charged as a comparison-based merge sort (default)
-    kParallelRadix, ///< charged as an LSD radix sort on the 64-bit keys
-};
-
 /// How the bucket count S is chosen at each recursion level.
 enum class BucketPolicy {
     /// The paper's PDM rule (§5): S = (M/B)^(1/4) at every level, clamped
@@ -91,11 +82,6 @@ struct IoPolicy {
     /// array (error-checking/parity friendly), trading disk space for the
     /// property. I/O step counts are unchanged.
     bool synchronized_writes = false;
-    /// Retention cap (records) of the per-sort BufferPool; kPoolRetainAuto
-    /// sizes it to a few memoryloads (4*M, the historical constant), 0
-    /// passes through as "unlimited retention" (DESIGN.md §10).
-    static constexpr std::uint64_t kPoolRetainAuto = ~std::uint64_t{0};
-    std::uint64_t pool_retain_records = kPoolRetainAuto;
     /// When set, stage through this caller-owned pool instead of a
     /// per-sort one — the sort service shares one pool across concurrent
     /// jobs. Report pool stats are then left at zero (the shared pool's
@@ -103,12 +89,7 @@ struct IoPolicy {
     BufferPool* shared_pool = nullptr;
 
     IoPolicy& synchronized(bool v) { synchronized_writes = v; return *this; }
-    IoPolicy& pool_retain(std::uint64_t records) { pool_retain_records = records; return *this; }
     IoPolicy& pool(BufferPool* p) { shared_pool = p; return *this; }
-
-    /// Rejects incoherent combinations (std::invalid_argument): a retention
-    /// cap next to a shared pool would silently never apply.
-    void validate() const;
 };
 
 /// Crash consistency (DESIGN.md §13): checkpoint-at-boundaries and resume.
@@ -213,8 +194,6 @@ struct SortJobConfig {
     /// Per-level S selection rule; s_target != 0 requires kFixed.
     BucketPolicy bucket_policy = BucketPolicy::kPaperPdm;
     PivotMethod pivot_method = PivotMethod::kSamplingPass;
-    /// Base-case internal sorting engine.
-    InternalSort internal_sort = InternalSort::kParallelMerge;
     /// Number of virtual disks D'; 0 selects the divisor of D nearest
     /// D^(1/3) (§4.1 partial striping). Must divide D when given.
     std::uint32_t d_virtual = 0;
@@ -249,7 +228,6 @@ struct SortJobConfig {
     }
     SortJobConfig& bucket_rule(BucketPolicy policy) { bucket_policy = policy; return *this; }
     SortJobConfig& pivots(PivotMethod m) { pivot_method = m; return *this; }
-    SortJobConfig& base_case(InternalSort s) { internal_sort = s; return *this; }
     SortJobConfig& virtual_disks(std::uint32_t dv) { d_virtual = dv; return *this; }
     SortJobConfig& balance(const BalanceOptions& b) { balance_opts = b; return *this; }
     SortJobConfig& threads(std::uint32_t t) { compute_policy.threads = t; return *this; }

@@ -69,16 +69,7 @@ DriverState::DriverState(DiskArray& d, const PdmConfig& c, const SortJobConfig& 
       // fully striped (common fresh index) stripes, so *every* write of
       // the sort is parity-friendly, not just the bucket tracks.
       out(d, 0, j.io_policy.synchronized_writes),
-      report(rep),
-      // Retain at most a few memoryloads of idle capacity — roughly the
-      // serial driver's peak live staging (base-case load + prefetch
-      // window + Balance chunk + a stream buffer); beyond that, returns
-      // free their memory instead of hoarding it. kPoolRetainAuto keeps
-      // that default; any other value is the caller's explicit cap
-      // (0 = unlimited, matching BufferPool's contract).
-      buffers(j.io_policy.pool_retain_records == IoPolicy::kPoolRetainAuto
-                  ? 4 * c.m
-                  : j.io_policy.pool_retain_records) {
+      report(rep) {
     tracer = balsort::tracer();
     if (tracer != nullptr) {
         lane_pivot = tracer->lane("phase:pivot");
@@ -126,8 +117,8 @@ PivotSet PivotPhase::run(const std::function<std::unique_ptr<RecordSource>()>& t
     flight_note("pivot", "phase", static_cast<std::int64_t>(n));
     PhaseSpan span(st_, "pivot", st_.lane_pivot, n);
     auto src = take_source();
-    return compute_pivots_sampling(*src, n, st_.cfg.m, s_target, st_.pool, &st_.meter, &st_.cost,
-                                   st_.buffer_pool());
+    return compute_pivots_sampling(*src, n, st_.cfg.m, s_target, st_.pool, &st_.meter,
+                                   &st_.cost);
 }
 
 std::vector<BucketOutput> BalancePhase::run(
@@ -175,19 +166,14 @@ void BaseCasePhase::run(RecordSource& src, std::uint64_t n,
     st_.progress_phase(ProgressSink::kBaseCase);
     flight_note("base_case", "phase", static_cast<std::int64_t>(n));
     PhaseSpan span(st_, "base_case", st_.lane_base, n);
-    auto buf = BufferPool::acquire_from(st_.buffer_pool(), static_cast<std::size_t>(n));
-    const std::uint64_t got = src.read(*buf);
-    BS_MODEL_CHECK(got == n, "base case: short read");
+    // The bucket is sorted in place, in the source's buffer.
+    const std::span<Record> load = src.next(n);
     // The scheduler's staging point: the next bucket's memoryload goes to
     // the engine here, so its transfers run under the sort below.
     if (after_load) after_load();
-    if (st_.job.internal_sort == InternalSort::kParallelRadix) {
-        parallel_radix_sort(*buf, st_.pool, &st_.meter, &st_.cost);
-    } else {
-        parallel_merge_sort(*buf, st_.pool, &st_.meter, &st_.cost);
-    }
-    st_.out.append(std::span<const Record>(*buf));
-    st_.progress_emitted(got);
+    parallel_merge_sort(load, st_.pool, &st_.meter, &st_.cost);
+    st_.out.append(load);
+    st_.progress_emitted(load.size());
     if (st_.report != nullptr) st_.report->base_cases += 1;
 }
 
@@ -196,16 +182,11 @@ void EmitPhase::stream_copy(RecordSource& src) {
     st_.progress_phase(ProgressSink::kEmit);
     flight_note("stream_copy", "phase", static_cast<std::int64_t>(src.remaining()));
     PhaseSpan span(st_, "stream_copy", st_.lane_emit, src.remaining());
-    auto buf = BufferPool::acquire_from(
-        st_.buffer_pool(),
-        static_cast<std::size_t>(std::min<std::uint64_t>(st_.cfg.m, src.remaining())));
     while (src.remaining() > 0) {
-        buf->resize(static_cast<std::size_t>(std::min<std::uint64_t>(st_.cfg.m, src.remaining())));
-        const std::uint64_t got = src.read(*buf);
-        BS_MODEL_CHECK(got == buf->size(), "stream_copy: short read");
-        st_.out.append(std::span<const Record>(buf->data(), got));
-        st_.progress_emitted(got);
-        st_.meter.add_moves(got);
+        const std::span<const Record> load = src.next(st_.cfg.m);
+        st_.out.append(load);
+        st_.progress_emitted(load.size());
+        st_.meter.add_moves(load.size());
     }
 }
 
@@ -219,19 +200,16 @@ VRun EmitPhase::reposition(const VRun& run) {
     const std::uint64_t track = static_cast<std::uint64_t>(dv) * st_.vdisks.vblock_records();
     const PivotSet one_bucket;
     BlockFill fill(st_.vdisks, one_bucket, track, st_.buffer_pool());
-    auto chunk = BufferPool::acquire_from(st_.buffer_pool(), static_cast<std::size_t>(track));
     std::vector<std::uint32_t> vds(dv);
     std::iota(vds.begin(), vds.end(), 0u);
     std::vector<BlockFill::Block> step;
     while (src.remaining() > 0) {
-        chunk->resize(static_cast<std::size_t>(std::min(track, src.remaining())));
-        const std::uint64_t got = src.read(*chunk);
-        BS_MODEL_CHECK(got == chunk->size(), "reposition: short read");
-        fill.scatter(*chunk, st_.pool);
+        const std::span<const Record> chunk = src.next(track);
+        fill.scatter(chunk, st_.pool);
         if (src.remaining() == 0) fill.flush_tails();
         fill.take(dv, step);
         fill.write(step, std::span<const std::uint32_t>(vds).first(step.size()));
-        st_.meter.add_moves(got);
+        st_.meter.add_moves(chunk.size());
     }
     VRun& fresh = fill.buckets[0].run;
     BS_MODEL_CHECK(fresh.n_records == run.n_records, "reposition: record count changed");

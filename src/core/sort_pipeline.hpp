@@ -84,8 +84,8 @@ struct DriverState {
     PramCost cost;
     RunWriter out;
     SortReport* report;
-    /// Recycled record buffers, capped at a few memoryloads so the pool
-    /// never grows past what the serial driver would have had live.
+    /// Recycled record buffers (readers' carries, prefetch windows, the
+    /// Balance arena); uncapped, like the service's shared pool.
     BufferPool buffers;
     PhaseProfile profile;
 

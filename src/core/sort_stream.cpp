@@ -37,9 +37,10 @@ double sort_stream(DiskArray& disks, std::uint64_t n, std::span<Record> buf,
         in.release(disks);
         {
             RunReader r(disks, out);
-            while (const std::uint64_t len = r.read(buf)) {
-                fold(buf.first(len), true);
-                sink(buf.first(len));
+            while (r.remaining() > 0) {
+                const std::span<const Record> chunk = r.next(buf.size());
+                fold(chunk, true);
+                sink(chunk);
             }
         }
         out.release(disks);

@@ -5,9 +5,10 @@
 ///
 ///     fill -> RunWriter -> input run -> sort -> output run -> RunReader -> sink
 ///
-/// Input and output pass through one caller-owned buffer, and both can fold
-/// into one StreamCheck, so the driver checks its own output in the same
-/// pass. Peak memory is the buffer plus the runs' block lists, whatever n is.
+/// Input passes through one caller-owned buffer, output through the
+/// RunReader's carry of the same size, and both can fold into one
+/// StreamCheck, so the driver checks its own output in the same pass. Peak
+/// memory is the two buffers plus the runs' block lists, whatever n is.
 
 #include <cstdint>
 #include <span>
@@ -23,8 +24,9 @@ namespace balsort {
 /// of its own: the driver releases both once the output is read back).
 using SortStep = FunctionRef<BlockRun(const BlockRun&)>;
 
-/// Sort n records: `fill(chunk)` fills `chunk` with the next input records,
-/// `sink` gets the sorted records in order, and every chunk lives in `buf`.
+/// Sort n records: `fill(chunk)` fills `chunk` (a piece of `buf`) with the
+/// next input records, and `sink` gets the sorted records in order, in
+/// views of at most buf.size() records into the reader's carry.
 /// A buffer of whole stripes (D·B records) reads the output back in exactly
 /// the steps of one whole-run read. With `check`, a wrong output throws
 /// std::runtime_error with the check's reason. `sort` is not called for

@@ -13,6 +13,7 @@
 
 #include <algorithm>
 #include <cstdint>
+#include <span>
 #include <vector>
 
 #include "pdm/striping.hpp"
@@ -26,8 +27,10 @@ public:
     virtual ~RecordSource() = default;
     /// Records not yet delivered.
     virtual std::uint64_t remaining() const = 0;
-    /// Deliver up to out.size() records; returns the count delivered.
-    virtual std::uint64_t read(std::span<Record> out) = 0;
+    /// View the next exactly min(n, remaining()) records. They stay in the
+    /// source's own buffer, valid until the next call or the source's
+    /// destruction; the caller may sort them in place.
+    virtual std::span<Record> next(std::uint64_t n) = 0;
 };
 
 /// Streams a striped BlockRun (the top-level input) or a bucket's VRun
@@ -39,7 +42,7 @@ public:
     RunSource(DiskArray& disks, const VRun& run, BufferPool* buffers = nullptr)
         : reader_(disks, run, buffers) {}
     std::uint64_t remaining() const override { return reader_.remaining(); }
-    std::uint64_t read(std::span<Record> out) override { return reader_.read(out); }
+    std::span<Record> next(std::uint64_t n) override { return reader_.next(n); }
     /// See RunReader::start_prefetch (cross-bucket staging, DESIGN.md §10).
     bool start_prefetch(std::uint64_t max_records, double* hidden_sink = nullptr) {
         return reader_.start_prefetch(max_records, hidden_sink);
@@ -54,11 +57,11 @@ class VectorSource final : public RecordSource {
 public:
     explicit VectorSource(std::vector<Record> records) : records_(std::move(records)) {}
     std::uint64_t remaining() const override { return records_.size() - pos_; }
-    std::uint64_t read(std::span<Record> out) override {
-        const std::size_t want = std::min(out.size(), records_.size() - pos_);
-        std::copy_n(records_.begin() + static_cast<std::ptrdiff_t>(pos_), want, out.begin());
-        pos_ += want;
-        return want;
+    std::span<Record> next(std::uint64_t n) override {
+        const std::span<Record> view =
+            std::span<Record>(records_).subspan(pos_, std::min<std::uint64_t>(n, remaining()));
+        pos_ += view.size();
+        return view;
     }
 
 private:

@@ -212,44 +212,54 @@ void RunReader::fetch_units(std::uint64_t first, std::uint64_t n, std::span<Reco
     }
 }
 
-std::uint64_t RunReader::read(std::span<Record> out) {
-    const std::uint64_t want = std::min<std::uint64_t>(out.size(), remaining_);
-    // Serve from the carry (the valid tail of the last fetch) first.
-    std::uint64_t got = std::min(want, carry_end_ - carry_pos_);
-    std::copy_n(carry_->begin() + static_cast<std::ptrdiff_t>(carry_pos_), got, out.begin());
-    carry_pos_ += got;
-    if (got < want) {
-        carry_ = {}; // drained: hand its buffer back before leasing the next
-        // Whole units covering the deficit.
-        const std::uint64_t need = want - got;
-        std::uint64_t covered = 0;
-        std::uint64_t last = next_unit_;
-        while (covered < need) {
-            BS_MODEL_CHECK(last < n_units_, "RunReader: run exhausted prematurely");
-            covered += unit_count(last++);
-        }
-        const std::uint64_t n_fetch = last - next_unit_;
-        carry_ = BufferPool::acquire_from(buffers_, n_fetch * unit_records_);
-        fetch_units(next_unit_, n_fetch, *carry_);
-        // Compact the valid prefix of every unit in place (a no-op for
-        // full units).
-        std::uint64_t end = 0;
-        for (std::uint64_t k = 0; k < n_fetch; ++k) {
-            const std::uint64_t count = unit_count(next_unit_ + k);
-            const auto src = carry_->begin() + static_cast<std::ptrdiff_t>(k * unit_records_);
-            if (end != k * unit_records_) {
-                std::copy_n(src, count, carry_->begin() + static_cast<std::ptrdiff_t>(end));
-            }
-            end += count;
-        }
-        next_unit_ = last;
-        std::copy_n(carry_->begin(), need, out.begin() + static_cast<std::ptrdiff_t>(got));
-        carry_pos_ = need;
-        carry_end_ = covered;
-    }
-    if (carry_pos_ == carry_end_) carry_ = {};
+std::span<Record> RunReader::next(std::uint64_t n) {
+    const std::uint64_t want = std::min(n, remaining_);
     remaining_ -= want;
-    return want;
+    const std::uint64_t left = carry_end_ - carry_pos_;
+    if (left >= want) {
+        const std::span<Record> view(carry_->data() + carry_pos_, want);
+        carry_pos_ += want;
+        return view;
+    }
+    // Whole units covering the deficit, fetched after the leftover.
+    std::uint64_t covered = left;
+    std::uint64_t last = next_unit_;
+    while (covered < want) {
+        BS_MODEL_CHECK(last < n_units_, "RunReader: run exhausted prematurely");
+        covered += unit_count(last++);
+    }
+    const std::uint64_t n_fetch = last - next_unit_;
+    const std::uint64_t size = left + n_fetch * unit_records_;
+    const auto at = [this](std::uint64_t i) {
+        return carry_->begin() + static_cast<std::ptrdiff_t>(i);
+    };
+    if (carry_->size() < size) {
+        BufferPool::Lease grown = BufferPool::acquire_from(buffers_, size);
+        std::copy(at(carry_pos_), at(carry_end_), grown->begin());
+        carry_ = std::move(grown);
+    } else {
+        std::copy(at(carry_pos_), at(carry_end_), at(0));
+    }
+    fetch_units(next_unit_, n_fetch, std::span<Record>(*carry_).subspan(left, size - left));
+    // Compact the valid prefix of every unit in place (a no-op for full
+    // units).
+    std::uint64_t end = left;
+    for (std::uint64_t k = 0; k < n_fetch; ++k) {
+        const std::uint64_t count = unit_count(next_unit_ + k);
+        const std::uint64_t src = left + k * unit_records_;
+        if (end != src) std::copy_n(at(src), count, at(end));
+        end += count;
+    }
+    next_unit_ = last;
+    carry_pos_ = want;
+    carry_end_ = end;
+    return {carry_->data(), want};
+}
+
+std::uint64_t RunReader::read(std::span<Record> out) {
+    const std::span<const Record> view = next(out.size());
+    std::copy(view.begin(), view.end(), out.begin());
+    return view.size();
 }
 
 BlockRun write_striped(DiskArray& disks, std::span<const Record> records) {
@@ -259,11 +269,9 @@ BlockRun write_striped(DiskArray& disks, std::span<const Record> records) {
 }
 
 std::vector<Record> read_run(DiskArray& disks, const BlockRun& run) {
-    std::vector<Record> out(run.n_records);
     RunReader r(disks, run);
-    std::uint64_t got = r.read(out);
-    BS_MODEL_CHECK(got == run.n_records, "read_run: short read");
-    return out;
+    const std::span<const Record> all = r.next(run.n_records);
+    return {all.begin(), all.end()};
 }
 
 VirtualDisks::VirtualDisks(DiskArray& disks, std::uint32_t n_virtual, bool synchronized_writes)

@@ -138,13 +138,22 @@ public:
 
     std::uint64_t remaining() const { return remaining_; }
 
-    /// Read min(out.size(), remaining()) records; returns the count.
+    /// View the next min(n, remaining()) records of the run, in run order.
+    /// They sit in the reader's own carry buffer and stay valid until the
+    /// next call to next()/read() or the reader's destruction; the caller
+    /// may reorder or overwrite them in place. The carry is reused across
+    /// calls: the < 1-unit leftover of the last fetch moves to its front
+    /// and the next fetch lands after it.
+    std::span<Record> next(std::uint64_t n);
+
+    /// Copy out: read min(out.size(), remaining()) records; returns the
+    /// count.
     std::uint64_t read(std::span<Record> out);
 
     /// Cross-bucket staging (DESIGN.md §10): physically issue the first
     /// ~`max_records` of the run through the async engine *now*, so the
     /// transfers overlap whatever the caller computes before the first
-    /// read(). Charges nothing — model costs land at consumption time
+    /// next(). Charges nothing — model costs land at consumption time
     /// exactly as without staging, so io_steps() and the observer sequence
     /// are unchanged. `hidden_sink`, if given, accumulates the seconds
     /// between issue and the first wait (engine time hidden behind the
@@ -174,8 +183,9 @@ private:
     std::uint64_t n_units_;
     std::uint64_t next_unit_ = 0;
     std::uint64_t remaining_;
-    /// The last fetch, compacted to its valid records; [carry_pos_,
-    /// carry_end_) is not yet returned.
+    /// The fetched records, compacted to the valid ones; [carry_pos_,
+    /// carry_end_) is not yet returned. Grows to the largest next() and is
+    /// kept until the reader dies.
     BufferPool::Lease carry_;
     std::uint64_t carry_pos_ = 0;
     std::uint64_t carry_end_ = 0;

@@ -226,12 +226,7 @@ void SortScheduler::run_job(Job& job) {
 }
 
 SortJobConfig SortScheduler::wire_shared(SortJobConfig cfg) {
-    if (cfg_.share_buffer_pool) {
-        // The shared pool's retention is fixed at construction; a per-job
-        // cap would only have sized the private pool this replaces.
-        cfg.io_policy.shared_pool = &shared_pool_;
-        cfg.io_policy.pool_retain_records = IoPolicy::kPoolRetainAuto;
-    }
+    if (cfg_.share_buffer_pool) cfg.io_policy.shared_pool = &shared_pool_;
     if (executor_ != nullptr) cfg.compute_policy.shared_executor = executor_.get();
     return cfg;
 }

@@ -231,7 +231,6 @@ TEST(BalanceSort, ValidateRejectsIncoherentOptions) {
     // express the same mistake. SortJobConfig::validate is the one place
     // each rule lives.
     Executor exec(1); // workers() + the submitting thread = 2 lanes
-    BufferPool pool;
     const auto hook = [](std::uint64_t) {};
     struct Case {
         const char* name;
@@ -242,8 +241,6 @@ TEST(BalanceSort, ValidateRejectsIncoherentOptions) {
         {"hook without checkpoint path",
          [&](SortJobConfig& c) { c.durability(DurabilityPolicy{}.hook(hook)); },
          [&](HierSortConfig& h) { h.durability.hook(hook); }},
-        {"retention cap with a shared pool",
-         [&](SortJobConfig& c) { c.io(IoPolicy{}.pool(&pool).pool_retain(1000)); }, {}},
         {"resume without checkpoint",
          [](SortJobConfig& c) { c.durability(DurabilityPolicy{}.resume("ck.bin")); },
          [](HierSortConfig& h) { h.durability.resume("ck.bin"); }},

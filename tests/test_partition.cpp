@@ -2,6 +2,7 @@
 // bounds), equal-class bucketing, stride formulas.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <map>
 #include <set>
 
@@ -217,6 +218,19 @@ TEST(Partition, ConsumesSourceExactly) {
     EXPECT_EQ(src.remaining(), 0u);
     VectorSource src2(recs);
     EXPECT_THROW(compute_pivots_sampling(src2, n + 1, m, 4, pool), std::invalid_argument);
+
+    // Views: exactly min(n, remaining()) records each, in order, and an
+    // empty view once the source is drained.
+    VectorSource views(recs);
+    const std::span<const Record> head = views.next(1000);
+    ASSERT_EQ(head.size(), 1000u);
+    EXPECT_TRUE(std::equal(head.begin(), head.end(), recs.begin()));
+    EXPECT_EQ(views.remaining(), n - 1000);
+    const std::span<const Record> tail = views.next(n);
+    ASSERT_EQ(tail.size(), n - 1000);
+    EXPECT_TRUE(std::equal(tail.begin(), tail.end(), recs.begin() + 1000));
+    EXPECT_EQ(views.remaining(), 0u);
+    EXPECT_TRUE(views.next(1).empty());
 }
 
 TEST(Algorithm2, BucketBoundHolds) {

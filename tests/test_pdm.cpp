@@ -269,6 +269,18 @@ TEST(RunReader, ChunkedReadsAnySize) {
             out.insert(out.end(), buf.begin(), buf.begin() + static_cast<std::ptrdiff_t>(got));
         }
         EXPECT_EQ(out, recs) << "chunk=" << chunk;
+
+        // The same chunks as views into the reader's carry.
+        RunReader v(arr, run);
+        std::vector<Record> viewed;
+        while (v.remaining() > 0) {
+            const std::uint64_t expect = std::min(chunk, v.remaining());
+            const std::span<const Record> view = v.next(chunk);
+            EXPECT_EQ(view.size(), expect) << "chunk=" << chunk;
+            viewed.insert(viewed.end(), view.begin(), view.end());
+        }
+        EXPECT_TRUE(v.next(chunk).empty());
+        EXPECT_EQ(viewed, recs) << "chunk=" << chunk;
     }
 }
 
@@ -280,9 +292,11 @@ struct ReadThrough {
     std::vector<std::string> steps;
 };
 
+/// With `views`, the records come through next() instead of read(), and
+/// every view must be exactly min(chunk, remaining()) long.
 template <class Run>
 ReadThrough read_through(DiskArray& arr, const Run& run, std::uint64_t chunk,
-                         std::uint64_t staged = 0) {
+                         std::uint64_t staged = 0, bool views = false) {
     ReadThrough t;
     arr.set_step_observer([&t](bool is_read, std::span<const BlockOp> ops) {
         std::string step = is_read ? "r" : "w";
@@ -299,10 +313,16 @@ ReadThrough read_through(DiskArray& arr, const Run& run, std::uint64_t chunk,
         }
         std::vector<Record> buf;
         while (r.remaining() > 0) {
-            buf.resize(std::min<std::uint64_t>(chunk, r.remaining()));
-            const std::uint64_t got = r.read(buf);
-            t.records.insert(t.records.end(), buf.begin(),
-                             buf.begin() + static_cast<std::ptrdiff_t>(got));
+            const std::uint64_t want = std::min(chunk, r.remaining());
+            std::span<const Record> got;
+            if (views) {
+                got = r.next(chunk);
+            } else {
+                buf.resize(want);
+                got = std::span<const Record>(buf).first(r.read(buf));
+            }
+            EXPECT_EQ(got.size(), want);
+            t.records.insert(t.records.end(), got.begin(), got.end());
         }
     }
     arr.set_step_observer(nullptr);
@@ -314,6 +334,9 @@ ReadThrough read_through(DiskArray& arr, const Run& run, std::uint64_t chunk,
 /// g = 1, 2, 4 whose virtual blocks carry ragged valid counts. Any chunk
 /// size returns the valid records in run order, and the worker executor
 /// charges exactly the steps the inline executor does, staged or not.
+/// Views (next()) return the same records with the same step sequence as
+/// copies (read()), the leftover of a ragged fetch carrying into the next
+/// view.
 TEST(RunReader, OneReaderForStripedAndVirtualRuns) {
     constexpr std::uint32_t kD = 4;
     constexpr std::uint32_t kB = 8;
@@ -330,6 +353,13 @@ TEST(RunReader, OneReaderForStripedAndVirtualRuns) {
             EXPECT_EQ(inline_read.records, expect) << what << " chunk=" << chunk;
             EXPECT_EQ(worker_read.records, expect) << what << " chunk=" << chunk;
             EXPECT_EQ(worker_read.steps, inline_read.steps) << what << " chunk=" << chunk;
+            for (const bool async : {false, true}) {
+                arr.set_async(async);
+                const ReadThrough viewed = read_through(arr, run, chunk, 0, /*views=*/true);
+                arr.set_async(false);
+                EXPECT_EQ(viewed.records, expect) << what << " views chunk=" << chunk;
+                EXPECT_EQ(viewed.steps, inline_read.steps) << what << " views chunk=" << chunk;
+            }
         }
     };
 
@@ -342,6 +372,11 @@ TEST(RunReader, OneReaderForStripedAndVirtualRuns) {
     arr.set_async(false);
     EXPECT_EQ(staged.records, striped_recs);
     EXPECT_EQ(staged.steps, read_through(arr, striped, 3 * kB + 1).steps);
+    arr.set_async(true);
+    const ReadThrough staged_views = read_through(arr, striped, 3 * kB + 1, 2 * kB, true);
+    arr.set_async(false);
+    EXPECT_EQ(staged_views.records, striped_recs);
+    EXPECT_EQ(staged_views.steps, staged.steps);
 
     for (const std::uint32_t g : {1u, 2u, 4u}) {
         VirtualDisks vd(arr, kD / g);

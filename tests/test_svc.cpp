@@ -502,17 +502,6 @@ TEST(SvcAdmissionTest, SpecValidationRejectsWithReason) {
         EXPECT_FALSE(r.admitted);
         EXPECT_FALSE(r.reason.empty());
     }
-    {
-        // A per-job retention cap is coherent on its own; the scheduler's
-        // shared pool replaces the private pool it would have sized, so
-        // the job runs instead of failing the shared-pool validation.
-        JobSpec capped = base;
-        capped.config.io(IoPolicy{}.pool_retain(4096));
-        const AdmissionResult r = sched.submit(capped);
-        ASSERT_TRUE(r.admitted) << r.reason;
-        const JobStatus st = sched.wait(r.id);
-        EXPECT_EQ(st.state, JobState::kSucceeded) << st.error;
-    }
 }
 
 TEST(SvcAdmissionTest, ZeroCapacityQueueRejectsEverything) {
@@ -750,19 +739,12 @@ TEST(SvcObservatoryTest, FlightRecorderOverheadGuard) {
 // ---------------------------------------------------------------------------
 
 TEST(SvcConfigTest, PolicyValidationRejectsIncoherentCombos) {
-    BufferPool pool;
-    EXPECT_THROW(IoPolicy{}.pool(&pool).pool_retain(123).validate(), std::invalid_argument);
-    EXPECT_NO_THROW(IoPolicy{}.pool(&pool).validate());
-    EXPECT_NO_THROW(IoPolicy{}.pool_retain(123).validate());
-
     EXPECT_THROW(DurabilityPolicy{}.resume("ck.bin").validate(), std::invalid_argument);
     EXPECT_THROW(DurabilityPolicy{}.hook([](std::uint64_t) {}).validate(),
                  std::invalid_argument);
     EXPECT_NO_THROW(DurabilityPolicy{}.checkpoint("ck.bin").resume("ck.bin").validate());
 
     EXPECT_NO_THROW(SortJobConfig{}.validate(8));
-    EXPECT_THROW(SortJobConfig{}.io(IoPolicy{}.pool(&pool).pool_retain(123)).validate(8),
-                 std::invalid_argument);
 }
 
 // ---------------------------------------------------------------------------
