@@ -131,6 +131,22 @@ RunWithFence fenced(BlockRun run, std::span<const Record> data, std::uint32_t b)
     return out;
 }
 
+/// Appends records to a RunWriter and records each block's first key as
+/// it goes, so a merge output is fenced without keeping its records.
+struct FencedWriter {
+    RunWriter out;
+    std::uint32_t b;
+    std::vector<std::uint64_t> fence;
+    std::uint64_t n = 0;
+
+    explicit FencedWriter(DiskArray& disks) : out(disks), b(disks.block_size()) {}
+    void append(const Record& r) {
+        if (n++ % b == 0) fence.push_back(r.key);
+        out.append(r);
+    }
+    RunWithFence finish() { return RunWithFence{out.finish(), std::move(fence)}; }
+};
+
 /// Run formation: each memoryload of the input sorted in place and
 /// written as a fenced striped run.
 std::vector<RunWithFence> form_runs(DiskArray& disks, const BlockRun& input, std::uint64_t m) {
@@ -151,7 +167,6 @@ BlockRun greed_sort(DiskArray& disks, const BlockRun& input, const PdmConfig& cf
     cfg.validate();
     BS_REQUIRE(input.n_records == cfg.n, "greed_sort: cfg.n != input.n_records");
     const IoStats before = disks.stats();
-    const std::uint32_t b = disks.block_size();
     const std::uint32_t r_degree = greed_merge_degree(cfg);
     std::uint64_t peak_buffered = 0;
 
@@ -170,16 +185,12 @@ BlockRun greed_sort(DiskArray& disks, const BlockRun& input, const PdmConfig& cf
                 continue;
             }
             std::vector<RunState> st(ge - g);
-            std::uint64_t total = 0;
             for (std::size_t i = 0; i < st.size(); ++i) {
                 st[i].run = &runs[g + i].run;
                 st[i].fence = runs[g + i].fence;
                 st[i].fetched.assign(st[i].run->blocks.size(), 0);
-                total += st[i].run->n_records;
             }
-            RunWriter out(disks);
-            std::vector<Record> out_data;
-            out_data.reserve(total);
+            FencedWriter out(disks);
 
             std::uint64_t buffered_now = 0;
             while (true) {
@@ -203,7 +214,6 @@ BlockRun greed_sort(DiskArray& disks, const BlockRun& input, const PdmConfig& cf
                         break; // could tie with an unfetched block's head
                     }
                     out.append(best->head());
-                    out_data.push_back(best->head());
                     best->pos += 1;
                     buffered_now -= 1;
                 }
@@ -215,7 +225,7 @@ BlockRun greed_sort(DiskArray& disks, const BlockRun& input, const PdmConfig& cf
                     if (!any_records) break;
                 }
             }
-            next.push_back(fenced(out.finish(), out_data, b));
+            next.push_back(out.finish());
         }
         runs = std::move(next);
         ++passes;
@@ -311,10 +321,9 @@ ApproxMergeOut approx_merge_group(DiskArray& disks, std::uint32_t b, std::uint32
 /// Streaming cleanup: a sliding sorted window of `window` records; emit
 /// the lower half each refill. Correct iff every record's displacement is
 /// < window/2 (hard-checked via output monotonicity).
-BlockRun cleanup_pass(DiskArray& disks, const BlockRun& approx, std::uint64_t window,
-                      std::vector<Record>* out_data) {
+RunWithFence cleanup_pass(DiskArray& disks, const BlockRun& approx, std::uint64_t window) {
     RunReader in(disks, approx);
-    RunWriter out(disks);
+    FencedWriter out(disks);
     std::vector<Record> win;
     win.reserve(window + approx.n_records % std::max<std::uint64_t>(window, 1));
     std::uint64_t last_emitted = 0;
@@ -326,7 +335,6 @@ BlockRun cleanup_pass(DiskArray& disks, const BlockRun& approx, std::uint64_t wi
             last_emitted = win[i].key;
             any_emitted = true;
             out.append(win[i]);
-            if (out_data != nullptr) out_data->push_back(win[i]);
         }
         win.erase(win.begin(), win.begin() + static_cast<std::ptrdiff_t>(count));
     };
@@ -377,10 +385,7 @@ BlockRun greed_sort_approximate(DiskArray& disks, const BlockRun& input, const P
             ApproxMergeOut approx = approx_merge_group(disks, b, d, group, fences);
             max_disp = std::max(max_disp, approx.max_displacement);
             // Cleanup pass restores exact sortedness of the merged run.
-            std::vector<Record> cleaned;
-            cleaned.reserve(approx.run.n_records);
-            BlockRun fixed = cleanup_pass(disks, approx.run, window, &cleaned);
-            next.push_back(fenced(std::move(fixed), cleaned, b));
+            next.push_back(cleanup_pass(disks, approx.run, window));
         }
         runs = std::move(next);
         ++passes;

@@ -7,6 +7,7 @@
 #include <chrono>
 #include <map>
 #include <thread>
+#include <utility>
 
 #include "obs/flight_recorder.hpp"
 #include "obs/metrics.hpp"
@@ -573,6 +574,10 @@ std::vector<std::uint32_t> DiskArray::async_in_flight() const {
 
 void DiskArray::drain_async() {
     if (engine_ == nullptr) return;
+    {
+        std::lock_guard<std::recursive_mutex> lk(mu_);
+        flush_open_writes();
+    }
     std::exception_ptr deferred;
     if (JobIoChannel* c = bound_channel()) {
         // Channel-scoped drain: a bound job's boundary needs ITS writes
@@ -665,6 +670,7 @@ void DiskArray::run_inline(const IoRequest& request) {
 AsyncBatch DiskArray::submit(IoRequest::Kind kind, std::span<const BlockOp> ops,
                              Record* read_base, const Record* write_base) {
     BS_REQUIRE(engine_ != nullptr, "DiskArray: the worker executor is off");
+    if (kind == IoRequest::Kind::kRead) flush_open_writes();
     AsyncBatch batch = AsyncEngine::prepare(ops.size());
     for (std::size_t i = 0; i < ops.size(); ++i) {
         IoRequest& r = AsyncEngine::request(batch, i);
@@ -815,27 +821,33 @@ void DiskArray::write_stripe_async(std::span<const BlockOp> ops, std::span<const
     check_step_legal(ops);
     charge_write_step(ops);
     JobIoChannel* jc = bound_channel();
-    PendingWrite pending;
-    if (!spare_write_buffers_.empty()) {
-        pending.data = std::move(spare_write_buffers_.back());
-        spare_write_buffers_.pop_back();
-    }
-    pending.data.assign(src.begin(), src.end());
-    pending.owner = jc;
-    pending.batch = submit(IoRequest::Kind::kWrite, ops, nullptr, pending.data.data());
-    pending_writes_.push_back(std::move(pending));
-    // Opportunistic reap keeps deferred failures from aging; the per-owner
-    // bound keeps each job's buffered write-behind memory at O(D * B).
-    reap_pending_writes(/*all=*/false);
+    // Every write-behind buffer holds kMaxPendingWrites stripes, so this
+    // owner may keep one submitted batch beside its open one. Land the
+    // oldest of any more (the wait happens with mu_ released, in reap, so
+    // a slow device throttles only this job, never its neighbors'
+    // submissions), then tidy everyone's completed batches: a reaped
+    // buffer becomes the spare the next open batch draws.
     const auto owned = [jc](const PendingWrite& p) { return p.owner == jc; };
     while (static_cast<std::size_t>(std::count_if(pending_writes_.begin(), pending_writes_.end(),
-                                                  owned)) > kMaxPendingWrites) {
-        // Over budget: land this owner's oldest batch. The wait happens
-        // with mu_ released (reap) so a slow device throttles only this
-        // job, never its neighbors' submissions.
+                                                  owned)) > 1) {
         const auto oldest = std::find_if(pending_writes_.begin(), pending_writes_.end(), owned);
         reap_pending_write(static_cast<std::size_t>(oldest - pending_writes_.begin()), lk);
     }
+    reap_pending_writes(/*all=*/false);
+    OpenWrites& open = open_writes_;
+    if (open.owner != jc) flush_open_writes(); // one owner per batch
+    if (open.ops.empty()) {
+        open.owner = jc;
+        if (!spare_write_buffers_.empty()) {
+            open.data = std::move(spare_write_buffers_.back());
+            spare_write_buffers_.pop_back();
+        } else {
+            open.data.reserve(kMaxPendingWrites * disks_.size() * b_);
+        }
+    }
+    open.ops.insert(open.ops.end(), ops.begin(), ops.end());
+    open.data.insert(open.data.end(), src.begin(), src.end());
+    if (++open.stripes == kMaxPendingWrites) flush_open_writes();
     if (jc != nullptr && jc->deferred_failure) {
         const std::exception_ptr e = jc->deferred_failure;
         jc->deferred_failure = nullptr;
@@ -843,9 +855,22 @@ void DiskArray::write_stripe_async(std::span<const BlockOp> ops, std::span<const
     }
 }
 
+void DiskArray::flush_open_writes() {
+    OpenWrites& open = open_writes_;
+    if (open.ops.empty()) return;
+    PendingWrite pending;
+    pending.data = std::exchange(open.data, {});
+    pending.owner = open.owner;
+    pending.batch = submit(IoRequest::Kind::kWrite, open.ops, nullptr, pending.data.data());
+    pending_writes_.push_back(std::move(pending));
+    open.ops.clear();
+    open.stripes = 0;
+}
+
 void DiskArray::reap_pending_writes(bool all) {
     if (engine_ == nullptr) return;
     std::unique_lock<std::recursive_mutex> lk(mu_);
+    if (all) flush_open_writes();
     while (!pending_writes_.empty()) {
         if (!all && !engine_->done(pending_writes_.front().batch)) break;
         reap_pending_write(0, lk);
@@ -858,7 +883,9 @@ void DiskArray::reap_pending_write(std::size_t idx, std::unique_lock<std::recurs
     PendingWrite pending = std::move(pending_writes_[idx]);
     pending_writes_.erase(pending_writes_.begin() + static_cast<std::ptrdiff_t>(idx));
     reap(pending.batch, IoRequest::Kind::kWrite, nullptr, pending.owner, lk);
-    if (spare_write_buffers_.size() < kMaxPendingWrites) {
+    // Keep one spare (kMaxPendingWrites stripes); free the rest.
+    if (spare_write_buffers_.empty()) {
+        pending.data.clear();
         spare_write_buffers_.push_back(std::move(pending.data));
     }
 }
@@ -933,6 +960,8 @@ void DiskArray::release(std::uint32_t disk, std::uint64_t block) {
     std::lock_guard<std::recursive_mutex> lk(mu_);
     BS_REQUIRE(disk < disks_.size(), "release: nonexistent disk");
     BS_REQUIRE(block < next_free_[disk], "release: block was never allocated");
+    // A reallocated block's next image must queue behind this one.
+    flush_open_writes();
     if (JobIoChannel* c = bound_channel(); c != nullptr && c->owned[disk].erase(block) != 0) {
         --c->blocks_live;
     }

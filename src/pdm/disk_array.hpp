@@ -338,11 +338,25 @@ public:
     void complete_read(ReadTicket& ticket);
 
     /// Asynchronous write_step (write-behind): charges one parallel write
-    /// step, copies `src` into an internally owned buffer, submits, and
-    /// returns immediately. Completed batches are reaped opportunistically;
-    /// at most a bounded number stay in flight. Requires parity OFF (parity
-    /// RMW must read old images — write_step runs those writes inline).
+    /// step now, exactly as write_step does, copies `src` into the calling
+    /// owner's open batch and returns. The open batch reaches the engine as
+    /// one submission once it holds kMaxPendingWrites stripes, or earlier at
+    /// an ordering point: any read submission, an append by a different
+    /// owner (each batch keeps one owner for fault attribution), release(),
+    /// drain_async() and set_async(false). Completed batches are reaped
+    /// opportunistically. Requires parity OFF (parity RMW must read old
+    /// images — write_step runs those writes inline).
     void write_stripe_async(std::span<const BlockOp> ops, std::span<const Record> src);
+
+    /// Write-behind bound, in stripes (one write step's blocks). An owner's
+    /// open batch is submitted when it holds this many stripes, and beyond
+    /// it the owner keeps at most this many stripes submitted and unreaped
+    /// (one batch); the array keeps at most this many stripes of spare
+    /// buffer. One owner's buffered write-behind therefore stays within
+    /// 2 * kMaxPendingWrites stripes of D * B records, and a solo owner's
+    /// within that bound with the spare included (the open batch draws the
+    /// spare before anything new is allocated).
+    static constexpr std::size_t kMaxPendingWrites = 8;
 
     /// Allocate one block index on `disk`: the shallowest free (released)
     /// index if any, else a fresh one past the high-water mark. Shallow
@@ -425,17 +439,26 @@ private:
     void check_step_legal(std::span<const BlockOp> ops) const;
 
     // -- async internals (all called on the submitting thread) --
-    /// One write-behind batch: the engine writes from `data`, which we own
-    /// until the batch is reaped. `owner` is the submitting job's channel
-    /// (null when unbound): whichever thread reaps the batch, its retries
-    /// and failures are attributed — and deferred — to the owner.
+    /// One submitted write-behind batch: the engine writes from `data`,
+    /// which we own until the batch is reaped. `owner` is the submitting
+    /// job's channel (null when unbound): whichever thread reaps the batch,
+    /// its retries and failures are attributed — and deferred — to the
+    /// owner.
     struct PendingWrite {
         AsyncBatch batch;
         std::vector<Record> data;
         JobIoChannel* owner = nullptr;
     };
-    /// Per owner: each job's write-behind window is bounded independently.
-    static constexpr std::size_t kMaxPendingWrites = 8;
+    /// The write-behind batch still being filled: charged stripes of one
+    /// owner whose transfers have not reached the engine yet. `data` holds
+    /// the blocks in `ops` order and has room for kMaxPendingWrites full
+    /// stripes (every write-behind buffer has that capacity).
+    struct OpenWrites {
+        std::vector<BlockOp> ops;
+        std::vector<Record> data;
+        JobIoChannel* owner = nullptr;
+        std::size_t stripes = 0;
+    };
 
     /// The channel bound to this array on the calling thread (null if
     /// none). Thread-local lookup; no lock needed.
@@ -468,7 +491,8 @@ private:
     /// recovery ladder. Caller holds mu_.
     void run_inline(const IoRequest& request);
     /// Submit a batch to the worker executor without charging (physical
-    /// only). Caller holds mu_.
+    /// only). A read batch first submits the open write-behind batch, so
+    /// per-disk FIFO puts every charged write ahead of it. Caller holds mu_.
     AsyncBatch submit(IoRequest::Kind kind, std::span<const BlockOp> ops, Record* read_base,
                       const Record* write_base);
     /// Reap one worker batch: wait for it with `lk` released (so a stalled
@@ -491,7 +515,11 @@ private:
     /// another job's `owner` channel is parked there instead of thrown.
     void handle_write_failure(const BlockOp& op, const std::exception_ptr& error,
                               JobIoChannel* owner);
-    /// Reap completed (or, with `all`, every) pending write-behind batch.
+    /// Submit the open write-behind batch, if any, as one engine batch.
+    /// Caller holds mu_.
+    void flush_open_writes();
+    /// Reap completed (or, with `all`, every) pending write-behind batch;
+    /// `all` first submits the open batch.
     void reap_pending_writes(bool all);
     /// Remove the pending write-behind batch at `idx` and reap it under
     /// `lk` (a lock on mu_).
@@ -543,7 +571,8 @@ private:
     /// Mutable: the const snapshot() checks it through quarantine().
     mutable ReleaseQuarantine quarantine_;
     /// Guards all shared bookkeeping (stats_, allocator, quarantine,
-    /// health_, parity/csum state, pending_writes_, spare_write_buffers_)
+    /// health_, parity/csum state, open_writes_, pending_writes_,
+    /// spare_write_buffers_)
     /// against concurrent job threads. Recursive: the recovery ladder
     /// re-enters public entries. Engine workers never take it; the fairness
     /// gate runs before it.
@@ -554,10 +583,10 @@ private:
 
     // -- worker executor state (null / empty when the engine is off) --
     std::unique_ptr<AsyncEngine> engine_; ///< destroyed before disks_
+    OpenWrites open_writes_;
     std::deque<PendingWrite> pending_writes_;
-    /// Data buffers of reaped write-behind batches, reused by the next
-    /// write_stripe_async instead of allocating per step. At most
-    /// kMaxPendingWrites are kept.
+    /// Data buffers of reaped write-behind batches, drawn by the next open
+    /// batch instead of allocating. At most kMaxPendingWrites stripes kept.
     std::vector<std::vector<Record>> spare_write_buffers_;
     // Metrics of engines already torn down (set_async(false) folds them
     // here so stats() stays monotone across enable/disable cycles).

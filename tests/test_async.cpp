@@ -20,6 +20,8 @@
 #include "balsort.hpp"
 #include "pdm/async_engine.hpp"
 #include "pdm/faulty_disk.hpp"
+#include "obs/metrics.hpp"
+#include "pdm/job_channel.hpp"
 #include "pdm/mem_disk.hpp"
 
 namespace balsort {
@@ -511,6 +513,114 @@ TEST(DiskArrayAsync, SetAsyncOffFoldsMetricsAndRestoresSyncPath) {
     BlockRun run2 = write_striped(arr, recs);
     EXPECT_EQ(read_run(arr, run2), recs);
     EXPECT_EQ(arr.stats().async_block_ops, ops_after_disable);
+}
+
+// Write-behind coalescing: charged stripes wait in an open batch until it
+// holds kMaxPendingWrites stripes or an ordering point submits it.
+
+/// One stripe on fresh blocks of every disk of `arr`, tagged `tag`.
+std::pair<std::vector<BlockOp>, std::vector<Record>> fresh_stripe(DiskArray& arr,
+                                                                  std::uint64_t tag) {
+    std::vector<BlockOp> ops;
+    std::vector<Record> data;
+    for (std::uint32_t d = 0; d < arr.num_disks(); ++d) {
+        ops.push_back({d, arr.allocate(d)});
+        const auto blk = make_block(arr.block_size(), tag * 16 + d);
+        data.insert(data.end(), blk.begin(), blk.end());
+    }
+    return {ops, data};
+}
+
+TEST(DiskArrayCoalesce, OpenBatchReadsBackThroughEveryReadPath) {
+    DiskArray arr(4, 4);
+    arr.set_async(true);
+    std::vector<Record> got(4 * 4);
+    auto [ops1, data1] = fresh_stripe(arr, 1);
+    arr.write_step(ops1, data1); // stays in the open batch
+    arr.read_step(ops1, got);
+    EXPECT_EQ(got, data1);
+    auto [ops2, data2] = fresh_stripe(arr, 2);
+    arr.write_step(ops2, data2);
+    arr.read_batch(ops2, got);
+    EXPECT_EQ(got, data2);
+    auto [ops3, data3] = fresh_stripe(arr, 3);
+    arr.write_step(ops3, data3);
+    DiskArray::ReadTicket t = arr.prefetch_read(ops3, got);
+    arr.complete_read(t);
+    EXPECT_EQ(got, data3);
+    arr.drain_async();
+}
+
+TEST(DiskArrayCoalesce, ReleasedBlockRewrittenByAnotherChannelReadsTheSecondImage) {
+    DiskArray arr(2, 4);
+    arr.set_async(true);
+    JobIoChannel a, b;
+    const std::vector<Record> first = make_block(4, 1), second = make_block(4, 2);
+    arr.bind_job_channel(&a);
+    const BlockOp op{0, arr.allocate(0)};
+    arr.write_step(std::span(&op, 1), first);
+    arr.release(op.disk, op.block);
+    arr.unbind_job_channel();
+    arr.bind_job_channel(&b);
+    ASSERT_EQ(arr.allocate(0), op.block); // the shallowest free index
+    arr.write_step(std::span(&op, 1), second);
+    std::vector<Record> got(4);
+    arr.read_step(std::span(&op, 1), got);
+    EXPECT_EQ(got, second);
+    arr.drain_async();
+    arr.unbind_job_channel();
+    arr.bind_job_channel(&a);
+    arr.drain_async();
+    arr.unbind_job_channel();
+}
+
+TEST(DiskArrayCoalesce, FailedWriteSurfacesAtItsOwnersDrainOnly) {
+    FaultTolerance ft;
+    ft.inject.seed = 5;
+    ft.inject.die_after_ops = 1;
+    ft.die_disk = 1;
+    DiskArray arr(2, 4, DiskBackend::kMemory, ".", Constraint::kIndependentDisks, ft);
+    arr.set_async(true);
+    JobIoChannel victim, neighbour;
+    arr.bind_job_channel(&victim);
+    for (std::uint64_t tag = 0; tag < 2; ++tag) { // disk 1 dies after one op
+        const BlockOp op{1, arr.allocate(1)};
+        arr.write_step(std::span(&op, 1), make_block(4, tag));
+    }
+    arr.unbind_job_channel();
+    // The neighbour's append submits the victim's open batch; its own
+    // drain reaps the failed batch but must not throw it.
+    arr.bind_job_channel(&neighbour);
+    const BlockOp mine{0, arr.allocate(0)};
+    arr.write_step(std::span(&mine, 1), make_block(4, 8));
+    EXPECT_NO_THROW(arr.drain_async());
+    arr.unbind_job_channel();
+    arr.bind_job_channel(&victim);
+    EXPECT_THROW(arr.drain_async(), DiskFailed);
+    arr.unbind_job_channel();
+}
+
+TEST(DiskArrayCoalesce, BackToBackWriteStepsShareEngineSubmissions) {
+    MetricsRegistry reg;
+    MetricsInstallGuard guard(&reg);
+    DiskArray arr(4, 4);
+    arr.set_async(true); // the engine samples queue depth once per submit
+    const Histogram& submits = reg.histogram("engine.queue_depth");
+    constexpr std::size_t kSteps = 20;
+    std::vector<std::pair<std::vector<BlockOp>, std::vector<Record>>> stripes;
+    for (std::size_t i = 0; i < kSteps; ++i) {
+        stripes.push_back(fresh_stripe(arr, i));
+        arr.write_step(stripes.back().first, stripes.back().second);
+    }
+    arr.drain_async();
+    constexpr std::size_t k = DiskArray::kMaxPendingWrites;
+    EXPECT_LE(submits.count(), (kSteps + k - 1) / k);
+    EXPECT_EQ(arr.stats().write_steps, kSteps); // charged per step, as before
+    std::vector<Record> got(4 * 4);
+    for (const auto& [ops, data] : stripes) {
+        arr.read_step(ops, got);
+        EXPECT_EQ(got, data);
+    }
 }
 
 // -------------------------------------------------- end-to-end balance_sort
