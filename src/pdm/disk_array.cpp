@@ -553,7 +553,8 @@ void DiskArray::set_async(bool enabled) {
         folded_block_ops_ += m.block_ops;
         folded_max_in_flight_ = std::max(folded_max_in_flight_, m.max_in_flight);
         engine_.reset();
-        spare_write_buffers_.clear();
+        open_writes_.data = {};
+        spare_write_buffer_ = {};
         return;
     }
     std::vector<Disk*> tops;
@@ -821,33 +822,33 @@ void DiskArray::write_stripe_async(std::span<const BlockOp> ops, std::span<const
     check_step_legal(ops);
     charge_write_step(ops);
     JobIoChannel* jc = bound_channel();
-    // Every write-behind buffer holds kMaxPendingWrites stripes, so this
-    // owner may keep one submitted batch beside its open one. Land the
-    // oldest of any more (the wait happens with mu_ released, in reap, so
-    // a slow device throttles only this job, never its neighbors'
-    // submissions), then tidy everyone's completed batches: a reaped
-    // buffer becomes the spare the next open batch draws.
-    const auto owned = [jc](const PendingWrite& p) { return p.owner == jc; };
-    while (static_cast<std::size_t>(std::count_if(pending_writes_.begin(), pending_writes_.end(),
-                                                  owned)) > 1) {
-        const auto oldest = std::find_if(pending_writes_.begin(), pending_writes_.end(), owned);
-        reap_pending_write(static_cast<std::size_t>(oldest - pending_writes_.begin()), lk);
-    }
-    reap_pending_writes(/*all=*/false);
+    // The charged step joins the open batch before any reap below can
+    // rethrow, so every charged step has its transfer behind it.
     OpenWrites& open = open_writes_;
     if (open.owner != jc) flush_open_writes(); // one owner per batch
-    if (open.ops.empty()) {
-        open.owner = jc;
-        if (!spare_write_buffers_.empty()) {
-            open.data = std::move(spare_write_buffers_.back());
-            spare_write_buffers_.pop_back();
-        } else {
-            open.data.reserve(kMaxPendingWrites * disks_.size() * b_);
-        }
+    open.owner = jc;
+    if (open.data.capacity() == 0) {
+        open.data = std::exchange(spare_write_buffer_, {});
+        open.data.reserve(kMaxPendingWrites * disks_.size() * b_);
     }
     open.ops.insert(open.ops.end(), ops.begin(), ops.end());
     open.data.insert(open.data.end(), src.begin(), src.end());
     if (++open.stripes == kMaxPendingWrites) flush_open_writes();
+    // Window: this owner keeps at most kMaxPendingWrites stripes submitted;
+    // land its oldest batches beyond that. The wait happens with mu_
+    // released (reap), so a slow device throttles only this job, never its
+    // neighbors' submissions. Then tidy everyone's completed batches.
+    const auto submitted = [this, jc] {
+        std::size_t n = 0;
+        for (const PendingWrite& p : pending_writes_) n += p.owner == jc ? p.stripes : 0;
+        return n;
+    };
+    while (submitted() > kMaxPendingWrites) {
+        const auto oldest = std::find_if(pending_writes_.begin(), pending_writes_.end(),
+                                         [jc](const PendingWrite& p) { return p.owner == jc; });
+        reap_pending_write(static_cast<std::size_t>(oldest - pending_writes_.begin()), lk);
+    }
+    reap_pending_writes(/*all=*/false);
     if (jc != nullptr && jc->deferred_failure) {
         const std::exception_ptr e = jc->deferred_failure;
         jc->deferred_failure = nullptr;
@@ -859,8 +860,17 @@ void DiskArray::flush_open_writes() {
     OpenWrites& open = open_writes_;
     if (open.ops.empty()) return;
     PendingWrite pending;
-    pending.data = std::exchange(open.data, {});
     pending.owner = open.owner;
+    pending.stripes = open.stripes;
+    if (open.stripes == kMaxPendingWrites) {
+        pending.data = std::exchange(open.data, {});
+    } else {
+        // Cut short by an ordering point: copy out at its own size and keep
+        // the full-size buffer open, so buffered memory is what the window
+        // counts.
+        pending.data.assign(open.data.begin(), open.data.end());
+        open.data.clear();
+    }
     pending.batch = submit(IoRequest::Kind::kWrite, open.ops, nullptr, pending.data.data());
     pending_writes_.push_back(std::move(pending));
     open.ops.clear();
@@ -883,10 +893,10 @@ void DiskArray::reap_pending_write(std::size_t idx, std::unique_lock<std::recurs
     PendingWrite pending = std::move(pending_writes_[idx]);
     pending_writes_.erase(pending_writes_.begin() + static_cast<std::ptrdiff_t>(idx));
     reap(pending.batch, IoRequest::Kind::kWrite, nullptr, pending.owner, lk);
-    // Keep one spare (kMaxPendingWrites stripes); free the rest.
-    if (spare_write_buffers_.empty()) {
+    // Keep one full-size buffer spare; free the rest.
+    if (pending.stripes == kMaxPendingWrites && spare_write_buffer_.capacity() == 0) {
         pending.data.clear();
-        spare_write_buffers_.push_back(std::move(pending.data));
+        spare_write_buffer_ = std::move(pending.data);
     }
 }
 
@@ -960,8 +970,6 @@ void DiskArray::release(std::uint32_t disk, std::uint64_t block) {
     std::lock_guard<std::recursive_mutex> lk(mu_);
     BS_REQUIRE(disk < disks_.size(), "release: nonexistent disk");
     BS_REQUIRE(block < next_free_[disk], "release: block was never allocated");
-    // A reallocated block's next image must queue behind this one.
-    flush_open_writes();
     if (JobIoChannel* c = bound_channel(); c != nullptr && c->owned[disk].erase(block) != 0) {
         --c->blocks_live;
     }

@@ -338,24 +338,25 @@ public:
     void complete_read(ReadTicket& ticket);
 
     /// Asynchronous write_step (write-behind): charges one parallel write
-    /// step now, exactly as write_step does, copies `src` into the calling
-    /// owner's open batch and returns. The open batch reaches the engine as
-    /// one submission once it holds kMaxPendingWrites stripes, or earlier at
-    /// an ordering point: any read submission, an append by a different
-    /// owner (each batch keeps one owner for fault attribution), release(),
-    /// drain_async() and set_async(false). Completed batches are reaped
-    /// opportunistically. Requires parity OFF (parity RMW must read old
-    /// images — write_step runs those writes inline).
+    /// step now, exactly as write_step does, copies `src` into the array's
+    /// open batch and returns. The open batch holds one owner's stripes and
+    /// reaches the engine as one submission once it holds kMaxPendingWrites
+    /// stripes, or earlier at an ordering point: any read submission, an
+    /// append by a different owner (each batch keeps one owner for fault
+    /// attribution), drain_async() and set_async(false). Completed batches
+    /// are reaped opportunistically. Requires parity OFF (parity RMW must
+    /// read old images — write_step runs those writes inline).
     void write_stripe_async(std::span<const BlockOp> ops, std::span<const Record> src);
 
-    /// Write-behind bound, in stripes (one write step's blocks). An owner's
-    /// open batch is submitted when it holds this many stripes, and beyond
-    /// it the owner keeps at most this many stripes submitted and unreaped
-    /// (one batch); the array keeps at most this many stripes of spare
-    /// buffer. One owner's buffered write-behind therefore stays within
-    /// 2 * kMaxPendingWrites stripes of D * B records, and a solo owner's
-    /// within that bound with the spare included (the open batch draws the
-    /// spare before anything new is allocated).
+    /// Write-behind bound K, in stripes (one write step's blocks, at most
+    /// D * B records). The open batch is submitted when it holds K stripes;
+    /// each owner keeps at most K stripes submitted and unreaped, landing
+    /// its oldest batches beyond that; the array keeps one open and at most
+    /// one spare buffer of K stripes. A batch cut short by an ordering
+    /// point is copied out at its own size, so it costs the owner's window
+    /// only the stripes it holds. A solo owner's buffered write-behind
+    /// (open + submitted + spare) therefore stays within 2K stripes, and
+    /// each further owner adds at most K.
     static constexpr std::size_t kMaxPendingWrites = 8;
 
     /// Allocate one block index on `disk`: the shallowest free (released)
@@ -439,20 +440,21 @@ private:
     void check_step_legal(std::span<const BlockOp> ops) const;
 
     // -- async internals (all called on the submitting thread) --
-    /// One submitted write-behind batch: the engine writes from `data`,
-    /// which we own until the batch is reaped. `owner` is the submitting
-    /// job's channel (null when unbound): whichever thread reaps the batch,
-    /// its retries and failures are attributed — and deferred — to the
-    /// owner.
+    /// One submitted write-behind batch of `stripes` stripes: the engine
+    /// writes from `data`, which we own until the batch is reaped. `owner`
+    /// is the submitting job's channel (null when unbound): whichever thread
+    /// reaps the batch, its retries and failures are attributed — and
+    /// deferred — to the owner.
     struct PendingWrite {
         AsyncBatch batch;
         std::vector<Record> data;
         JobIoChannel* owner = nullptr;
+        std::size_t stripes = 0;
     };
     /// The write-behind batch still being filled: charged stripes of one
     /// owner whose transfers have not reached the engine yet. `data` holds
     /// the blocks in `ops` order and has room for kMaxPendingWrites full
-    /// stripes (every write-behind buffer has that capacity).
+    /// stripes.
     struct OpenWrites {
         std::vector<BlockOp> ops;
         std::vector<Record> data;
@@ -572,7 +574,7 @@ private:
     mutable ReleaseQuarantine quarantine_;
     /// Guards all shared bookkeeping (stats_, allocator, quarantine,
     /// health_, parity/csum state, open_writes_, pending_writes_,
-    /// spare_write_buffers_)
+    /// spare_write_buffer_)
     /// against concurrent job threads. Recursive: the recovery ladder
     /// re-enters public entries. Engine workers never take it; the fairness
     /// gate runs before it.
@@ -585,9 +587,9 @@ private:
     std::unique_ptr<AsyncEngine> engine_; ///< destroyed before disks_
     OpenWrites open_writes_;
     std::deque<PendingWrite> pending_writes_;
-    /// Data buffers of reaped write-behind batches, drawn by the next open
-    /// batch instead of allocating. At most kMaxPendingWrites stripes kept.
-    std::vector<std::vector<Record>> spare_write_buffers_;
+    /// The buffer of a reaped full batch (kMaxPendingWrites stripes), drawn
+    /// by the next open batch instead of allocating; empty when none.
+    std::vector<Record> spare_write_buffer_;
     // Metrics of engines already torn down (set_async(false) folds them
     // here so stats() stays monotone across enable/disable cycles).
     double folded_busy_seconds_ = 0;
