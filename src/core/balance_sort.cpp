@@ -143,38 +143,9 @@ BlockRun sort_validated(DiskArray& disks, const BlockRun& input, const PdmConfig
     }
     ResumeCursor cursor;
     ResumeCursor* resume = nullptr;
-    IoStats io_resumed{};
     if (!dur.resume_from.empty()) {
-        CheckpointRecord rec = load_checkpoint(dur.resume_from);
-        BS_REQUIRE(rec.n == cfg.n && rec.m == cfg.m && rec.p == cfg.p &&
-                       rec.d == disks.num_disks() && rec.b == disks.block_size() &&
-                       rec.dv == dv && rec.backend == static_cast<std::uint8_t>(disks.backend()) &&
-                       rec.synchronized_writes ==
-                           (job.io_policy.synchronized_writes ? 1 : 0),
-                   "resume: checkpoint was written under a different configuration");
-        disks.restore(rec.disks);
-        st.meter.add_comparisons(rec.comparisons);
-        st.meter.add_moves(rec.moves);
-        st.meter.add_collectives(rec.collectives);
-        st.cost.charge_steps(rec.pram_steps);
-        st.out.restore(rec.out_run, rec.out_buffer, rec.out_next_disk);
-        if (report != nullptr) {
-            report->levels = rec.levels;
-            report->s_used = rec.s_used;
-            report->base_cases = rec.base_cases;
-            report->equal_class_records = rec.equal_class_records;
-            report->max_bucket_records = rec.max_bucket_records;
-            report->bucket_bound = rec.bucket_bound;
-            report->worst_bucket_read_ratio = rec.worst_bucket_read_ratio;
-            report->balance = rec.balance;
-        }
-        io_resumed = rec.io_delta;
-        checkpointer->arm_resume(rec);
-        for (auto& frame : rec.frames) cursor.frames.push_back(std::move(frame));
+        checkpointer->resume(dur.resume_from, cursor);
         resume = &cursor;
-        if (MetricsRegistry* reg = metrics(); reg != nullptr) {
-            reg->counter("recovery.resumes").add();
-        }
     }
 
     SourceFactory top = [&disks, &input]() -> std::unique_ptr<RecordSource> {
@@ -189,7 +160,7 @@ BlockRun sort_validated(DiskArray& disks, const BlockRun& input, const PdmConfig
     BS_MODEL_CHECK(result.n_records == cfg.n, "balance_sort: output record count mismatch");
 
     if (report != nullptr) {
-        report->io = io_resumed;
+        report->io = checkpointer != nullptr ? checkpointer->io_resumed() : IoStats{};
         report->io += (channel_bound ? disks.job_stats() : disks.stats()) - before;
         report->checkpoints_written = checkpointer != nullptr ? checkpointer->seq() : 0;
         report->resumes = checkpointer != nullptr ? checkpointer->resumes() : 0;

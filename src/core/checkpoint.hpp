@@ -123,13 +123,14 @@ struct ResumeCursor {
 class Checkpointer {
 public:
     /// `io_before` is the array's stats at sort entry (the same baseline
-    /// the final report subtracts). For a resumed sort, arm_resume()
-    /// additionally carries the interrupted run's accumulated I/O.
+    /// the final report subtracts).
     Checkpointer(std::string path, DriverState& st, IoStats io_before);
 
-    /// Continue the seq / resume-generation / I/O accounting of a loaded
-    /// record instead of starting fresh.
-    void arm_resume(const CheckpointRecord& rec);
+    /// Continue the sort from the record at `path`: check its configuration
+    /// echo, restore the array, meters, emit writer and report partials,
+    /// carry on its seq / resume-generation / I/O accounting, and hand its
+    /// recursion stack to `cursor`. Throws IoError on an unreadable record.
+    void resume(const std::string& path, ResumeCursor& cursor);
 
     /// One durable boundary: drain the async engine, flush the array's
     /// release quarantine, capture the full record, write it atomically,

@@ -442,14 +442,20 @@ void DiskArray::check_step_legal(std::span<const BlockOp> ops) const {
 void DiskArray::read_step(std::span<const BlockOp> ops, std::span<Record> buffers) {
     if (ops.empty()) return;
     BS_REQUIRE(buffers.size() == ops.size() * b_, "read_step: buffer size mismatch");
+    gate_steps(1);
+    std::unique_lock<std::recursive_mutex> lk(mu_);
+    check_step_legal(ops);
     if (engine_ != nullptr) {
-        ReadTicket ticket = read_stripe_async(ops, buffers); // gates internally
+        // Charge and submit under the lock, wait without it: recovery
+        // (retry exhaustion, corruption, death) runs in complete_read.
+        charge_read_step(ops);
+        ReadTicket ticket;
+        ticket.dest_ = buffers;
+        ticket.batch_ = submit(IoRequest::Kind::kRead, ops, buffers.data(), nullptr);
+        lk.unlock();
         complete_read(ticket);
         return;
     }
-    gate_steps(1);
-    std::lock_guard<std::recursive_mutex> lk(mu_);
-    check_step_legal(ops);
     for (std::size_t i = 0; i < ops.size(); ++i) {
         run_inline({.disk = ops[i].disk, .block = ops[i].block, .read_buf = &buffers[i * b_]});
     }
@@ -514,23 +520,6 @@ void DiskArray::read_batch(std::span<const BlockOp> ops, std::span<Record> dest)
             run_inline({.disk = ops[i].disk, .block = ops[i].block, .read_buf = &dest[i * b_]});
         }
         charge_read_step(step_ops);
-    }
-}
-
-void DiskArray::write_batch(std::span<const BlockOp> ops, std::span<const Record> src) {
-    BS_REQUIRE(src.size() == ops.size() * b_, "write_batch: buffer size mismatch");
-    auto steps = plan_steps(ops, disks_.size(), constraint_);
-    std::vector<BlockOp> step_ops;
-    std::vector<Record> step_buf;
-    for (const auto& idxs : steps) {
-        step_ops.clear();
-        step_buf.clear();
-        for (std::size_t i : idxs) {
-            step_ops.push_back(ops[i]);
-            step_buf.insert(step_buf.end(), src.begin() + static_cast<std::ptrdiff_t>(i * b_),
-                            src.begin() + static_cast<std::ptrdiff_t>((i + 1) * b_));
-        }
-        write_step(step_ops, step_buf);
     }
 }
 
@@ -720,21 +709,6 @@ void DiskArray::reap(AsyncBatch& batch, IoRequest::Kind kind, Record* read_base,
             handle_write_failure(op, c.error, owner);
         }
     }
-}
-
-DiskArray::ReadTicket DiskArray::read_stripe_async(std::span<const BlockOp> ops,
-                                                   std::span<Record> dest) {
-    BS_REQUIRE(engine_ != nullptr, "read_stripe_async: the worker executor is off");
-    if (ops.empty()) return ReadTicket{};
-    BS_REQUIRE(dest.size() == ops.size() * b_, "read_stripe_async: buffer size mismatch");
-    gate_steps(1);
-    std::lock_guard<std::recursive_mutex> lk(mu_);
-    check_step_legal(ops);
-    charge_read_step(ops);
-    ReadTicket ticket;
-    ticket.dest_ = dest;
-    ticket.batch_ = submit(IoRequest::Kind::kRead, ops, dest.data(), nullptr);
-    return ticket;
 }
 
 DiskArray::ReadTicket DiskArray::prefetch_read(std::span<const BlockOp> ops,
@@ -942,28 +916,19 @@ void DiskArray::handle_write_failure(const BlockOp& op, const std::exception_ptr
 std::uint64_t DiskArray::allocate(std::uint32_t disk) {
     std::lock_guard<std::recursive_mutex> lk(mu_);
     BS_REQUIRE(disk < disks_.size(), "allocate: nonexistent disk");
-    if (free_list_[disk].empty()) return allocate(disk, 1);
-    const std::uint64_t idx = free_list_[disk].top();
-    free_list_[disk].pop();
-    note_owned(disk, idx, 1);
+    std::uint64_t idx = next_free_[disk];
+    if (free_list_[disk].empty()) {
+        ++next_free_[disk];
+    } else {
+        idx = free_list_[disk].top();
+        free_list_[disk].pop();
+    }
+    if (JobIoChannel* c = bound_channel(); c != nullptr) {
+        c->owned[disk].insert(idx);
+        ++c->blocks_live;
+        c->blocks_high_water = std::max(c->blocks_high_water, c->blocks_live);
+    }
     return idx;
-}
-
-std::uint64_t DiskArray::allocate(std::uint32_t disk, std::uint64_t n_blocks) {
-    std::lock_guard<std::recursive_mutex> lk(mu_);
-    BS_REQUIRE(disk < disks_.size(), "allocate: nonexistent disk");
-    const std::uint64_t first = next_free_[disk];
-    next_free_[disk] += n_blocks;
-    note_owned(disk, first, n_blocks);
-    return first;
-}
-
-void DiskArray::note_owned(std::uint32_t disk, std::uint64_t first, std::uint64_t n_blocks) {
-    JobIoChannel* c = bound_channel();
-    if (c == nullptr) return;
-    for (std::uint64_t i = 0; i < n_blocks; ++i) c->owned[disk].insert(first + i);
-    c->blocks_live += n_blocks;
-    c->blocks_high_water = std::max(c->blocks_high_water, c->blocks_live);
 }
 
 void DiskArray::release(std::uint32_t disk, std::uint64_t block) {

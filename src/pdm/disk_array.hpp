@@ -4,10 +4,10 @@
 ///
 /// Model rule (Vitter–Shriver D-disk model): in one I/O step, each of the D
 /// disks may transfer at most one block of B records. `read_step` /
-/// `write_step` enforce the rule with hard checks; `read_batch` /
-/// `write_batch` split arbitrary block lists into the minimum number of
-/// steps (max blocks-per-disk), which is how the algorithms pay for
-/// imbalance — the very quantity Balance Sort minimizes.
+/// `write_step` enforce the rule with hard checks; `read_batch` splits an
+/// arbitrary block list into the minimum number of steps (max
+/// blocks-per-disk), which is how the algorithms pay for imbalance — the
+/// very quantity Balance Sort minimizes.
 ///
 /// The weaker Aggarwal–Vitter model of Fig. 1 — any D blocks per I/O,
 /// regardless of disk — is available via `Constraint::kAggarwalVitter`
@@ -267,9 +267,6 @@ public:
     /// Costs max-per-disk steps. dest receives blocks in `ops` order.
     void read_batch(std::span<const BlockOp> ops, std::span<Record> dest);
 
-    /// Write counterpart of read_batch.
-    void write_batch(std::span<const BlockOp> ops, std::span<const Record> src);
-
     // ---- worker-executor request/completion API (DESIGN.md §9) ----
     //
     // With the workers on, the transfers above route through them, so
@@ -279,7 +276,7 @@ public:
     // inline executor.
 
     /// Completion handle for one asynchronous stripe read. Move-only.
-    /// Obtain via read_stripe_async/prefetch_read; redeem via complete_read.
+    /// Obtain via prefetch_read; redeem via complete_read.
     class ReadTicket {
     public:
         ReadTicket() = default;
@@ -314,12 +311,6 @@ public:
     /// Wall-clock observability only; touches no model state.
     std::vector<std::uint32_t> async_in_flight() const;
 
-    /// Asynchronous read_step: charges one parallel read step now, submits
-    /// the transfers, returns a ticket. `dest` must stay valid until the
-    /// ticket is completed. Recovery (retry exhaustion, corruption, death)
-    /// happens inside complete_read, through the one recovery ladder.
-    ReadTicket read_stripe_async(std::span<const BlockOp> ops, std::span<Record> dest);
-
     /// Submit transfers WITHOUT charging model costs — pair each prefetch
     /// with a later charge_read_batch over the same ops at consumption
     /// time. This is how RunReader overlaps: physical I/O runs
@@ -337,17 +328,6 @@ public:
     /// Idempotent: completing an empty/moved-from ticket is a no-op.
     void complete_read(ReadTicket& ticket);
 
-    /// Asynchronous write_step (write-behind): charges one parallel write
-    /// step now, exactly as write_step does, copies `src` into the array's
-    /// open batch and returns. The open batch holds one owner's stripes and
-    /// reaches the engine as one submission once it holds kMaxPendingWrites
-    /// stripes, or earlier at an ordering point: any read submission, an
-    /// append by a different owner (each batch keeps one owner for fault
-    /// attribution), drain_async() and set_async(false). Completed batches
-    /// are reaped opportunistically. Requires parity OFF (parity RMW must
-    /// read old images — write_step runs those writes inline).
-    void write_stripe_async(std::span<const BlockOp> ops, std::span<const Record> src);
-
     /// Write-behind bound K, in stripes (one write step's blocks, at most
     /// D * B records). The open batch is submitted when it holds K stripes;
     /// each owner keeps at most K stripes submitted and unreaped, landing
@@ -364,8 +344,6 @@ public:
     /// reuse keeps total space O(N) — essential for the memory-hierarchy
     /// models, whose access cost grows with depth.
     std::uint64_t allocate(std::uint32_t disk);
-    /// Bump-allocate `n_blocks` consecutive fresh indices (no free-list).
-    std::uint64_t allocate(std::uint32_t disk, std::uint64_t n_blocks);
 
     /// Return a block to the allocator (it must not be referenced again
     /// until re-allocated; tests fuzz this contract).
@@ -440,6 +418,17 @@ private:
     void check_step_legal(std::span<const BlockOp> ops) const;
 
     // -- async internals (all called on the submitting thread) --
+    /// write_step on the worker executor (write-behind): charges one
+    /// parallel write step now, copies `src` into the array's open batch
+    /// and returns. The open batch holds one owner's stripes and reaches
+    /// the engine as one submission once it holds kMaxPendingWrites
+    /// stripes, or earlier at an ordering point: any read submission, an
+    /// append by a different owner (each batch keeps one owner for fault
+    /// attribution), drain_async() and set_async(false). Completed batches
+    /// are reaped opportunistically. Requires parity OFF (parity RMW must
+    /// read old images — write_step runs those writes inline).
+    void write_stripe_async(std::span<const BlockOp> ops, std::span<const Record> src);
+
     /// One submitted write-behind batch of `stripes` stripes: the engine
     /// writes from `data`, which we own until the batch is reaped. `owner`
     /// is the submitting job's channel (null when unbound): whichever thread
@@ -478,9 +467,6 @@ private:
     ReleaseQuarantine& quarantine() const;
     /// Move every parked block of `q` to the free lists. Caller holds mu_.
     void free_parked(ReleaseQuarantine& q);
-    /// Record blocks [first, first+n_blocks) of `disk` as owned by the
-    /// bound channel, if any. Caller holds mu_.
-    void note_owned(std::uint32_t disk, std::uint64_t first, std::uint64_t n_blocks);
 
     /// Model accounting for one parallel step (counters + observer).
     void charge_read_step(std::span<const BlockOp> ops);

@@ -55,7 +55,6 @@ SortScheduler::SortScheduler(DiskArray& disks, SchedulerConfig cfg)
     : disks_(disks),
       cfg_(std::move(cfg)),
       arbiter_(cfg_.fairness),
-      shared_pool_(cfg_.shared_pool_retain_records),
       trace_guard_(cfg_.trace),
       metrics_guard_(cfg_.metrics),
       executor_(cfg_.share_executor ? std::make_unique<Executor>(cfg_.executor_threads)
@@ -226,7 +225,7 @@ void SortScheduler::run_job(Job& job) {
 }
 
 SortJobConfig SortScheduler::wire_shared(SortJobConfig cfg) {
-    if (cfg_.share_buffer_pool) cfg.io_policy.shared_pool = &shared_pool_;
+    cfg.io_policy.shared_pool = &shared_pool_;
     if (executor_ != nullptr) cfg.compute_policy.shared_executor = executor_.get();
     return cfg;
 }

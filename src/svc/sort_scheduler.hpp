@@ -64,9 +64,6 @@ struct SchedulerConfig {
     /// IoArbiter quantum scale (see io_arbiter.hpp); <= 0 disables
     /// arbitration.
     double fairness = 1.0;
-    /// Share one BufferPool across all jobs (recycles staging buffers
-    /// between jobs); off gives each job its own per-sort pool.
-    bool share_buffer_pool = true;
     /// Share one work-stealing Executor across all jobs' compute
     /// (DESIGN.md §15): concurrent base-case sorts, selections, and merges
     /// interleave on one worker set instead of oversubscribing the machine
@@ -79,8 +76,6 @@ struct SchedulerConfig {
     /// concurrency. Jobs see a logical width of min(p, workers + 1) unless
     /// their ComputePolicy::threads pins one.
     std::uint32_t executor_threads = 0;
-    /// Retention cap of the shared pool (records); 0 = unlimited.
-    std::uint64_t shared_pool_retain_records = 0;
     /// When non-empty, write one RunManifest JSON per succeeded job into
     /// this directory (must exist): <dir>/job-<id>-<name>.json.
     std::string manifest_dir;

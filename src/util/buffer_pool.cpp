@@ -48,11 +48,6 @@ BufferPool::Lease BufferPool::acquire(std::size_t n_records) {
 void BufferPool::give_back(std::vector<Record>&& buf) {
     if (buf.capacity() == 0) return;
     std::lock_guard<std::mutex> lock(mutex_);
-    if (max_retained_records_ != 0 &&
-        stats_.retained_records + buf.capacity() > max_retained_records_) {
-        stats_.dropped += 1;
-        return; // buf frees on scope exit
-    }
     stats_.retained_records += buf.capacity();
     stats_.high_water_records = std::max(stats_.high_water_records, stats_.retained_records);
     free_.push_back(std::move(buf));

@@ -33,12 +33,7 @@ namespace balsort {
 
 class BufferPool {
 public:
-    /// Retain at most `max_retained_records` of capacity across idle
-    /// buffers; returns beyond the cap free their memory (counted as
-    /// `dropped`). 0 = unlimited retention.
-    explicit BufferPool(std::uint64_t max_retained_records = 0)
-        : max_retained_records_(max_retained_records) {}
-
+    BufferPool() = default;
     BufferPool(const BufferPool&) = delete;
     BufferPool& operator=(const BufferPool&) = delete;
 
@@ -96,7 +91,6 @@ public:
     struct Stats {
         std::uint64_t hits = 0;    ///< acquires served from a recycled buffer
         std::uint64_t misses = 0;  ///< acquires that allocated fresh
-        std::uint64_t dropped = 0; ///< returns freed because the cap was full
         std::uint64_t retained_records = 0;   ///< idle capacity held right now
         std::uint64_t high_water_records = 0; ///< peak idle capacity held
     };
@@ -110,7 +104,6 @@ private:
 
     mutable std::mutex mutex_;
     std::vector<std::vector<Record>> free_;
-    std::uint64_t max_retained_records_;
     Stats stats_;
 };
 

@@ -120,27 +120,27 @@ TEST(DiskArray, StatsCountStepsAndBlocks) {
 
 TEST(DiskArray, BatchUsesMinimalSteps) {
     DiskArray arr(3, 2);
-    // Lay down blocks: disk 0 gets 3 blocks, disks 1-2 get 1 each.
+    // Lay down blocks, one per write step: disk 0 gets 3 blocks, disks 1-2
+    // get 1 each.
     std::vector<BlockOp> ops;
     for (std::uint64_t i = 0; i < 3; ++i) ops.push_back({0, i});
     ops.push_back({1, 0});
     ops.push_back({2, 0});
     std::vector<Record> data(ops.size() * 2);
     for (std::size_t i = 0; i < data.size(); ++i) data[i] = {i, i};
-    arr.write_batch(ops, data);
-    // max-per-disk = 3 -> exactly 3 write steps.
-    EXPECT_EQ(arr.stats().write_steps, 3u);
+    for (std::size_t i = 0; i < ops.size(); ++i) {
+        arr.write_step({&ops[i], 1}, std::span<const Record>(data).subspan(i * 2, 2));
+    }
     std::vector<Record> in(data.size());
     arr.read_batch(ops, in);
+    // max-per-disk = 3 -> exactly 3 read steps.
     EXPECT_EQ(arr.stats().read_steps, 3u);
     EXPECT_EQ(in, data);
 }
 
 TEST(DiskArray, AllocatorBumpsPerDisk) {
     DiskArray arr(2, 4);
-    EXPECT_EQ(arr.allocate(0), 0u);
-    EXPECT_EQ(arr.allocate(0, 3), 1u);
-    EXPECT_EQ(arr.allocate(0), 4u);
+    for (std::uint64_t i = 0; i < 5; ++i) EXPECT_EQ(arr.allocate(0), i);
     EXPECT_EQ(arr.allocate(1), 0u);
     EXPECT_EQ(arr.high_water(0), 5u);
     EXPECT_EQ(arr.high_water(1), 1u);

@@ -589,14 +589,6 @@ TEST(BufferPoolTest, RecyclesCapacity) {
     EXPECT_EQ(s.misses, 1u);
 }
 
-TEST(BufferPoolTest, CapDropsReturns) {
-    BufferPool pool(/*max_retained_records=*/10);
-    { auto a = pool.acquire(100); }
-    const auto s = pool.stats();
-    EXPECT_EQ(s.dropped, 1u);
-    EXPECT_EQ(s.retained_records, 0u);
-}
-
 TEST(BufferPoolTest, UnpooledFallback) {
     auto lease = BufferPool::acquire_from(nullptr, 64);
     EXPECT_EQ(lease->size(), 64u);

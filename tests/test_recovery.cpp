@@ -165,6 +165,54 @@ TEST(CheckpointCodec, RoundTripsEveryField) {
     EXPECT_EQ(encode_checkpoint(back), payload);
 }
 
+std::uint64_t fnv1a64(const std::vector<std::uint8_t>& bytes) {
+    std::uint64_t h = 0xcbf29ce484222325ull;
+    for (std::uint8_t c : bytes) {
+        h ^= c;
+        h *= 0x100000001b3ull;
+    }
+    return h;
+}
+
+// The round trip alone would pass if the encoder and decoder reordered a
+// field in step; a resumed process may read a record an older build wrote,
+// so the bytes themselves are pinned (x86-64, little-endian).
+TEST(CheckpointCodec, WireFormatIsPinned) {
+    const std::vector<std::uint8_t> payload = encode_checkpoint(rich_record());
+    EXPECT_EQ(payload.size(), 1632u);
+    EXPECT_EQ(fnv1a64(payload), 0x941c0329e7eb259aull);
+}
+
+// Every truncation, and every single-byte substitution with a few telling
+// values, either decodes or is refused as IoError: a corrupt record never
+// aborts, overreads or asks for an absurd allocation.
+TEST(CheckpointCodec, CorruptionSweepDecodesOrThrowsIoError) {
+    const std::vector<std::uint8_t> payload = encode_checkpoint(rich_record());
+    std::size_t decoded = 0, refused = 0;
+    auto attempt = [&](const std::vector<std::uint8_t>& bytes) {
+        try {
+            decode_checkpoint(bytes.data(), bytes.size());
+            ++decoded;
+        } catch (const IoError&) {
+            ++refused;
+        }
+    };
+    for (std::size_t len = 0; len < payload.size(); ++len) {
+        attempt(std::vector<std::uint8_t>(payload.begin(),
+                                          payload.begin() + static_cast<std::ptrdiff_t>(len)));
+    }
+    for (std::size_t i = 0; i < payload.size(); ++i) {
+        for (std::uint8_t v : {0x00, 0x01, 0x02, 0x7f, 0xff}) {
+            if (payload[i] == v) continue;
+            std::vector<std::uint8_t> bad = payload;
+            bad[i] = v;
+            attempt(bad);
+        }
+    }
+    EXPECT_EQ(decoded, 5567u);
+    EXPECT_EQ(refused, 2895u);
+}
+
 /// Offset of the first op's block index of live virtual block `k` in an
 /// encoded rich_record() payload.
 std::size_t live_block_offset(const std::vector<std::uint8_t>& payload, std::uint32_t k) {
